@@ -10,6 +10,7 @@ common numeric options; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import random
@@ -19,7 +20,7 @@ from multiprocessing import Pool
 
 from . import __version__
 from .analysis import LEAKAGE_CSV_HEADER, ChannelModel, exact_leakage
-from .bench import MIN_REPS, run_grid, write_csv
+from .bench import run_grid, write_csv
 from .ff import Field, field_for, prime_power
 from .planner import plan
 from .rmid import (
@@ -64,8 +65,12 @@ class DomainError(ValueError):
     """Anything that is the caller's data rather than the caller's syntax."""
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stdout.write(_dumps(obj))
 
 
 def _fail(kind: str, message: str) -> int:
@@ -81,12 +86,6 @@ def _read_json(path: str) -> dict:
         return json.load(sys.stdin)
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
 
 
 def _load_config(path: str) -> dict:
@@ -135,22 +134,14 @@ def _rng(args) -> random.Random:
     return random.Random(args.seed)  # Random(None) seeds from the OS
 
 
-def _delta(text: str) -> Fraction:
-    # accepts "1/8", "0.125", "0"
-    return Fraction(text)
-
-
-def _channel_from_args(args, q: int) -> ChannelModel:
-    kind = args.channel
-    if kind == "identity":
-        return ChannelModel.identity(q)
-    if kind == "uniform":
-        return ChannelModel.uniform(q)
-    delta = _delta(args.delta) if args.delta is not None else Fraction(0)
-    if kind == "symmetric":
-        return ChannelModel.symmetric(q, delta)
-    if kind == "erasure":
-        return ChannelModel.erasure(q, delta)
+def _channel(kind: str, q: int, delta_text: str | None) -> ChannelModel:
+    """Observation channel by name; delta_text ("1/8", "0.125") defaults to 0
+    and is ignored by the parameter-free identity and uniform channels."""
+    if kind in ("identity", "uniform"):
+        return getattr(ChannelModel, kind)(q)
+    if kind in ("symmetric", "erasure"):
+        delta = Fraction(delta_text) if delta_text is not None else Fraction(0)
+        return getattr(ChannelModel, kind)(q, delta)
     raise DomainError(f"unknown channel kind {kind!r}")
 
 
@@ -212,11 +203,14 @@ def _load_multichallenge(path: str) -> tuple[dict, MultiChallenge]:
 def cmd_verify(args) -> int:
     identity = _load_identity(args.identity)
     header, mc = _load_multichallenge(args.challenge)
-    if header.get("q") not in (None, identity.params.field.q):
+    field = identity.params.field
+    if header.get("q") not in (None, field.q):
         raise DomainError(
             f"challenge was issued over GF({header['q']}), "
-            f"identity lives in GF({identity.params.field.q})"
+            f"identity lives in GF({field.q})"
         )
+    for c in mc.challenges:
+        field._check(c.tag)
     _emit({"accept": verify_multi(identity, mc)})
     return 0
 
@@ -241,21 +235,22 @@ def cmd_encrypt(args) -> int:
         "ell_prime": ell_prime,
         "seeds": [s.to_json_dict() for s in seeds],
     }
-    _write_json(args.seeds_out, seeds_obj)
+    # every output is built before any file is opened, so a failure
+    # (say, a pivot beyond the one-byte wire field) leaves no partial files
+    files = {args.seeds_out: _dumps(seeds_obj).encode()}
     if args.seeds_bin_out:
-        with open(args.seeds_bin_out, "wb") as fh:
-            for s in seeds:
-                fh.write(s.to_bytes(field))
+        files[args.seeds_bin_out] = b"".join(s.to_bytes(field) for s in seeds)
+    if args.out_bin:
+        files[args.out_bin] = b"".join(sc.to_bytes(field) for sc in secrets)
+    for path, data in files.items():
+        with open(path, "wb") as fh:
+            fh.write(data)
     out = {
         "q": field.q,
         "ell": header.get("ell", len(mc.challenges[0].r) if mc.challenges else 0),
         "ell_prime": ell_prime,
         "secret_challenges": [sc.to_json_dict() for sc in secrets],
     }
-    if args.out_bin:
-        with open(args.out_bin, "wb") as fh:
-            for sc in secrets:
-                fh.write(sc.to_bytes(field))
     _emit(out)
     return 0
 
@@ -325,20 +320,15 @@ def cmd_leakage_bound(args) -> int:
 
 def _sweep_point(point: tuple[int, int, str, str | None]) -> list:
     q, ell_prime, kind, delta_text = point
-    field = Field.from_q(q)
-    params = SecrecyParams(field, ell_prime)
-    if kind in ("identity", "uniform"):
-        channel = getattr(ChannelModel, kind)(q)
-    else:
-        channel = getattr(ChannelModel, kind)(q, Fraction(delta_text))
-    return exact_leakage(params, channel).to_csv_row()
+    params = SecrecyParams(Field.from_q(q), ell_prime)
+    return exact_leakage(params, _channel(kind, q, delta_text)).to_csv_row()
 
 
 def cmd_leakage_exact(args) -> int:
     field = _field_from_args(args)
     if not args.sweep:
         params = SecrecyParams(field, args.ell_prime)
-        report = exact_leakage(params, _channel_from_args(args, field.q))
+        report = exact_leakage(params, _channel(args.channel, field.q, args.delta))
         _emit(report.to_json_dict())
         return 0
     deltas = args.deltas.split(",") if args.deltas else ["0", "1/8", "1/4", "1/2"]
@@ -355,11 +345,9 @@ def cmd_leakage_exact(args) -> int:
             rows = pool.map(_sweep_point, points)  # map keeps input order
     else:
         rows = [_sweep_point(pt) for pt in points]
-    import csv as _csv
-
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
-        writer = _csv.writer(out)
+        writer = csv.writer(out)
         writer.writerow(LEAKAGE_CSV_HEADER)
         writer.writerows(rows)
     finally:

@@ -16,8 +16,9 @@ Two processes therefore always agree on the representation.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 # exp/log (and Zech) tables are built for fields up to this size
 TABLE_LIMIT = 1 << 20
@@ -202,10 +203,10 @@ class Field:
         if not is_irreducible(list(irreducible), p):
             raise ValueError(f"{irreducible} is reducible over GF({p})")
         self.irreducible = irreducible
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self._zech: list[int] | None = None
         self.generator: int | None = None
+        # both set on first arithmetic use, by fast_ops()
+        self._tables: tuple[list[int], list[int], list[int] | None] | None = None
+        self._ops: tuple[Callable[[int, int], int], Callable[[int, int], int]] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -227,6 +228,10 @@ class Field:
 
     def __hash__(self) -> int:
         return hash((self.p, self.m, self.irreducible))
+
+    def __reduce__(self):
+        # the tables and the closures over them are rebuilt, not pickled
+        return Field, (self.p, self.m, self.irreducible)
 
     # -- digit views -------------------------------------------------------
 
@@ -251,11 +256,57 @@ class Field:
             raise ValueError(f"{a!r} is not a canonical element of {self!r}")
         return a
 
-    # -- table construction ------------------------------------------------
+    # -- arithmetic core --------------------------------------------------
 
-    def _build_tables(self) -> None:
-        if self._exp is not None or self.q > TABLE_LIMIT:
-            return
+    def fast_ops(self) -> tuple[Callable[[int, int], int], Callable[[int, int], int]]:
+        """(add, mul) without canonicality checks, for inner loops whose
+        operands were validated up front: the pair add and mul call after
+        checking.  Fixed on first arithmetic use, which also builds the
+        tables when q <= TABLE_LIMIT; above that the pair is digit
+        arithmetic."""
+        if self._ops is not None:
+            return self._ops
+        if self.q <= TABLE_LIMIT:
+            self._tables = self._build_tables()
+        p, qm1 = self.p, self.q - 1
+        tables = self._tables
+        if tables is None:
+            mul = self._mul_core
+        else:
+            exp, log, zech = tables
+
+            def mul(a: int, b: int) -> int:
+                if a == 0 or b == 0:
+                    return 0
+                return exp[log[a] + log[b]]
+
+        if p == 2:
+            add = operator.xor
+        elif self.m == 1:
+            def add(a: int, b: int) -> int:
+                return (a + b) % p
+        elif tables is None:
+            add = self._add_digits
+        else:
+            def add(a: int, b: int) -> int:
+                if a == 0:
+                    return b
+                if b == 0:
+                    return a
+                la = log[a]
+                t = log[b] - la
+                if t < 0:
+                    t += qm1
+                z = zech[t]
+                return 0 if z < 0 else exp[la + z]
+
+        self._ops = (add, mul)
+        return self._ops
+
+    def _build_tables(self) -> tuple[list[int], list[int], list[int] | None]:
+        """(exp, log, zech).  exp is doubled so mul can skip a modulo;
+        zech[t] = log(1 + g^t), or -1 when 1 + g^t = 0, exists only when
+        p > 2 and m > 1."""
         q = self.q
         g = self._find_generator()
         exp = [1] * (2 * (q - 1))
@@ -264,24 +315,18 @@ class Field:
         for i in range(q - 1):
             exp[i] = x
             log[x] = i
-            x = self.mul_schoolbook(x, g)
+            x = self._mul_core(x, g)
         if x != 1:
             raise AssertionError("generator order check failed")
-        exp[q - 1:] = exp[: q - 1]  # doubled so mul can skip a modulo
+        exp[q - 1:] = exp[: q - 1]
         self.generator = g
-        self._exp = exp
-        self._log = log
+        zech = None
         if self.p > 2 and self.m > 1:
-            self._build_zech(exp, log)
-
-    def _build_zech(self, exp: list[int], log: list[int]) -> None:
-        # zech[t] = log(1 + g^t), or -1 when 1 + g^t = 0
-        q = self.q
-        zech = [-1] * (q - 1)
-        for t in range(q - 1):
-            s = self._add_digits(1, exp[t])
-            zech[t] = log[s] if s else -1
-        self._zech = zech
+            zech = [-1] * (q - 1)
+            for t in range(q - 1):
+                s = self._add_digits(1, exp[t])
+                zech[t] = log[s] if s else -1
+        return exp, log, zech
 
     def _find_generator(self) -> int:
         if self.q == 2:
@@ -296,38 +341,10 @@ class Field:
         result = 1
         while e:
             if e & 1:
-                result = self.mul_schoolbook(result, a)
-            a = self.mul_schoolbook(a, a)
+                result = self._mul_core(result, a)
+            a = self._mul_core(a, a)
             e >>= 1
         return result
-
-    # -- arithmetic --------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        p = self.p
-        if p == 2:
-            return a ^ b
-        if self.m == 1:
-            return (a + b) % p
-        if self.q <= TABLE_LIMIT:
-            if self._zech is None:
-                self._build_tables()
-            if a == 0:
-                return b
-            if b == 0:
-                return a
-            log = self._log
-            la, lb = log[a], log[b]
-            t = lb - la
-            if t < 0:
-                t += self.q - 1
-            z = self._zech[t]
-            if z < 0:
-                return 0
-            return self._exp[la + z]
-        return self._add_digits(a, b)
 
     def _add_digits(self, a: int, b: int) -> int:
         p, m = self.p, self.m
@@ -340,41 +357,7 @@ class Field:
             scale *= p
         return value
 
-    def neg(self, a: int) -> int:
-        self._check(a)
-        p = self.p
-        if p == 2:
-            return a
-        if self.m == 1:
-            return (p - a) % p
-        value = 0
-        scale = 1
-        for _ in range(self.m):
-            a, d = divmod(a, p)
-            value += ((p - d) % p) * scale
-            scale *= p
-        return value
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        if self.q <= TABLE_LIMIT:
-            if self._exp is None:
-                self._build_tables()
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[self._log[a] + self._log[b]]
-        return self.mul_schoolbook(a, b)
-
-    def mul_schoolbook(self, a: int, b: int) -> int:
-        """Table-free multiplication: digit convolution reduced by the
-        field polynomial.  Kept callable on every field so the two paths
-        can be checked against each other."""
-        self._check(a)
-        self._check(b)
+    def _mul_core(self, a: int, b: int) -> int:
         p, m = self.p, self.m
         if m == 1:
             return (a * b) % p
@@ -416,15 +399,43 @@ class Field:
                 out ^= f_int << (i - m)
         return out
 
+    # -- arithmetic --------------------------------------------------------
+
+    def add(self, a: int, b: int) -> int:
+        self._check(a)
+        self._check(b)
+        return (self._ops or self.fast_ops())[0](a, b)
+
+    def neg(self, a: int) -> int:
+        # the canonical integer p - 1 is the constant -1, also for p = 2, m = 1
+        return self.mul(a, self.p - 1)
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: int, b: int) -> int:
+        self._check(a)
+        self._check(b)
+        return (self._ops or self.fast_ops())[1](a, b)
+
+    def mul_schoolbook(self, a: int, b: int) -> int:
+        """Table-free multiplication: digit convolution reduced by the
+        field polynomial.  Kept callable on every field so the two paths
+        can be checked against each other."""
+        self._check(a)
+        self._check(b)
+        return self._mul_core(a, b)
+
     def inv(self, a: int) -> int:
         self._check(a)
         if a == 0:
             raise ZeroDivisionError(f"0 has no multiplicative inverse in {self!r}")
-        if self.q <= TABLE_LIMIT:
-            if self._exp is None:
-                self._build_tables()
-            return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
-        return self._pow_schoolbook(a, self.q - 2)
+        self.fast_ops()  # first arithmetic use builds the tables
+        tables = self._tables
+        if tables is None:
+            return self._pow_schoolbook(a, self.q - 2)
+        exp, log, _ = tables
+        return exp[(self.q - 1 - log[a]) % (self.q - 1)]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -435,11 +446,12 @@ class Field:
             return self.pow(self.inv(a), -e)
         if a == 0:
             return 1 if e == 0 else 0
-        if self.q <= TABLE_LIMIT:
-            if self._exp is None:
-                self._build_tables()
-            return self._exp[(self._log[a] * e) % (self.q - 1)]
-        return self._pow_schoolbook(a, e)
+        self.fast_ops()  # first arithmetic use builds the tables
+        tables = self._tables
+        if tables is None:
+            return self._pow_schoolbook(a, e)
+        exp, log, _ = tables
+        return exp[(log[a] * e) % (self.q - 1)]
 
     # -- vectors -----------------------------------------------------------
 
@@ -450,45 +462,6 @@ class Field:
         for a, b in zip(u, v):
             acc = self.add(acc, self.mul(a, b))
         return acc
-
-    def fast_ops(self):
-        """(add, mul) closures without canonicality checks, for inner loops
-        whose operands were validated up front.  Semantically identical to
-        add/mul; falls back to the checked methods when the field is too
-        large for tables."""
-        if self.q > TABLE_LIMIT:
-            return self.add, self.mul
-        if self._exp is None:
-            self._build_tables()
-        exp, log, qm1 = self._exp, self._log, self.q - 1
-
-        def mul_fast(a: int, b: int) -> int:
-            if a == 0 or b == 0:
-                return 0
-            return exp[log[a] + log[b]]
-
-        if self.p == 2:
-            def add_fast(a: int, b: int) -> int:
-                return a ^ b
-        elif self.m == 1:
-            p = self.p
-            def add_fast(a: int, b: int) -> int:
-                return (a + b) % p
-        else:
-            zech = self._zech
-            def add_fast(a: int, b: int) -> int:
-                if a == 0:
-                    return b
-                if b == 0:
-                    return a
-                la = log[a]
-                t = log[b] - la
-                if t < 0:
-                    t += qm1
-                z = zech[t]
-                return 0 if z < 0 else exp[la + z]
-
-        return add_fast, mul_fast
 
     # -- sampling ----------------------------------------------------------
 

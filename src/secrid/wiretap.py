@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterator, Sequence
 
 from .ff import Field, field_for
@@ -162,19 +163,10 @@ def enumerate_seeds(params: SecrecyParams) -> Iterator[Seed]:
     field = params.field
     q = field.q
     for pivot in range(params.ell_prime):
-        for below in _tuples(q, pivot):
+        for below in product(range(q), repeat=pivot):
             s = below + (1,) + (0,) * (params.ell_prime - pivot - 1)
             for s0 in range(q):
                 yield Seed(s, s0, pivot)
-
-
-def _tuples(q: int, length: int) -> Iterator[tuple[int, ...]]:
-    if length == 0:
-        yield ()
-        return
-    for rest in _tuples(q, length - 1):
-        for last in range(q):
-            yield rest + (last,)
 
 
 # ---------------------------------------------------------------------------
@@ -188,38 +180,35 @@ def decrypt(params: SecrecyParams, seed: Seed, x: Sequence[int]) -> int:
     return field.add(field.dot(seed.s, tuple(x)), seed.s0)
 
 
+def _solve_pivot(field: Field, seed: Seed, message: int, x: list[int]) -> tuple[int, ...]:
+    """Fill x[pivot] with message - s0 - sum_(j<pivot) s_j x_j, putting x on
+    the hyperplane; coordinates above the pivot have s_j = 0."""
+    acc = 0
+    for j in range(seed.pivot):
+        acc = field.add(acc, field.mul(seed.s[j], x[j]))
+    x[seed.pivot] = field.sub(field.sub(message, seed.s0), acc)
+    return tuple(x)
+
+
 def encrypt(params: SecrecyParams, seed: Seed, message: int, rng) -> tuple[int, ...]:
     """Uniform point of the hyperplane s.x + s0 = message: non-pivot
-    coordinates are sampled in ascending position order, the pivot
-    coordinate is solved as message - s0 - sum_(j<pivot) s_j x_j."""
+    coordinates are sampled in ascending position order, then the pivot
+    coordinate is solved for."""
     field = params.field
     field._check(message)
-    pivot = seed.pivot
-    x = [0] * params.ell_prime
-    for j in range(params.ell_prime):
-        if j != pivot:
-            x[j] = field.sample_uniform(rng)
-    acc = 0
-    for j in range(pivot):  # coordinates above the pivot have s_j = 0
-        acc = field.add(acc, field.mul(seed.s[j], x[j]))
-    x[pivot] = field.sub(field.sub(message, seed.s0), acc)
-    return tuple(x)
+    x = [
+        0 if j == seed.pivot else field.sample_uniform(rng)
+        for j in range(params.ell_prime)
+    ]
+    return _solve_pivot(field, seed, message, x)
 
 
 def hyperplane(params: SecrecyParams, seed: Seed, message: int) -> Iterator[tuple[int, ...]]:
     """All q^(ell_prime - 1) ciphertexts decrypting to message under seed."""
-    field = params.field
     pivot = seed.pivot
-    free_positions = [j for j in range(params.ell_prime) if j != pivot]
-    for free in _tuples(field.q, len(free_positions)):
-        x = [0] * params.ell_prime
-        for pos, val in zip(free_positions, free):
-            x[pos] = val
-        acc = 0
-        for j in range(pivot):
-            acc = field.add(acc, field.mul(seed.s[j], x[j]))
-        x[pivot] = field.sub(field.sub(message, seed.s0), acc)
-        yield tuple(x)
+    for free in product(range(params.field.q), repeat=params.ell_prime - 1):
+        x = [*free[:pivot], 0, *free[pivot:]]
+        yield _solve_pivot(params.field, seed, message, x)
 
 
 def encrypt_tags(

@@ -100,6 +100,24 @@ def test_verify_rejects_tampered_tag(pipeline, tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("bad_tag", ["tag_plus_q", "json_true"])
+def test_verify_rejects_non_canonical_tag(pipeline, tmp_path, capsys, bad_tag):
+    identity, challenge = pipeline
+    obj = json.loads(challenge.read_text())
+    tag = obj["challenges"][0]["tag"]
+    obj["challenges"][0]["tag"] = tag + 25 if bad_tag == "tag_plus_q" else True
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run_cli(
+        capsys, "verify", "--identity", str(identity), "--challenge", str(bad)
+    )
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "ValueError"
+    assert "not a canonical element" in error["message"]
+
+
 def test_encrypt_decrypt_restores_challenges(pipeline, tmp_path, capsys):
     _, challenge = pipeline
     seeds = tmp_path / "seeds.json"
@@ -142,6 +160,23 @@ def test_encrypt_requires_a_length_or_a_target(pipeline, tmp_path, capsys):
     )
     assert code == 1
     assert "ell-prime" in json.loads(err)["error"]["message"]
+
+
+def test_encrypt_writes_no_file_when_an_output_fails(pipeline, tmp_path, capsys):
+    # pivot 300 does not fit the one-byte pivot field of the binary seed form
+    _, challenge = pipeline
+    seeds = tmp_path / "seeds.json"
+    seeds_bin = tmp_path / "s.bin"
+    code, out, err = run_cli(
+        capsys,
+        "encrypt", "--challenge", str(challenge), "--ell-prime", "300",
+        "--seeds-out", str(seeds), "--seeds-bin-out", str(seeds_bin), "--seed", "1",
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "ValueError"
+    assert not seeds.exists()
+    assert not seeds_bin.exists()
 
 
 def test_decrypt_rejects_mismatched_files(pipeline, tmp_path, capsys):

@@ -1,15 +1,19 @@
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secrid.ff import Field, FieldElement, field_for, find_irreducible, is_prime, prime_power
+from secrid.ff import (
+    TABLE_LIMIT, Field, FieldElement, field_for, find_irreducible, is_prime, prime_power,
+)
 
 from util import CountingSource
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (3, 2), (2, 4), (3, 4)]
 BIG_FIELDS = [(2, 16), (3, 10)]
+TABLE_FREE_FIELDS = [(2, 21), (3, 13)]
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +136,24 @@ def test_fast_ops_match_checked_ops(p, m):
         b = rng.randrange(field.q)
         assert add_fast(a, b) == field.add(a, b)
         assert mul_fast(a, b) == field.mul(a, b)
+
+
+@pytest.mark.parametrize("p,m", TABLE_FREE_FIELDS)
+def test_table_free_path_matches_reference(p, m):
+    field = field_for(p, m)
+    assert field.q > TABLE_LIMIT
+    add_fast, mul_fast = field.fast_ops()
+    rng = random.Random(p * 100 + m)
+    for _ in range(300):
+        a, b, c = (rng.randrange(1, field.q) for _ in range(3))
+        ab = field.mul_schoolbook(a, b)
+        assert mul_fast(a, b) == field.mul(a, b) == ab
+        assert add_fast(a, b) == field.add(a, b) == field._add_digits(a, b)
+        assert field.add(a, field.neg(a)) == 0
+        assert field.mul(a, field.add(b, c)) == field.add(ab, field.mul_schoolbook(a, c))
+        assert field.mul(a, field.inv(a)) == 1
+        assert field.pow(a, 3) == field.mul_schoolbook(field.mul_schoolbook(a, a), a)
+        assert field.pow(a, field.q - 1) == 1
 
 
 FIELD_INDEX = st.integers(min_value=0, max_value=len(SMALL_FIELDS + BIG_FIELDS) - 1)
@@ -330,3 +352,11 @@ def test_field_identity_and_hash():
     assert f1 == f2
     assert hash(f1) == hash(f2)
     assert f1 != field_for(3, 1)
+
+
+def test_field_pickles_after_arithmetic():
+    field = field_for(3, 2)
+    field.mul(2, 3)
+    copy = pickle.loads(pickle.dumps(field))
+    assert copy == field
+    assert copy.mul(2, 3) == field.mul(2, 3)
