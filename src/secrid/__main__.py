@@ -1,0 +1,8 @@
+"""`python -m secrid`: the same command line as the `secrid` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

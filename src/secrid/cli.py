@@ -16,11 +16,9 @@ import math
 import random
 import sys
 from fractions import Fraction
-from multiprocessing import Pool
 
 from . import __version__
 from .analysis import LEAKAGE_CSV_HEADER, ChannelModel, exact_leakage
-from .bench import run_grid, write_csv
 from .ff import Field, field_for, prime_power
 from .planner import plan
 from .rmid import (
@@ -341,6 +339,9 @@ def cmd_leakage_exact(args) -> int:
         for d in deltas
     ]
     if args.workers > 1:
+        # imported here so no other command pays for it at start-up
+        from multiprocessing import Pool
+
         with Pool(args.workers) as pool:
             rows = pool.map(_sweep_point, points)  # map keeps input order
     else:
@@ -369,6 +370,9 @@ def cmd_capacity_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # imported here so no other command pays for it at start-up
+    from .bench import run_grid, write_csv
+
     records = []
     for kappa_text in (args.kappas or str(args.kappa if args.kappa is not None else 0.2)).split(","):
         records.extend(

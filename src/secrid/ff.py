@@ -7,6 +7,13 @@ falls back to schoolbook polynomial multiplication above that.  Addition in
 extension fields with p > 2 uses a Zech-logarithm table so the hot paths
 never leave integer land; GF(2^m) addition is plain XOR.
 
+The tables are built by stepping x -> x * g through lookups over digit
+chunks of about m/2 digits, about 2 * p^(m/2) schoolbook products in all
+(see Field._times), so the build is linear in q; no temporary table holds
+more than q entries, and none outlives the build.  The schoolbook
+multiply stays the table-free path above the limit and the oracle the
+tables are checked against.
+
 The reducing polynomial is not a free choice here: for every (p, m) we use
 the monic irreducible of degree m with the smallest canonical integer, found
 by deterministic search and verified with the gcd(x^(p^i) - x, f) criterion.
@@ -175,6 +182,21 @@ def _int_digits(value: int, p: int, m: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
+def _chunk_add_table(p: int, chunk: int) -> list[int]:
+    """Digit-wise sum of base-p chunks: entry a * chunk + b is a + b digit by
+    digit, for a, b < chunk.  Row a is row a - p^i with p^i added to every
+    entry, where digit i is a's lowest nonzero one: O(1) per entry."""
+    table = list(range(chunk))
+    for a in range(1, chunk):
+        place = 1
+        while a // place % p == 0:
+            place *= p
+        wrap = (p - 1) * place
+        row = table[(a - place) * chunk : (a - place + 1) * chunk]
+        table += [e - wrap if e // place % p == p - 1 else e + place for e in row]
+    return table
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -306,27 +328,60 @@ class Field:
     def _build_tables(self) -> tuple[list[int], list[int], list[int] | None]:
         """(exp, log, zech).  exp is doubled so mul can skip a modulo;
         zech[t] = log(1 + g^t), or -1 when 1 + g^t = 0, exists only when
-        p > 2 and m > 1."""
-        q = self.q
+        p > 2 and m > 1.  exp steps by _times(g), so no entry costs a
+        schoolbook multiply; Zech adds 1 to the low digit only."""
+        p, m, q = self.p, self.m, self.q
         g = self._find_generator()
-        exp = [1] * (2 * (q - 1))
+        step = self._times(g)
+        exp = [1] * (q - 1)
         log = [-1] * q
         x = 1
         for i in range(q - 1):
             exp[i] = x
             log[x] = i
-            x = self._mul_core(x, g)
+            x = step(x)
         if x != 1:
             raise AssertionError("generator order check failed")
-        exp[q - 1:] = exp[: q - 1]
+        del step  # frees the chunk tables before the Zech table is built
         self.generator = g
         zech = None
-        if self.p > 2 and self.m > 1:
-            zech = [-1] * (q - 1)
-            for t in range(q - 1):
-                s = self._add_digits(1, exp[t])
-                zech[t] = log[s] if s else -1
+        if p > 2 and m > 1:
+            # log[0] == -1 marks 1 + g^t = 0
+            pm1 = p - 1
+            zech = [log[a - pm1 if a % p == pm1 else a + 1] for a in exp]
+        exp *= 2
         return exp, log, zech
+
+    def _times(self, g: int) -> Callable[[int], int]:
+        """x -> x * g by table lookups.  The map is GF(p)-linear on digit
+        vectors, so with x = lo + p^w * hi (w = m // 2) the product is
+        lo * g plus (p^w * hi) * g, both read from tables of p^w and
+        p^(m-w) products precomputed with _mul_core.  The sum goes w digits
+        at a time through a digit-wise add table of p^(2w) <= q entries,
+        plus one top digit when m is odd (for m = 1 that digit is all of
+        x, and the step is x * g mod p).  No table holds more than q
+        entries."""
+        p, m, q = self.p, self.m, self.q
+        w = m // 2
+        chunk = p ** w
+        top = chunk * chunk  # place of the top digit, nonzero only for odd m
+        add = _chunk_add_table(p, chunk)
+        # the chunks of lo * g, the first two scaled to rows of add
+        lo_g = [
+            (v % chunk * chunk, v // chunk % chunk * chunk, v // top)
+            for v in (self._mul_core(v, g) for v in range(chunk))
+        ]
+        hi_g = [
+            (v % chunk, v // chunk % chunk, v // top)
+            for v in (self._mul_core(v * chunk, g) for v in range(q // chunk))
+        ]
+
+        def step(x: int) -> int:
+            a0, a1, a2 = lo_g[x % chunk]
+            b0, b1, b2 = hi_g[x // chunk]
+            return add[a0 + b0] + add[a1 + b1] * chunk + (a2 + b2) % p * top
+
+        return step
 
     def _find_generator(self) -> int:
         if self.q == 2:

@@ -50,6 +50,10 @@ class IdCodeParams:
     n_challenges: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("ell", "k", "n_challenges"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.ell < 1:
             raise ValueError(f"need at least one variable, got ell={self.ell}")
         if not 0 <= self.k < self.field.q:
@@ -96,8 +100,9 @@ class Identity:
             )
         q = self.params.field.q
         for c in self.coeffs:
-            if not 0 <= c < q:
-                raise ValueError(f"coefficient {c} outside [0, {q})")
+            # type(), not isinstance(): JSON true must not pass for 1
+            if type(c) is not int or not 0 <= c < q:
+                raise ValueError(f"coefficient {c!r} is not an integer in [0, {q})")
 
     def to_json_dict(self) -> dict:
         f = self.params.field
@@ -116,14 +121,22 @@ class Identity:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Identity":
+        if not isinstance(obj, dict):
+            raise ValueError(f"identity must be a JSON object, got {type(obj).__name__}")
         qp = obj["q_params"]
+        if not isinstance(qp, dict) or type(qp["p"]) is not int or type(qp["m"]) is not int:
+            raise ValueError("q_params must be an object with integer p and m")
         field = field_for(qp["p"], qp["m"])
-        if "irreducible" in qp and tuple(qp["irreducible"]) != field.irreducible:
+        irreducible = qp.get("irreducible", field.irreducible)
+        if not isinstance(irreducible, (list, tuple)) or tuple(irreducible) != field.irreducible:
             raise ValueError("reducing polynomial does not match the canonical one")
         if "q" in qp and qp["q"] != field.q:
             raise ValueError(f"inconsistent q_params: q={qp['q']} vs p^m={field.q}")
         params = IdCodeParams(field, obj["ell"], obj["k"], obj.get("n", 1))
-        return cls(params, tuple(obj["coeffs"]))
+        coeffs = obj["coeffs"]
+        if not isinstance(coeffs, (list, tuple)):
+            raise ValueError(f"coeffs must be a list, got {type(coeffs).__name__}")
+        return cls(params, tuple(coeffs))
 
 
 @dataclass(frozen=True)

@@ -355,6 +355,14 @@ def _assert_prints_version(result):
     assert result.stdout == f"secrid {secrid.__version__}\n", result.stderr
 
 
+def _child_env():
+    """Environment in which a child imports the same secrid tree as this
+    test, whatever the working directory and however PYTHONPATH was spelled."""
+    src = str(Path(secrid.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
 def test_installed_entry_point_runs():
     """The `secrid` console script declared in pyproject.toml starts the CLI.
 
@@ -370,14 +378,9 @@ def test_installed_entry_point_runs():
         f"import sys\nfrom {module} import {attr}\n"
         f"sys.argv[0] = 'secrid'\nsys.exit({attr}())\n"
     )
-    # The child imports the same secrid tree as this test, whatever the
-    # working directory and however PYTHONPATH was spelled.
-    src = str(Path(secrid.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", wrapper, "--version"],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True, text=True, timeout=60, env=_child_env(),
     )
     _assert_prints_version(result)
 
@@ -390,3 +393,61 @@ def test_installed_console_script_runs():
         [shutil.which("secrid"), "--version"], capture_output=True, text=True, timeout=60
     )
     _assert_prints_version(result)
+
+
+def test_python_dash_m_secrid_runs():
+    result = subprocess.run(
+        [sys.executable, "-m", "secrid", "--version"],
+        capture_output=True, text=True, timeout=60, env=_child_env(),
+    )
+    _assert_prints_version(result)
+
+
+def test_cli_import_leaves_sweep_and_bench_modules_out():
+    # only `leakage-exact --workers` and `bench` need them; every cold CLI
+    # call would pay their import otherwise
+    probe = "import sys, secrid.cli; print(sorted({'multiprocessing', 'secrid.bench'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=60, env=_child_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+def _set_first_coeff(value):
+    def edit(obj):
+        obj["coeffs"][0] = value
+        return obj
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_first_coeff(True),
+        _set_first_coeff("1"),
+        _set_first_coeff(1.0),
+        lambda obj: {**obj, "ell": "2"},
+        lambda obj: {**obj, "k": 3.0},
+        lambda obj: {**obj, "n": True},
+        lambda obj: {**obj, "coeffs": 7},
+        lambda obj: {**obj, "q_params": [5, 2]},
+        lambda obj: {**obj, "q_params": {**obj["q_params"], "p": "5"}},
+        lambda obj: {**obj, "q_params": {**obj["q_params"], "irreducible": 3}},
+        lambda obj: [obj],
+    ],
+    ids=[
+        "coeff_true", "coeff_string", "coeff_float", "ell_string", "k_float",
+        "n_true", "coeffs_not_list", "q_params_array", "p_string",
+        "irreducible_int", "top_level_array",
+    ],
+)
+def test_challenge_rejects_mistyped_identity_json(pipeline, tmp_path, capsys, edit):
+    identity, _ = pipeline
+    bad = tmp_path / "bad_id.json"
+    bad.write_text(json.dumps(edit(json.loads(identity.read_text()))))
+    code, out, err = run_cli(capsys, "challenge", "--identity", str(bad), "--seed", "5")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "ValueError"

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import random
 
@@ -154,6 +155,49 @@ def test_table_free_path_matches_reference(p, m):
         assert field.mul(a, field.inv(a)) == 1
         assert field.pow(a, 3) == field.mul_schoolbook(field.mul_schoolbook(a, a), a)
         assert field.pow(a, field.q - 1) == 1
+
+
+@pytest.mark.parametrize("p,m", [(7, 1), (2, 4), (2, 5), (2, 6), (3, 4), (5, 3), (7, 3), (3, 5)])
+def test_times_matches_schoolbook_for_any_multiplier(p, m):
+    # the table build only steps by the generator, whose low degree leaves
+    # some chunk sums unexercised; any multiplier must work
+    field = field_for(p, m)
+    rng = random.Random(p * 100 + m)
+    for c in [1, field.q - 1] + [rng.randrange(2, field.q) for _ in range(4)]:
+        times = field._times(c)
+        for x in range(field.q):
+            assert times(x) == field._mul_core(x, c)
+
+
+# SHA-256 of repr((generator, exp, log, zech)) from the reference build
+# exp[i + 1] = mul_schoolbook(exp[i], g), zech[t] = log[_add_digits(1, exp[t])],
+# on the fields of acceptance 9, odd and uneven digit splits, and the two
+# production fields
+TABLE_SHA256 = {
+    (2, 1): "445a70afa7350a96eeced937601a4944c88f5990469f8ee0270a37dd8267e080",
+    (3, 1): "4a1d99fdda0f16c912343e652a1d4fd9603978746454e9f104b89c1e530929d9",
+    (5, 1): "b77d520b755c0443045aec9c3c710c8c4597e2c368d06569b10d002ba53cbf1e",
+    (7, 1): "6cb9e69356b81eb7a7094cb1cad25d3b7a0a587cea2180d472c7de826e44983e",
+    (3, 2): "dcfff626c9641aafd8883c424f10bde70fbcf29e597e57b657d2b23e01042973",
+    (2, 4): "9729a0e2a915661f00f8846dc336586dbf5b274f4e5d6c905375a10b2f206fa3",
+    (2, 6): "b0642028bbe8f47c50572281c784edbc48860187816193a780d957bd5dd75415",
+    (3, 4): "ce4d465282a84607b98d947a392b8bca845cc2e9e3c7be0d90207f07a72073f0",
+    (5, 3): "bc654b301ea953259a2cb97bf0c38ffb76705ee29f417c211d1348a58349e851",
+    (7, 3): "33a60f50958f9d0da3342c54dc468a7571bdae787272e82b9f4c2df62e6ba62d",
+    (3, 5): "d94f6ebb461a0688976fc52baaddc2499d7aead324528739b83eec963514ddd6",
+    (5, 6): "284579e291f4bbb2248365041c28064d19f9925a9e8951ddb423a78e7d8007b8",
+    (7, 5): "de57a3bc9adaff2afce56e8198ff59b63e6513abe16c6e9f764e1069bae8be00",
+    (3, 10): "39a0b49f5bbf80578271e32c30870bd445461e4d653cd3567c7178daea6f12d5",
+    (2, 16): "54eb132e739c7fea48ec8be5b61dd21618a7c93ad5476a07cd00cba232eb0d5e",
+}
+
+
+@pytest.mark.parametrize("p,m", list(TABLE_SHA256))
+def test_tables_match_schoolbook_build(p, m):
+    field = field_for(p, m)
+    field.fast_ops()
+    digest = hashlib.sha256(repr((field.generator, *field._tables)).encode()).hexdigest()
+    assert digest == TABLE_SHA256[(p, m)]
 
 
 FIELD_INDEX = st.integers(min_value=0, max_value=len(SMALL_FIELDS + BIG_FIELDS) - 1)
