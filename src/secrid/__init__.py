@@ -1,7 +1,7 @@
 """secrid: identification codecs over GF(q) with information-theoretically
 secret tags, plus the exact oracles that keep the closed forms honest."""
 
-from .ff import Field, FieldElement, field_for, prime_power
+from .ff import Field, field_for, prime_power
 from .rmid import (
     Challenge,
     IdCodeParams,
@@ -39,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Field",
-    "FieldElement",
     "field_for",
     "prime_power",
     "IdCodeParams",

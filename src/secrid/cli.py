@@ -29,6 +29,7 @@ from .rmid import (
     capacity_diagnostics,
     generate_multi,
     identity_from_bytes,
+    json_field,
     verify_multi,
 )
 from .wiretap import (
@@ -172,12 +173,8 @@ def cmd_gen_identity(args) -> int:
     return 0
 
 
-def _load_identity(path: str) -> Identity:
-    return Identity.from_json_dict(_read_json(path))
-
-
 def cmd_challenge(args) -> int:
-    identity = _load_identity(args.identity)
+    identity = Identity.from_json_dict(_read_json(args.identity))
     mc = generate_multi(identity, _rng(args))
     field = identity.params.field
     out = {
@@ -198,8 +195,21 @@ def _load_multichallenge(path: str) -> tuple[dict, MultiChallenge]:
     return obj, MultiChallenge.from_json_dict(obj)
 
 
+def _check_points(field: Field, header: dict, points) -> None:
+    """Every challenge point has the header's ell coordinates (as many as
+    the first one without that header), each a canonical element of the
+    field."""
+    ell = json_field(header, "ell", int) if "ell" in header else None
+    for r in points:
+        ell = len(r) if ell is None else ell
+        if len(r) != ell:
+            raise ValueError(f"challenge point has {len(r)} coordinates, expected {ell!r}")
+        for x in r:
+            field._check(x)
+
+
 def cmd_verify(args) -> int:
-    identity = _load_identity(args.identity)
+    identity = Identity.from_json_dict(_read_json(args.identity))
     header, mc = _load_multichallenge(args.challenge)
     field = identity.params.field
     if header.get("q") not in (None, field.q):
@@ -218,6 +228,7 @@ def cmd_encrypt(args) -> int:
     if "q" not in header:
         raise DomainError("challenge file lacks the q header needed to encrypt")
     field = Field.from_q(header["q"])
+    _check_points(field, header, [c.r for c in mc.challenges])
     if args.ell_prime is not None:
         ell_prime = args.ell_prime
     elif args.kappa is not None and args.epsilon is not None:
@@ -256,16 +267,18 @@ def cmd_encrypt(args) -> int:
 def cmd_decrypt(args) -> int:
     secret_obj = _read_json(args.secret)
     seeds_obj = _read_json(args.seeds)
+    seeds = [Seed.from_json_dict(s) for s in json_field(seeds_obj, "seeds", list)]
+    secrets = [
+        SecretChallenge.from_json_dict(sc)
+        for sc in json_field(secret_obj, "secret_challenges", list)
+    ]
     if secret_obj.get("q") != seeds_obj.get("q"):
         raise DomainError("secret challenges and seeds disagree on q")
     if secret_obj.get("ell_prime") != seeds_obj.get("ell_prime"):
         raise DomainError("secret challenges and seeds disagree on ell_prime")
     field = Field.from_q(seeds_obj["q"])
     params = SecrecyParams(field, seeds_obj["ell_prime"])
-    seeds = [Seed.from_json_dict(s) for s in seeds_obj["seeds"]]
-    secrets = [
-        SecretChallenge.from_json_dict(sc) for sc in secret_obj["secret_challenges"]
-    ]
+    _check_points(field, secret_obj, [sc.r for sc in secrets])
     mc = decrypt_tags(params, seeds, secrets)
     _emit(
         {
@@ -287,7 +300,6 @@ def cmd_params(args) -> int:
         kappa=args.kappa if args.kappa is not None else 0.0,
         budget_policy=args.budget_policy or "paper",
         epsilon_total=args.epsilon,
-        k_in_max=args.k_in_max,
     )
     _emit(report.to_json_dict())
     return 0
@@ -458,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--epsilon", type=float, default=None,
                    help="override the secrecy budget (default: the layered-baseline error)")
     s.add_argument("--budget-policy", choices=BUDGET_POLICIES, default=None)
-    s.add_argument("--k-in-max", type=int, default=8)
     s.set_defaults(func=cmd_params)
 
     s = sub.add_parser("leakage-bound", parents=[common, fieldargs],

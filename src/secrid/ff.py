@@ -29,25 +29,13 @@ from typing import Callable, Iterable, Sequence
 
 # exp/log (and Zech) tables are built for fields up to this size
 TABLE_LIMIT = 1 << 20
+# no field is larger; above it the digit arithmetic is still exact, but the
+# trial-division searches behind a field's construction run for minutes
+MAX_Q = 1 << 32
 
 
 # ---------------------------------------------------------------------------
 # integer helpers
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -64,10 +52,26 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
+def is_prime(n: int) -> bool:
+    return factorize(n) == {n: 1}
+
+
+def _check_size(p: int, m: int = 1) -> None:
+    """Reject a field p^m of more than MAX_Q elements, and non-integer p or
+    m, before any factorisation, primality test or irreducible search sees
+    them: at q = 2^61 those take minutes.  m is bounded before p is raised
+    to it (every p >= 2 makes p^33 > MAX_Q); m < 1 is rejected later."""
+    if type(p) is not int or type(m) is not int:
+        raise ValueError(f"field parameters must be integers, got p={p!r}, m={m!r}")
+    if m > 32 or p ** max(m, 0) > MAX_Q:
+        raise ValueError(
+            f"field size p^m is above the limit 2^32 (p has {p.bit_length()} bits, m = {m})"
+        )
+
+
 def prime_power(q: int) -> tuple[int, int]:
     """Split q into (p, m) with q = p**m, p prime; raises if q is not a prime power."""
-    if q < 2:
-        raise ValueError(f"field size must be >= 2, got {q}")
+    _check_size(q)
     factors = factorize(q)
     if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
@@ -159,9 +163,12 @@ def is_irreducible(f: Sequence[int], p: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: m = 2.0 must not hit m = 2
 def find_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Monic irreducible of degree m over GF(p) whose low-order coefficient
-    vector has the smallest canonical integer.  Deterministic."""
+    vector has the smallest canonical integer: the reducing polynomial of
+    GF(p^m).  Deterministic."""
+    _check_size(p, m)
     if not is_prime(p):
         raise ValueError(f"characteristic must be prime, got {p}")
     if m < 1:
@@ -209,22 +216,11 @@ class Field:
     (a lost race during the first build just rebuilds identical tables).
     """
 
-    def __init__(self, p: int, m: int, irreducible: Sequence[int] | None = None):
-        if not is_prime(p):
-            raise ValueError(f"characteristic must be prime, got {p}")
-        if m < 1:
-            raise ValueError(f"extension degree must be >= 1, got {m}")
+    def __init__(self, p: int, m: int):
+        self._modulus = find_irreducible(p, m)  # checks p and m first
         self.p = p
         self.m = m
         self.q = p ** m
-        if irreducible is None:
-            irreducible = find_irreducible(p, m)
-        irreducible = tuple(int(c) % p for c in irreducible)
-        if len(irreducible) != m + 1 or irreducible[-1] != 1:
-            raise ValueError("reducing polynomial must be monic of degree m")
-        if not is_irreducible(list(irreducible), p):
-            raise ValueError(f"{irreducible} is reducible over GF({p})")
-        self.irreducible = irreducible
         self.generator: int | None = None
         # both set on first arithmetic use, by fast_ops()
         self._tables: tuple[list[int], list[int], list[int] | None] | None = None
@@ -241,19 +237,15 @@ class Field:
         return f"Field(p={self.p}, m={self.m}, q={self.q})"
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Field)
-            and self.p == other.p
-            and self.m == other.m
-            and self.irreducible == other.irreducible
-        )
+        # (p, m) fixes the reducing polynomial, hence the representation
+        return isinstance(other, Field) and (self.p, self.m) == (other.p, other.m)
 
     def __hash__(self) -> int:
-        return hash((self.p, self.m, self.irreducible))
+        return hash((self.p, self.m))
 
     def __reduce__(self):
         # the tables and the closures over them are rebuilt, not pickled
-        return Field, (self.p, self.m, self.irreducible)
+        return Field, (self.p, self.m)
 
     # -- digit views -------------------------------------------------------
 
@@ -425,7 +417,7 @@ class Field:
             if ai:
                 for j, bj in enumerate(db):
                     conv[i + j] += ai * bj
-        f = self.irreducible
+        f = self._modulus
         for i in range(2 * m - 2, m - 1, -1):
             c = conv[i] % p
             if c:
@@ -447,7 +439,7 @@ class Field:
             a <<= 1
             b >>= 1
         f_int = 0
-        for i, c in enumerate(self.irreducible):
+        for i, c in enumerate(self._modulus):
             f_int |= c << i
         for i in range(2 * m - 2, m - 1, -1):
             if (out >> i) & 1:
@@ -570,65 +562,7 @@ class Field:
         return self.m * math.log2(self.p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: m = 2.0 must not hit m = 2
 def field_for(p: int, m: int) -> Field:
     """Shared Field instance per (p, m); tables get built at most once."""
     return Field(p, m)
-
-
-class FieldElement:
-    """Thin operator wrapper over a canonical integer.  The codec paths work
-    on raw integers; this exists for interactive use and for enforcing the
-    same-field contract at the boundary."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value: int):
-        field._check(value)
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other: "FieldElement") -> int:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.field != self.field:
-            raise ValueError(f"mismatched fields: {self.field!r} vs {other.field!r}")
-        return other.value
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.value, self._coerce(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.value, self._coerce(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.value, self._coerce(other)))
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.value, self._coerce(other)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    @property
-    def digits(self) -> tuple[int, ...]:
-        return self.field.digits(self.value)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and other.field == self.field
-            and other.value == self.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.value))
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.value} in GF({self.field.q}))"

@@ -76,7 +76,6 @@ def plan(
     kappa: float,
     budget_policy: str = "paper",
     epsilon_total: float | None = None,
-    k_in_max: int = 8,
 ) -> PlanReport:
     """Full pipeline for one parameter point.
 
@@ -86,13 +85,10 @@ def plan(
     p, m = prime_power(q)
     field = field_for(p, m)
     base = IdCodeParams(field, ell, k)
-    quote = epsilon_2rs(base, k_in_max)
+    quote = epsilon_2rs(base)
     # the challenge count is always sized to beat the layered baseline;
     # an explicit epsilon_total only changes the secrecy budget being split
-    if k == 0:
-        n = 1
-    else:
-        n = min_challenges_for(Fraction(k, q), quote.error)
+    n = min_challenges_for(Fraction(k, q), quote.error)
     eps_total = quote.error if epsilon_total is None else Fraction(epsilon_total)
     if eps_total <= 0:
         raise ValueError(

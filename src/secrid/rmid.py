@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .ff import Field, field_for
+from .ff import Field, field_for, find_irreducible
 
 
 def monomial_exponents(ell: int, k: int) -> list[tuple[int, ...]]:
@@ -37,6 +37,27 @@ def _compositions(slots: int, total: int) -> Iterator[tuple[int, ...]]:
     for first in range(total + 1):
         for rest in _compositions(slots - 1, total - first):
             yield (first,) + rest
+
+
+def json_field(obj, key: str, kind: type):
+    """obj[key], where obj must be a JSON object and obj[key] of exactly
+    type kind: a ValueError, which the CLI reports as a data error, and not
+    a TypeError traceback.  JSON true is a bool, so it never passes for 1."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    value = obj[key]
+    if type(value) is not kind:
+        raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def json_ints(obj, key: str) -> tuple[int, ...]:
+    """obj[key] as a tuple, where obj[key] must be a list of integers."""
+    values = json_field(obj, key, list)
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{key} entries must be integers, got {v!r}")
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -111,7 +132,7 @@ class Identity:
                 "p": f.p,
                 "m": f.m,
                 "q": f.q,
-                "irreducible": list(f.irreducible),
+                "irreducible": list(find_irreducible(f.p, f.m)),
             },
             "ell": self.params.ell,
             "k": self.params.k,
@@ -121,22 +142,15 @@ class Identity:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Identity":
-        if not isinstance(obj, dict):
-            raise ValueError(f"identity must be a JSON object, got {type(obj).__name__}")
-        qp = obj["q_params"]
-        if not isinstance(qp, dict) or type(qp["p"]) is not int or type(qp["m"]) is not int:
-            raise ValueError("q_params must be an object with integer p and m")
-        field = field_for(qp["p"], qp["m"])
-        irreducible = qp.get("irreducible", field.irreducible)
-        if not isinstance(irreducible, (list, tuple)) or tuple(irreducible) != field.irreducible:
+        qp = json_field(obj, "q_params", dict)
+        field = field_for(json_field(qp, "p", int), json_field(qp, "m", int))
+        irreducible = list(find_irreducible(field.p, field.m))
+        if qp.get("irreducible", irreducible) != irreducible:
             raise ValueError("reducing polynomial does not match the canonical one")
         if "q" in qp and qp["q"] != field.q:
             raise ValueError(f"inconsistent q_params: q={qp['q']} vs p^m={field.q}")
         params = IdCodeParams(field, obj["ell"], obj["k"], obj.get("n", 1))
-        coeffs = obj["coeffs"]
-        if not isinstance(coeffs, (list, tuple)):
-            raise ValueError(f"coeffs must be a list, got {type(coeffs).__name__}")
-        return cls(params, tuple(coeffs))
+        return cls(params, tuple(json_field(obj, "coeffs", list)))
 
 
 @dataclass(frozen=True)
@@ -149,7 +163,8 @@ class Challenge:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Challenge":
-        return cls(tuple(obj["r"]), obj["tag"])
+        # the tag is checked against the field by whoever uses it
+        return cls(json_ints(obj, "r"), obj["tag"])
 
     def to_bytes(self, field: Field) -> bytes:
         """ell + 1 fixed-width symbols: the point, then the tag."""
@@ -170,7 +185,8 @@ class MultiChallenge:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MultiChallenge":
-        return cls(tuple(Challenge.from_json_dict(c) for c in obj["challenges"]))
+        records = json_field(obj, "challenges", list)
+        return cls(tuple(Challenge.from_json_dict(c) for c in records))
 
     def to_bytes(self, field: Field) -> bytes:
         return b"".join(c.to_bytes(field) for c in self.challenges)

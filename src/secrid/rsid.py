@@ -23,6 +23,9 @@ from typing import Sequence
 from .ff import Field, field_for
 from .rmid import IdCodeParams
 
+# the widest inner code the comparison searches
+K_IN_MAX = 8
+
 
 @dataclass(frozen=True)
 class RsIdParams:
@@ -45,17 +48,11 @@ class RsIdParams:
         # GF(q^k_in) realized as GF(p^(m*k_in))
         return field_for(self.field.p, self.field.m * self.k_in)
 
-    @property
-    def identity_space(self) -> int:
-        """Identities are outer coefficient vectors: (q^k_in)^k_out of them."""
-        return self.outer_field.q ** self.k_out
-
 
 @dataclass(frozen=True)
 class RsErrorQuote:
     params: RsIdParams
     error: Fraction
-    size_bits: float
 
     @classmethod
     def quote(cls, params: RsIdParams) -> "RsErrorQuote":
@@ -65,24 +62,7 @@ class RsErrorQuote:
         )
         if error > 1:
             error = Fraction(1)
-        size_bits = params.k_out * params.k_in * params.field.log2_q
-        return cls(params, error, size_bits)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k_in": self.params.k_in,
-            "k_out": self.params.k_out,
-            "error": float(self.error),
-            "error_exact": str(self.error),
-            "size_bits": self.size_bits,
-        }
-
-
-@dataclass(frozen=True)
-class RsChallenge:
-    r1: int  # point in GF(q^k_in), canonical integer
-    r2: int  # point in GF(q)
-    tag: int
+        return cls(params, error)
 
 
 def _split_outer_symbol(params: RsIdParams, y: int) -> tuple[int, ...]:
@@ -110,31 +90,17 @@ def rs_tag(params: RsIdParams, outer_coeffs: Sequence[int], r1: int, r2: int) ->
     return _horner(params.field, inner, params.field._check(r2))
 
 
-def rs_generate_challenge(
-    params: RsIdParams, outer_coeffs: Sequence[int], rng
-) -> RsChallenge:
-    r1 = params.outer_field.sample_uniform(rng)
-    r2 = params.field.sample_uniform(rng)
-    return RsChallenge(r1, r2, rs_tag(params, outer_coeffs, r1, r2))
-
-
-def rs_verify(
-    params: RsIdParams, outer_coeffs: Sequence[int], challenge: RsChallenge
-) -> bool:
-    return rs_tag(params, outer_coeffs, challenge.r1, challenge.r2) == challenge.tag
-
-
 # ---------------------------------------------------------------------------
 # the comparison budget
 
-def rs_candidates(target: IdCodeParams, k_in_max: int = 8) -> list[RsErrorQuote]:
+def rs_candidates(target: IdCodeParams) -> list[RsErrorQuote]:
     """All layered quotes that fit the target's size: for each inner width
     k_in, the outer length is pushed as high as k_in*k_out <= C(ell+k, ell)
     allows (symbol counts compare exactly; the log2 q factor cancels)."""
     q = target.field.q
     budget = target.coeff_count
     quotes = []
-    for k_in in range(1, min(k_in_max, q - 1) + 1):
+    for k_in in range(1, min(K_IN_MAX, q - 1) + 1):
         k_out = min(budget // k_in, q ** k_in - 1)
         if k_out < 1:
             continue
@@ -142,12 +108,12 @@ def rs_candidates(target: IdCodeParams, k_in_max: int = 8) -> list[RsErrorQuote]
     return quotes
 
 
-def epsilon_2rs(target: IdCodeParams, k_in_max: int = 8) -> RsErrorQuote:
+def epsilon_2rs(target: IdCodeParams) -> RsErrorQuote:
     """Smallest union-bound error among size-maximal layered quotes; ties go
     to the smaller (k_in, k_out).  Shrinking k_out below the size budget is
     not allowed, otherwise the degenerate one-symbol code with zero error
     would win every comparison."""
-    quotes = rs_candidates(target, k_in_max)
+    quotes = rs_candidates(target)
     if not quotes:
         raise ValueError(
             f"no layered code fits a budget of {target.coeff_count} symbols"
@@ -155,19 +121,18 @@ def epsilon_2rs(target: IdCodeParams, k_in_max: int = 8) -> RsErrorQuote:
     return min(quotes, key=lambda rq: (rq.error, rq.params.k_in, rq.params.k_out))
 
 
-def required_rm_challenges(target: IdCodeParams, k_in_max: int = 8) -> int:
+def required_rm_challenges(target: IdCodeParams) -> int:
     """Smallest n with (k/q)^n at or below the layered baseline's error."""
-    if target.k == 0:
-        return 1
-    eps = epsilon_2rs(target, k_in_max).error
+    eps = epsilon_2rs(target).error
     return min_challenges_for(Fraction(target.k, target.field.q), eps)
 
 
 def min_challenges_for(ratio: Fraction, eps: Fraction) -> int:
-    """Smallest n >= 1 with ratio^n <= eps, exact rational arithmetic."""
+    """Smallest n >= 1 with ratio^n <= eps, exact rational arithmetic.  A
+    zero ratio (degree bound k = 0) meets every eps >= 0 with n = 1."""
     if not 0 <= ratio < 1:
         raise ValueError(f"per-challenge error ratio must be in [0, 1), got {ratio}")
-    if eps <= 0:
+    if eps <= 0 < ratio:
         raise ValueError(f"target error must be positive, got {eps}")
     n = 1
     power = ratio

@@ -28,27 +28,21 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .ff import Field, field_for
-from .rmid import Challenge, MultiChallenge
+from .rmid import Challenge, MultiChallenge, json_field, json_ints
 
 
 @dataclass(frozen=True)
 class SecrecyParams:
-    """Ciphertext geometry, plus the planning knobs when they are known:
-    kappa = fraction of ciphertext entropy the observer may capture,
-    epsilon = total-variation leakage budget."""
+    """Ciphertext geometry: GF(q) and the ciphertext length ell_prime."""
 
     field: Field
     ell_prime: int
-    kappa: float | None = None
-    epsilon: float | None = None
 
     def __post_init__(self) -> None:
-        if self.ell_prime < 2:
-            raise ValueError(f"ciphertext length must be >= 2, got {self.ell_prime}")
-        if self.kappa is not None and not 0.0 <= self.kappa < 1.0:
-            raise ValueError(f"kappa must be in [0, 1), got {self.kappa}")
-        if self.epsilon is not None and not 0.0 < self.epsilon <= 2.0:
-            raise ValueError(f"epsilon must be in (0, 2], got {self.epsilon}")
+        if type(self.ell_prime) is not int or self.ell_prime < 2:
+            raise ValueError(
+                f"ciphertext length must be an integer >= 2, got {self.ell_prime!r}"
+            )
 
     @property
     def direction_count(self) -> int:
@@ -92,7 +86,8 @@ class Seed:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Seed":
-        return cls(tuple(obj["s"]), obj["s0"], obj["pivot"] - 1)
+        pivot = json_field(obj, "pivot", int)
+        return cls(json_ints(obj, "s"), json_field(obj, "s0", int), pivot - 1)
 
     def to_bytes(self, field: Field) -> bytes:
         """1-based pivot byte, then ell_prime + 1 fixed-width symbols
@@ -119,7 +114,7 @@ class SecretChallenge:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SecretChallenge":
-        return cls(tuple(obj["r"]), tuple(obj["x"]))
+        return cls(json_ints(obj, "r"), json_ints(obj, "x"))
 
     def to_bytes(self, field: Field) -> bytes:
         return field.encode_symbols(self.r + self.x)
@@ -212,13 +207,9 @@ def hyperplane(params: SecrecyParams, seed: Seed, message: int) -> Iterator[tupl
 
 
 def encrypt_tags(
-    params: SecrecyParams,
-    challenges: Sequence[Challenge] | MultiChallenge,
-    seeds: Sequence[Seed],
-    rng,
+    params: SecrecyParams, mc: MultiChallenge, seeds: Sequence[Seed], rng
 ) -> tuple[SecretChallenge, ...]:
-    if isinstance(challenges, MultiChallenge):
-        challenges = challenges.challenges
+    challenges = mc.challenges
     if len(challenges) != len(seeds):
         raise ValueError(
             f"{len(challenges)} challenges but {len(seeds)} seeds; need one each"

@@ -451,3 +451,116 @@ def test_challenge_rejects_mistyped_identity_json(pipeline, tmp_path, capsys, ed
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"]["kind"] == "ValueError"
+
+
+# ---------------------------------------------------------------------------
+# record files are type-checked at the boundary
+
+
+def _set_path(path, value):
+    def edit(obj):
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return obj
+    return edit
+
+
+@pytest.mark.parametrize(
+    "command,target,edit",
+    [
+        ("verify", "challenge", lambda obj: [1]),
+        ("verify", "challenge", _set_path(("challenges",), 5)),
+        ("verify", "challenge", _set_path(("challenges",), [1, 2])),
+        ("encrypt", "challenge", _set_path(("challenges", 0, "r", 0), 99)),
+        ("encrypt", "challenge", _set_path(("challenges", 0, "r", 0), True)),
+        ("encrypt", "challenge", _set_path(("challenges", 0, "r"), [0])),
+        ("encrypt", "challenge", _set_path(("q",), "25")),
+        ("encrypt", "challenge", _set_path(("ell",), "2")),
+        ("decrypt", "secret", lambda obj: [1]),
+        ("decrypt", "secret", _set_path(("secret_challenges", 0, "r"), [99])),
+        ("decrypt", "secret", _set_path(("secret_challenges", 0, "r", 0), 99)),
+        ("decrypt", "secret", _set_path(("secret_challenges", 0, "x"), 5)),
+        ("decrypt", "seeds", _set_path(("seeds",), 5)),
+        ("decrypt", "seeds", _set_path(("seeds", 0, "pivot"), 1.5)),
+        ("decrypt", "seeds", _set_path(("seeds", 0, "s", 0), "1")),
+    ],
+    ids=[
+        "challenge_array", "challenges_not_list", "challenge_not_object",
+        "r_outside_field", "r_true", "r_too_short", "q_string", "ell_string",
+        "secret_array", "secret_r_99", "secret_r_outside_field", "x_not_list",
+        "seeds_not_list", "pivot_float", "s_string",
+    ],
+)
+def test_mistyped_record_files_fail_with_json_error(
+    pipeline, tmp_path, capsys, command, target, edit
+):
+    identity, challenge = pipeline
+    seeds, secret = tmp_path / "seeds.json", tmp_path / "secret.json"
+    secret.write_text(
+        run_cli(
+            capsys,
+            "encrypt", "--challenge", str(challenge), "--ell-prime", "3",
+            "--seeds-out", str(seeds), "--seed", "1",
+        )[1]
+    )
+    path = {"challenge": challenge, "secret": secret, "seeds": seeds}[target]
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = {
+        "verify": ["--identity", str(identity), "--challenge", str(challenge)],
+        "encrypt": [
+            "--challenge", str(challenge), "--ell-prime", "3", "--seed", "2",
+            "--seeds-out", str(out_dir / "seeds.json"),
+            "--seeds-bin-out", str(out_dir / "seeds.bin"),
+        ],
+        "decrypt": ["--secret", str(secret), "--seeds", str(seeds)],
+    }[command]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "ValueError"
+    assert list(out_dir.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# fields above 2^32 are refused before any search
+
+
+@pytest.mark.parametrize(
+    "case", ["identity_m_100000", "q_mersenne_61", "p_m", "challenge_q", "seeds_q"]
+)
+def test_oversized_fields_fail_fast(pipeline, tmp_path, case):
+    identity, _ = pipeline
+    big_id, big_q = tmp_path / "big_id.json", tmp_path / "big_q.json"
+    big_id.write_text(
+        json.dumps({**json.loads(identity.read_text()), "q_params": {"p": 2, "m": 100_000}})
+    )
+    big_q.write_text(json.dumps({
+        "q": 2 ** 61 - 1, "ell": 2, "ell_prime": 3,
+        "challenges": [], "seeds": [], "secret_challenges": [],
+    }))
+    seeds_out = tmp_path / "seeds_out.json"
+    argv = {
+        "identity_m_100000": ["challenge", "--identity", str(big_id)],
+        "q_mersenne_61": ["gen-identity", "--q", str(2 ** 61 - 1), "--ell", "1", "--k", "1"],
+        "p_m": ["params", "--p", "2", "--m", "100000", "--ell", "1", "--k", "1"],
+        "challenge_q": [
+            "encrypt", "--challenge", str(big_q), "--ell-prime", "3",
+            "--seeds-out", str(seeds_out),
+        ],
+        "seeds_q": ["decrypt", "--secret", str(big_q), "--seeds", str(big_q)],
+    }[case]
+    # a child process, so a regression shows as a timeout and not a hang
+    result = subprocess.run(
+        [sys.executable, "-m", "secrid", *argv],
+        capture_output=True, text=True, timeout=30, env=_child_env(),
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    error = json.loads(result.stderr)["error"]
+    assert error["kind"] == "ValueError"
+    assert "above the limit 2^32" in error["message"]
+    assert not seeds_out.exists()
