@@ -1,11 +1,11 @@
-"""Brute-force information-theoretic oracles.
+"""Exact information-theoretic oracles.
 
-Everything here exists to check the closed-form accounting by exhaustive
-enumeration at toy scale: exact total variation between conditional
-seed-observation laws for a given per-symbol observation channel, exact
-collision-entropy budgets, and exact identification error fractions.
-Distributions are kept as exact rationals end to end; floats appear only in
-reported logarithms.
+Everything here exists to check the closed-form accounting exactly at toy
+scale: exact total variation between conditional seed-observation laws for
+a given per-symbol observation channel (an integer dynamic program over the
+seed directions), exact collision-entropy budgets, and exact identification
+error fractions.  Distributions are kept as exact integers or rationals end
+to end; floats appear only in reported logarithms.
 
 Conventions: total variation is the unhalved sum of absolute differences
 (maximum 2), and collision divergence D2(P||Q) = log2 sum P^2/Q is +inf as
@@ -21,16 +21,9 @@ from itertools import product
 from typing import Sequence
 
 from .rmid import Identity, IdCodeParams, evaluate_tag
-from .wiretap import (
-    SecrecyParams,
-    enumerate_seeds,
-    hyperplane,
-    kappa_d2_bits,
-    leakage_bound,
-    leakage_bound_squared,
-)
+from .wiretap import SecrecyParams, leakage_bound, leakage_bound_squared
 
-# enumeration guard: inputs * seeds * outputs of the vector channel
+# cost guard of exact_leakage: directions * |Z|^ell' * ell' * q^2 steps
 STATE_SPACE_LIMIT = 100_000_000
 
 _NUM_TOLERANCE = 1e-12
@@ -159,22 +152,6 @@ class ChannelModel:
         rows = tuple(tuple(_as_fraction(v) for v in row) for row in matrix)
         return cls(kind, len(rows), rows)
 
-    def power(self, n: int) -> "ChannelModel":
-        """Memoryless n-fold product; inputs and outputs are mixed-radix
-        encodings of the coordinate tuples.  Only sensible at toy sizes."""
-        if n < 1:
-            raise ValueError("power needs n >= 1")
-        rows = []
-        for xs in product(range(self.q), repeat=n):
-            row = []
-            for zs in product(range(self.n_outputs), repeat=n):
-                v = Fraction(1)
-                for x, z in zip(xs, zs):
-                    v *= self.matrix[x][z]
-                row.append(v)
-            rows.append(tuple(row))
-        return ChannelModel(f"{self.kind}^{n}", self.q ** n, tuple(rows), self.delta)
-
 
 def conditional_d2_pow(channel: ChannelModel, input_dist: Sequence | None = None) -> Fraction:
     """2^(D2(W || P_X W | P_X)) exactly: the reference output law is the
@@ -268,63 +245,70 @@ LEAKAGE_CSV_HEADER = [
 
 
 def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport:
-    """Enumerate the joint law of (seed, observation) for every message and
-    measure both leakage statistics exactly, then cross-check them against
-    the closed-form bounds at the channel's true collision budget.
+    """Measure both leakage statistics of the hyperplane cipher exactly, then
+    cross-check them against the closed-form bounds at the channel's true
+    collision budget.
 
-    The observer sees each ciphertext symbol through one use of the
-    per-symbol channel.  P(s, z | m) = (1/|S|) * (1/q^(ell'-1)) *
-    sum over the hyperplane of prod_i W(z_i | x_i)."""
+    With f(t) = sum over x with s.x = t of prod_i W(z_i | x_i), seed (s, s0)
+    and message m give P(s, s0, z | m) = f(m - s0) / (|S| q^(ell'-1)).  Over
+    s0 each message sees every value of f once, so the max TV is
+    sum_(s,z,t) |q f(t) - sum f| / q for every message, and messages d apart
+    differ by sum_(s,z,t) |f(t) - f(t + d)|, both over |S| q^(ell'-1).
+    f is a convolution over GF(q), one step per coordinate with s_i != 0; a
+    coordinate with s_i = 0 only scales f, by weights that sum to q over its
+    z_i.  The order of the steps does not matter, so a depth-first walk over
+    the pivot's 1 followed by k - 1 nonzero entries, and their observations,
+    covers every (s, z), each walk of k steps standing for C(ell', k)
+    directions.  Channel rows are scaled to ints by a common denominator."""
     field = params.field
     q = field.q
     if channel.q != q:
         raise ValueError(f"channel alphabet {channel.q} does not match q={q}")
     lp = params.ell_prime
-    n_seeds = params.seed_space_size
-    n_obs = channel.n_outputs ** lp
-    if q ** lp * n_seeds * n_obs > STATE_SPACE_LIMIT:
+    n_out = channel.n_outputs
+    cost = params.direction_count * n_out ** lp * lp * q * q
+    if cost > STATE_SPACE_LIMIT:
         raise ValueError(
-            f"state space q^ell' * |S| * |Z| = {q ** lp * n_seeds * n_obs} "
-            f"too large for exact enumeration"
+            f"directions * |Z|^ell' * ell' * q^2 = {cost} too large for exact leakage"
         )
 
-    seeds = list(enumerate_seeds(params))
-    obs = list(product(range(channel.n_outputs), repeat=lp))
-    seed_weight = Fraction(1, n_seeds * q ** (lp - 1))
-    w = channel.matrix
-
-    # joint[m][s_index][z_index]
-    joint: list[list[list[Fraction]]] = [
-        [[Fraction(0)] * len(obs) for _ in seeds] for _ in range(q)
+    mul = field.fast_ops()[1]
+    scale = math.lcm(*(v.denominator for row in channel.matrix for v in row))
+    w = [[int(v * scale) for v in row] for row in channel.matrix]
+    back = [[field.sub(t, u) for t in range(q)] for u in range(q)]
+    # a step for multiplier a and output z: f(t) -> sum_x W(z | x) f(t - a x)
+    steps = [
+        terms
+        for a in range(1, q)
+        for z in range(n_out)
+        if (terms := [(back[mul(a, x)], w[x][z]) for x in range(q) if w[x][z]])
     ]
-    for si, seed in enumerate(seeds):
-        for m in range(q):
-            row = joint[m][si]
-            for x in hyperplane(params, seed, m):
-                # distribution of the observation for this ciphertext
-                probs = [Fraction(1)]
-                for xi in x:
-                    wrow = w[xi]
-                    probs = [pz * wz for pz in probs for wz in wrow]
-                for zi, pz in enumerate(probs):
-                    if pz:
-                        row[zi] += seed_weight * pz
-    average = [
-        [sum(joint[m][si][zi] for m in range(q)) / q for zi in range(len(obs))]
-        for si in range(len(seeds))
-    ]
+    # sums by walk length k; pair_sums[k][d] for messages d apart
+    max_sums = [0] * (lp + 1)
+    pair_sums = [[0] * q for _ in range(lp + 1)]
 
-    def tv_against(m: int, ref: list[list[Fraction]]) -> Fraction:
-        return sum(
-            abs(joint[m][si][zi] - ref[si][zi])
-            for si in range(len(seeds))
-            for zi in range(len(obs))
-        )
+    def visit(f: list[int], k: int) -> None:
+        total = sum(f)
+        max_sums[k] += sum(abs(q * v - total) for v in f)
+        pair = pair_sums[k]
+        for d in range(1, q):
+            pair[d] += sum(abs(v - f[i]) for v, i in zip(f, back[d]))
+        if k < lp:
+            for (idx, wz), *rest in steps:
+                g = [wz * f[i] for i in idx]
+                for idx, wz in rest:
+                    g = [v + wz * f[i] for v, i in zip(g, idx)]
+                visit(g, k + 1)
 
-    exact_max_tv = max(tv_against(m, average) for m in range(q))
-    exact_pairwise_tv = max(
-        tv_against(m, joint[m2]) for m in range(q) for m2 in range(q)
-    )
+    for z in range(n_out):
+        visit([w[x][z] for x in range(q)], 1)  # the pivot's step from t = 0
+
+    def weighted(sums: list[int]) -> int:
+        return sum(math.comb(lp, k) * (q * scale) ** (lp - k) * v for k, v in enumerate(sums))
+
+    norm = params.seed_space_size * q ** (lp - 1) * scale ** lp
+    exact_max_tv = Fraction(weighted(max_sums), q * norm)
+    exact_pairwise_tv = Fraction(max(weighted(col) for col in zip(*pair_sums)), norm)
 
     # collision budget of the vector channel at uniform input; products
     # factorize, so the per-symbol budget is raised to ell'
@@ -363,15 +347,21 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
 
 def exact_id_error(id_i: Identity, id_j: Identity) -> Fraction:
     """Exact per-challenge acceptance fraction: how many points of GF(q)^ell
-    make id_j's tag match id_i's.  exact_id_error(x, x) = 1."""
+    make id_j's tag match id_i's.  exact_id_error(x, x) = 1.
+
+    The tag is linear in the coefficients, so the tags agree exactly where
+    the tag of the coefficient-wise difference is 0."""
     if id_i.params != id_j.params:
         raise ValueError("identities use different code parameters")
     params = id_i.params
-    q = params.field.q
+    field = params.field
+    q = field.q
     if q ** params.ell > 10_000_000:
         raise ValueError(f"q^ell = {q ** params.ell} too large to enumerate")
-    hits = 0
-    for r in product(range(q), repeat=params.ell):
-        if evaluate_tag(id_i, r) == evaluate_tag(id_j, r):
-            hits += 1
+    diff = Identity(
+        params, tuple(field.sub(a, b) for a, b in zip(id_i.coeffs, id_j.coeffs))
+    )
+    hits = sum(
+        1 for r in product(range(q), repeat=params.ell) if evaluate_tag(diff, r) == 0
+    )
     return Fraction(hits, q ** params.ell)

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -334,7 +335,15 @@ def _sweep_point(point: tuple[int, int, str, str | None]) -> list:
     return exact_leakage(params, _channel(kind, q, delta_text)).to_csv_row()
 
 
+def _pool_size(workers: int, n_points: int) -> int:
+    """Processes a sweep runs in: at most workers, its point count and the
+    CPU count; 1 means the sweep runs in this process."""
+    return min(workers, n_points, os.cpu_count() or 1)
+
+
 def cmd_leakage_exact(args) -> int:
+    if args.workers < 1:
+        raise DomainError(f"--workers must be at least 1, got {args.workers}")
     field = _field_from_args(args)
     if not args.sweep:
         params = SecrecyParams(field, args.ell_prime)
@@ -350,11 +359,12 @@ def cmd_leakage_exact(args) -> int:
         for lp in ell_primes
         for d in deltas
     ]
-    if args.workers > 1:
+    size = _pool_size(args.workers, len(points))
+    if size > 1:
         # imported here so no other command pays for it at start-up
-        from multiprocessing import Pool
+        from multiprocessing import get_context
 
-        with Pool(args.workers) as pool:
+        with get_context("spawn").Pool(size) as pool:
             rows = pool.map(_sweep_point, points)  # map keeps input order
     else:
         rows = [_sweep_point(pt) for pt in points]
@@ -488,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sweep", action="store_true", help="emit a CSV grid instead")
     s.add_argument("--deltas", help="comma list for --sweep")
     s.add_argument("--ell-primes", help="comma list for --sweep")
-    s.add_argument("--workers", type=int, default=1)
+    s.add_argument("--workers", type=int, default=1,
+                   help="sweep processes, capped at the sweep points and the CPU count")
     s.add_argument("--out", help="CSV path (default stdout)")
     s.set_defaults(func=cmd_leakage_exact)
 

@@ -26,6 +26,23 @@ def params_for(q, ell_prime):
     return SecrecyParams(Field.from_q(q), ell_prime)
 
 
+def channel_power(channel, n):
+    """Memoryless n-fold product of a per-symbol channel; inputs and outputs
+    are mixed-radix encodings of the coordinate tuples."""
+    rows = []
+    for xs in product(range(channel.q), repeat=n):
+        row = []
+        for zs in product(range(channel.n_outputs), repeat=n):
+            v = Fraction(1)
+            for x, z in zip(xs, zs):
+                v *= channel.matrix[x][z]
+            row.append(v)
+        rows.append(tuple(row))
+    return ChannelModel(
+        f"{channel.kind}^{n}", channel.q ** n, tuple(rows), channel.delta
+    )
+
+
 # ---------------------------------------------------------------------------
 # divergence primitives
 
@@ -147,7 +164,7 @@ def test_product_channel_d2_factorizes():
     ):
         single = conditional_d2_pow(base)
         for n in (2, 3):
-            assert conditional_d2_pow(base.power(n)) == single ** n
+            assert conditional_d2_pow(channel_power(base, n)) == single ** n
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +175,7 @@ def oracle_leakage_stats(params, channel):
     per-coordinate convolution, then take both statistics."""
     q = params.field.q
     lp = params.ell_prime
-    big = channel.power(lp)
+    big = channel_power(channel, lp)
     seeds = list(enumerate_seeds(params))
     n_obs = channel.n_outputs ** lp
     weight = Fraction(1, params.seed_space_size * q ** (lp - 1))
@@ -260,10 +277,57 @@ def test_exact_leakage_rejects_mismatched_alphabet():
         exact_leakage(params_for(3, 2), ChannelModel.identity(2))
 
 
+def oracle_states(q, lp, n_out):
+    """Joint-law entries oracle_leakage_stats visits: q^ell' * |S| * |Z|^ell'."""
+    return q ** lp * params_for(q, lp).seed_space_size * n_out ** lp
+
+
+@st.composite
+def small_leakage_points(draw):
+    """Random channels with zero entries and small denominators, small
+    enough for the Fraction oracle; GF(8) and GF(9) with two outputs."""
+    q, lp = draw(st.sampled_from(
+        [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3), (8, 2), (9, 2)]
+    ))
+    widest = 2 if q > 5 else max(
+        n for n in range(2, q + 2) if oracle_states(q, lp, n) <= 160_000
+    )
+    n_out = draw(st.integers(min_value=2, max_value=widest))
+    row = st.lists(
+        st.integers(min_value=0, max_value=3), min_size=n_out, max_size=n_out
+    ).filter(any)
+    rows = [draw(row) for _ in range(q)]
+    matrix = [[Fraction(v, sum(r)) for v in r] for r in rows]
+    return params_for(q, lp), ChannelModel.from_matrix("random", matrix)
+
+
+@given(small_leakage_points())
+@settings(max_examples=15, deadline=None)
+def test_exact_leakage_matches_oracle_on_random_channels(point):
+    params, channel = point
+    report = exact_leakage(params, channel)
+    assert (report.exact_max_tv, report.exact_pairwise_tv) == oracle_leakage_stats(
+        params, channel
+    )
+
+
+@pytest.mark.parametrize(
+    "q, lp", [(4, 3), (5, 3), (7, 3), (8, 3), (9, 3), (4, 4), (5, 4)]
+)
+def test_exact_leakage_under_non_trivial_bound(q, lp):
+    # near-uniform observers: the tight bound falls below 1, so it can fail
+    report = exact_leakage(
+        params_for(q, lp), ChannelModel.symmetric(q, Fraction(q - 2, q))
+    )
+    assert report.bound_tight < 1
+    assert 0 < report.exact_max_tv <= report.exact_pairwise_tv
+    assert float(report.exact_pairwise_tv) <= report.bound_tight
+
+
 def test_exact_leakage_rejects_huge_state_space():
-    # 8^3 ciphertexts * 584 seeds * 8^3 observations passes 10^8
+    # 820 directions * 9^4 observations * 4 * 9^2 = 1.7e9 steps passes 10^8
     with pytest.raises(ValueError):
-        exact_leakage(params_for(8, 3), ChannelModel.identity(8))
+        exact_leakage(params_for(9, 4), ChannelModel.identity(9))
 
 
 def test_leakage_report_row_matches_header():

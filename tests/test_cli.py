@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import secrid
-from secrid.cli import main
+from secrid.cli import _pool_size, main
 
 
 def run_cli(capsys, *argv):
@@ -279,6 +279,31 @@ def test_leakage_exact_sweep_is_worker_invariant(tmp_path, capsys):
     assert rows[0] == ["q", "ell_prime", "delta", "kappa_true", "exact_max_tv",
                       "bound_tight", "bound_simplified"]
     assert len(rows) == 1 + 6
+
+
+def test_pool_size_never_exceeds_points_or_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _pool_size(10 ** 6, 6) == 4
+    assert _pool_size(10 ** 6, 3) == 3
+    assert _pool_size(2, 6) == 2
+    assert _pool_size(1, 6) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _pool_size(8, 6) == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("sweep", [False, True])
+def test_leakage_exact_rejects_non_positive_workers(tmp_path, capsys, workers, sweep):
+    out = tmp_path / "leak.csv"
+    argv = ["leakage-exact", "--q", "2", "--workers", workers, "--out", str(out)]
+    code, stdout, err = run_cli(capsys, *argv, *(["--sweep"] if sweep else []))
+    assert code == 1
+    assert stdout == ""
+    assert json.loads(err)["error"] == {
+        "kind": "DomainError",
+        "message": f"--workers must be at least 1, got {workers}",
+    }
+    assert not out.exists()
 
 
 def test_capacity_check_single_and_sweep(capsys):
