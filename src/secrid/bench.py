@@ -13,7 +13,7 @@ import csv
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Callable, Sequence, TextIO
 
 from .ff import field_for
@@ -24,22 +24,6 @@ from .wiretap import SecrecyParams, encrypt_tags, decrypt_tags, sample_seed
 MIN_REPS = 30
 _MIN_SAMPLE_SECONDS = 2e-4
 
-BENCH_CSV_HEADER = [
-    "schema_version",
-    "operation",
-    "q",
-    "ell",
-    "k",
-    "n_challenges",
-    "ell_prime",
-    "kappa",
-    "identity_bits",
-    "coeff_count",
-    "reps",
-    "mean_s",
-    "median_s",
-    "min_s",
-]
 BENCH_SCHEMA_VERSION = 1
 
 
@@ -66,22 +50,10 @@ class BenchRecord:
             raise ValueError("non-positive timing; sample batching is broken")
 
     def to_csv_row(self) -> list:
-        return [
-            BENCH_SCHEMA_VERSION,
-            self.operation,
-            self.q,
-            self.ell,
-            self.k,
-            self.n_challenges,
-            self.ell_prime,
-            self.kappa,
-            self.identity_bits,
-            self.coeff_count,
-            self.reps,
-            self.mean_s,
-            self.median_s,
-            self.min_s,
-        ]
+        return [BENCH_SCHEMA_VERSION, *astuple(self)]
+
+
+BENCH_CSV_HEADER = ["schema_version", *(f.name for f in fields(BenchRecord))]
 
 
 def _time_op(op: Callable[[], object], reps: int) -> list[float]:

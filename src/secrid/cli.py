@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import random
 import sys
@@ -23,7 +22,6 @@ from .analysis import LEAKAGE_CSV_HEADER, ChannelModel, exact_leakage
 from .ff import Field, field_for, prime_power
 from .planner import plan
 from .rmid import (
-    Challenge,
     IdCodeParams,
     Identity,
     MultiChallenge,
@@ -533,8 +531,8 @@ def main(argv=None) -> int:
         return _fail(type(exc).__name__, str(exc))
     except FileNotFoundError as exc:
         return _fail("FileNotFoundError", f"{exc.filename}: no such file")
-    except json.JSONDecodeError as exc:
-        return _fail("JSONDecodeError", str(exc))
+    except OSError as exc:
+        return _fail(type(exc).__name__, str(exc))
     except KeyError as exc:
         return _fail("KeyError", f"missing field {exc} in input JSON")
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 # exp/log (and Zech) tables are built for fields up to this size
 TABLE_LIMIT = 1 << 20
@@ -247,23 +247,7 @@ class Field:
         # the tables and the closures over them are rebuilt, not pickled
         return Field, (self.p, self.m)
 
-    # -- digit views -------------------------------------------------------
-
-    def digits(self, a: int) -> tuple[int, ...]:
-        """Little-endian base-p digit vector of a canonical integer."""
-        self._check(a)
-        return _int_digits(a, self.p, self.m)
-
-    def from_digits(self, digits: Iterable[int]) -> int:
-        digits = list(digits)
-        if len(digits) > self.m:
-            raise ValueError(f"at most {self.m} digits expected, got {len(digits)}")
-        value = 0
-        for d in reversed(digits):
-            if not 0 <= d < self.p:
-                raise ValueError(f"digit {d} out of range [0, {self.p})")
-            value = value * self.p + d
-        return value
+    # -- validation --------------------------------------------------------
 
     def _check(self, a: int) -> int:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.q:
@@ -542,20 +526,6 @@ class Field:
     def encode_symbols(self, values: Sequence[int]) -> bytes:
         nbytes = self.symbol_bytes
         return b"".join(self._check(v).to_bytes(nbytes, "big") for v in values)
-
-    def decode_symbols(self, data: bytes, count: int) -> tuple[int, ...]:
-        nbytes = self.symbol_bytes
-        if len(data) != count * nbytes:
-            raise ValueError(
-                f"expected {count * nbytes} bytes for {count} symbols, got {len(data)}"
-            )
-        values = []
-        for i in range(count):
-            v = int.from_bytes(data[i * nbytes : (i + 1) * nbytes], "big")
-            if v >= self.q:
-                raise ValueError(f"symbol {i} decodes to {v}, outside [0, {self.q})")
-            values.append(v)
-        return tuple(values)
 
     @property
     def log2_q(self) -> float:

@@ -170,11 +170,6 @@ class Challenge:
         """ell + 1 fixed-width symbols: the point, then the tag."""
         return field.encode_symbols(self.r + (self.tag,))
 
-    @classmethod
-    def from_bytes(cls, data: bytes, field: Field, ell: int) -> "Challenge":
-        symbols = field.decode_symbols(data, ell + 1)
-        return cls(symbols[:ell], symbols[ell])
-
 
 @dataclass(frozen=True)
 class MultiChallenge:
@@ -190,18 +185,6 @@ class MultiChallenge:
 
     def to_bytes(self, field: Field) -> bytes:
         return b"".join(c.to_bytes(field) for c in self.challenges)
-
-    @classmethod
-    def from_bytes(cls, data: bytes, field: Field, ell: int, n: int) -> "MultiChallenge":
-        step = (ell + 1) * field.symbol_bytes
-        if len(data) != n * step:
-            raise ValueError(f"expected {n * step} bytes, got {len(data)}")
-        return cls(
-            tuple(
-                Challenge.from_bytes(data[i * step : (i + 1) * step], field, ell)
-                for i in range(n)
-            )
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
-from .ff import Field, field_for
+from .ff import Field
 from .rmid import Challenge, MultiChallenge, json_field, json_ints
 
 
@@ -91,15 +91,14 @@ class Seed:
 
     def to_bytes(self, field: Field) -> bytes:
         """1-based pivot byte, then ell_prime + 1 fixed-width symbols
-        (s with its zeros, then s0)."""
+        (s with its zeros, then s0).  The one byte holds pivots up to 255,
+        so longer direction vectors are rejected whatever their pivot."""
+        if len(self.s) > 255:
+            raise ValueError(
+                f"the binary seed layout has a one-byte pivot field, so it "
+                f"holds at most 255 coordinates; this seed has {len(self.s)}"
+            )
         return bytes([self.pivot + 1]) + field.encode_symbols(self.s + (self.s0,))
-
-    @classmethod
-    def from_bytes(cls, data: bytes, field: Field, ell_prime: int) -> "Seed":
-        if len(data) != 1 + (ell_prime + 1) * field.symbol_bytes:
-            raise ValueError("seed blob has the wrong length")
-        symbols = field.decode_symbols(data[1:], ell_prime + 1)
-        return cls(symbols[:ell_prime], symbols[ell_prime], data[0] - 1)
 
 
 @dataclass(frozen=True)
@@ -118,13 +117,6 @@ class SecretChallenge:
 
     def to_bytes(self, field: Field) -> bytes:
         return field.encode_symbols(self.r + self.x)
-
-    @classmethod
-    def from_bytes(
-        cls, data: bytes, field: Field, ell: int, ell_prime: int
-    ) -> "SecretChallenge":
-        symbols = field.decode_symbols(data, ell + ell_prime)
-        return cls(symbols[:ell], symbols[ell:])
 
 
 # ---------------------------------------------------------------------------

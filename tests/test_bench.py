@@ -76,6 +76,11 @@ def test_csv_shape_and_schema_column():
     write_csv(records, buf)
     rows = list(csv.reader(io.StringIO(buf.getvalue())))
     assert rows[0] == BENCH_CSV_HEADER
+    # the schema of docs/wire-format.md, column for column
+    assert buf.getvalue().splitlines()[0] == (
+        "schema_version,operation,q,ell,k,n_challenges,ell_prime,kappa,"
+        "identity_bits,coeff_count,reps,mean_s,median_s,min_s"
+    )
     assert len(rows) == 1 + len(records)
     for row in rows[1:]:
         assert row[0] == str(BENCH_SCHEMA_VERSION)

@@ -198,21 +198,29 @@ def test_decrypt_rejects_mismatched_files(pipeline, tmp_path, capsys):
     assert "ell_prime" in json.loads(err)["error"]["message"]
 
 
+def _symbols(values, width=1):
+    """Fixed-width big-endian symbols, as docs/wire-format.md lays them out."""
+    return b"".join(v.to_bytes(width, "big") for v in values)
+
+
 def test_binary_outputs_have_fixed_width(pipeline, tmp_path, capsys):
     identity, challenge = pipeline
     ch_bin = tmp_path / "ch.bin"
-    run_cli(
+    ch_obj = run_json(
         capsys,
         "challenge", "--identity", str(identity), "--seed", "5",
         "--out-bin", str(ch_bin),
     )
     # q = 25 -> 1 byte per symbol; 2 challenges of (2 + 1) symbols
     assert len(ch_bin.read_bytes()) == 2 * 3
+    assert ch_bin.read_bytes() == b"".join(
+        _symbols([*c["r"], c["tag"]]) for c in ch_obj["challenges"]
+    )
 
     seeds = tmp_path / "seeds.json"
     seeds_bin = tmp_path / "seeds.bin"
     secret_bin = tmp_path / "secret.bin"
-    run_cli(
+    secret_obj = run_json(
         capsys,
         "encrypt", "--challenge", str(challenge), "--ell-prime", "3",
         "--seeds-out", str(seeds), "--seeds-bin-out", str(seeds_bin),
@@ -220,6 +228,13 @@ def test_binary_outputs_have_fixed_width(pipeline, tmp_path, capsys):
     )
     assert len(seeds_bin.read_bytes()) == 2 * (1 + 4)  # pivot byte + 4 symbols
     assert len(secret_bin.read_bytes()) == 2 * (2 + 3)
+    assert seeds_bin.read_bytes() == b"".join(
+        bytes([s["pivot"]]) + _symbols([*s["s"], s["s0"]])
+        for s in json.loads(seeds.read_text())["seeds"]
+    )
+    assert secret_bin.read_bytes() == b"".join(
+        _symbols([*sc["r"], *sc["x"]]) for sc in secret_obj["secret_challenges"]
+    )
 
 
 def test_challenge_reads_identity_from_stdin(pipeline, capsys, monkeypatch):
@@ -373,6 +388,25 @@ def test_missing_file_exits_one(capsys):
     code, _, err = run_cli(capsys, "verify", "--identity", "/nope.json", "--challenge", "/nope2.json")
     assert code == 1
     assert json.loads(err)["error"]["kind"] == "FileNotFoundError"
+
+
+def test_unreadable_path_exits_one_with_json(tmp_path, capsys):
+    # a directory where a file is expected: any OSError is a data error
+    code, out, err = run_cli(
+        capsys, "verify", "--identity", str(tmp_path), "--challenge", str(tmp_path)
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "IsADirectoryError"
+
+
+def test_malformed_json_exits_one_with_json(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    code, out, err = run_cli(capsys, "verify", "--identity", str(bad), "--challenge", str(bad))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "JSONDecodeError"
 
 
 def _assert_prints_version(result):

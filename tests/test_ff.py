@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secrid.ff import (
-    TABLE_LIMIT, Field, field_for, find_irreducible, is_irreducible, is_prime, prime_power,
+    TABLE_LIMIT, Field, _int_digits, field_for, find_irreducible, is_irreducible, is_prime,
+    prime_power,
 )
 
 from util import CountingSource
@@ -347,11 +348,12 @@ def test_uniformity_chi_square_gf9():
 
 @pytest.mark.parametrize("p,m", SMALL_FIELDS)
 def test_digit_roundtrip(p, m):
-    field = field_for(p, m)
-    for a in range(field.q):
-        digits = field.digits(a)
+    # the element encoding of docs/wire-format.md: c0 + c1*p + c2*p^2 + ...
+    for a in range(p ** m):
+        digits = _int_digits(a, p, m)
         assert len(digits) == m
-        assert field.from_digits(digits) == a
+        assert all(0 <= d < p for d in digits)
+        assert sum(d * p ** i for i, d in enumerate(digits)) == a
 
 
 def test_symbol_bits_and_bytes():
@@ -369,19 +371,34 @@ def test_symbol_codec_roundtrip(p, m):
     rng = random.Random(p * 1000 + m)
     symbols = tuple(rng.randrange(field.q) for _ in range(9))
     blob = field.encode_symbols(symbols)
-    assert len(blob) == 9 * field.symbol_bytes
-    assert field.decode_symbols(blob, 9) == symbols
+    width = field.symbol_bytes
+    assert len(blob) == 9 * width
+    # read back as the documented fixed-width big-endian fields
+    chunks = [blob[i : i + width] for i in range(0, len(blob), width)]
+    assert tuple(int.from_bytes(c, "big") for c in chunks) == symbols
+
+
+@pytest.mark.parametrize(
+    "p,m,symbols,expected",
+    [
+        (2, 1, (1, 0, 1), bytes([1, 0, 1])),
+        (5, 1, (0, 4, 3), bytes([0, 4, 3])),
+        (3, 10, (59048, 300, 4), bytes.fromhex("e6a8012c0004")),
+        (2, 16, (0, 1, 65535, 256), bytes.fromhex("00000001ffff0100")),
+        (2, 17, (131071,), bytes.fromhex("01ffff")),
+    ],
+    ids=["q2", "q5", "q59049", "q65536", "q131072"],
+)
+def test_symbol_codec_literal_bytes(p, m, symbols, expected):
+    assert field_for(p, m).encode_symbols(symbols) == expected
 
 
 def test_symbol_codec_rejects_out_of_range():
     field = field_for(5, 1)
     with pytest.raises(ValueError):
         field.encode_symbols((5,))
-    blob = bytes([7])  # decodes to 7 >= q
     with pytest.raises(ValueError):
-        field.decode_symbols(blob, 1)
-    with pytest.raises(ValueError):
-        field.decode_symbols(bytes([1, 2]), 1)  # trailing bytes
+        field.encode_symbols((-1,))
 
 
 def test_field_identity_and_hash():

@@ -275,20 +275,18 @@ def test_identity_json_rejects_inconsistent_q():
         Identity.from_json_dict(obj)
 
 
-def test_challenge_binary_roundtrip():
-    field = field_for(3, 10)
-    ch = Challenge((101, 90), 4)
-    blob = ch.to_bytes(field)
-    assert len(blob) == 3 * field.symbol_bytes
-    assert Challenge.from_bytes(blob, field, 2) == ch
+def test_challenge_binary_layout():
+    # GF(3^10): 2-byte big-endian symbols, the point then the tag
+    ch = Challenge((59048, 300), 4)
+    assert ch.to_bytes(field_for(3, 10)) == bytes.fromhex("e6a8012c0004")
 
 
 def test_multichallenge_codecs_roundtrip():
     field = field_for(7, 1)
     mc = MultiChallenge((Challenge((1, 2), 3), Challenge((4, 5), 6)))
     assert MultiChallenge.from_json_dict(mc.to_json_dict()) == mc
-    blob = mc.to_bytes(field)
-    assert MultiChallenge.from_bytes(blob, field, ell=2, n=2) == mc
+    # records back to back, no delimiter or count
+    assert mc.to_bytes(field) == bytes([1, 2, 3, 4, 5, 6])
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ from secrid.rsid import (
     min_challenges_for,
     required_rm_challenges,
     rs_candidates,
-    rs_tag,
 )
+
+from util import rs_outer_field, rs_tag, split_outer_symbol
 
 
 def test_quote_union_bound_values():
@@ -36,7 +37,7 @@ def test_false_accept_rate_exhaustive_q3():
     # collision fraction never exceeds the union bound 1/9 + 1/3 = 4/9
     field = field_for(3, 1)
     params = RsIdParams(field, 2, 2)
-    outer_q = params.outer_field.q
+    outer_q = rs_outer_field(params).q
     bound = Fraction(4, 9)
     identities = [
         (c0, c1) for c0 in range(outer_q) for c1 in range(outer_q)
@@ -67,13 +68,17 @@ def test_false_accept_rate_exhaustive_q3():
 def test_symbol_split_inverts_extension_packing():
     field = field_for(3, 1)
     params = RsIdParams(field, 2, 1)
-    outer = params.outer_field  # GF(9)
-    # inner coefficients (a, b) pack to the element with digits (a, b)
-    from secrid.rsid import _split_outer_symbol
-
+    outer = rs_outer_field(params)  # GF(9)
+    # inner coefficients (a, b) are the digits of y = a + 3b
     for y in range(9):
-        a, b = _split_outer_symbol(params, y)
-        assert outer.from_digits((a, b)) == y
+        a, b = split_outer_symbol(params, y)
+        assert a + 3 * b == y
+        # the split is GF(3)-linear: a sum splits into the sums
+        for z in range(9):
+            pairs = zip(split_outer_symbol(params, y), split_outer_symbol(params, z))
+            assert split_outer_symbol(params, outer.add(y, z)) == tuple(
+                field.add(u, v) for u, v in pairs
+            )
 
 
 def test_params_validation():

@@ -202,21 +202,29 @@ def test_seed_json_pivot_is_one_based():
     assert Seed.from_json_dict(json.loads(json.dumps(obj))) == seed
 
 
-def test_seed_binary_roundtrip():
-    field = field_for(5, 1)
+def test_seed_binary_layout():
+    # 1-based pivot byte, then s with its zeros, then s0
     seed = Seed((3, 1, 0), 2, 1)
-    blob = seed.to_bytes(field)
-    assert blob[0] == 2  # 1-based pivot on the wire
-    assert len(blob) == 1 + 4 * field.symbol_bytes
-    assert Seed.from_bytes(blob, field, 3) == seed
+    assert seed.to_bytes(field_for(5, 1)) == bytes([2, 3, 1, 0, 2])
+    wide = Seed((258, 1), 65535, 1)
+    assert wide.to_bytes(field_for(2, 16)) == bytes.fromhex("02" "0102" "0001" "ffff")
+
+
+def test_seed_binary_layout_caps_length_at_255():
+    field = field_for(5, 1)
+    longest = Seed((1,) + (0,) * 254, 0, 0)
+    assert longest.to_bytes(field) == bytes([1, 1]) + bytes(255)
+    # a pivot-0 seed fits the pivot byte, but the layout caps the length
+    too_long = Seed((1,) + (0,) * 299, 0, 0)
+    with pytest.raises(ValueError, match="one-byte pivot field"):
+        too_long.to_bytes(field)
 
 
 def test_secret_challenge_codecs():
     field = field_for(3, 2)
     sc = SecretChallenge((4, 7), (1, 0, 8))
     assert SecretChallenge.from_json_dict(sc.to_json_dict()) == sc
-    blob = sc.to_bytes(field)
-    assert SecretChallenge.from_bytes(blob, field, 2, 3) == sc
+    assert sc.to_bytes(field) == bytes([4, 7, 1, 0, 8])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,13 @@
-"""Deterministic stand-ins for random.Random used by the sampling tests."""
+"""Deterministic stand-ins for random.Random used by the sampling tests,
+and the tag of the two-layer Reed-Solomon baseline, whose error quote is
+all the library needs."""
 
 from __future__ import annotations
+
+from typing import Sequence
+
+from secrid.ff import Field, field_for
+from secrid.rsid import RsIdParams
 
 
 class ScriptedSource:
@@ -56,3 +63,39 @@ class CountingSource:
 
     def getrandbits(self, bits: int) -> int:
         return self._next() % (1 << bits)
+
+
+# ---------------------------------------------------------------------------
+# two-layer Reed-Solomon tag (oracle for the union bound in secrid.rsid)
+
+
+def rs_outer_field(params: RsIdParams) -> Field:
+    """GF(q^k_in), realized as GF(p^(m*k_in))."""
+    return field_for(params.field.p, params.field.m * params.k_in)
+
+
+def split_outer_symbol(params: RsIdParams, y: int) -> tuple[int, ...]:
+    """GF(q^k_in) -> GF(q)^k_in: the base-p digits of y in k_in groups of m,
+    low group first, i.e. the base-q digits of the canonical integer."""
+    q = params.field.q
+    out = []
+    for _ in range(params.k_in):
+        y, c = divmod(y, q)
+        out.append(c)
+    return tuple(out)
+
+
+def horner(field: Field, coeffs: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = field.add(field.mul(acc, x), c)
+    return acc
+
+
+def rs_tag(params: RsIdParams, outer_coeffs: Sequence[int], r1: int, r2: int) -> int:
+    """The outer polynomial at r1 in GF(q^k_in), split into k_in inner
+    coefficients, evaluated at r2 in GF(q)."""
+    if len(outer_coeffs) != params.k_out:
+        raise ValueError(f"expected {params.k_out} outer coefficients")
+    y = horner(rs_outer_field(params), outer_coeffs, r1)
+    return horner(params.field, split_outer_symbol(params, y), r2)
