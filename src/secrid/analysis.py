@@ -4,8 +4,11 @@ Everything here exists to check the closed-form accounting exactly at toy
 scale: exact total variation between conditional seed-observation laws for
 a given per-symbol observation channel (an integer dynamic program over the
 seed directions), exact collision-entropy budgets, and exact identification
-error fractions.  Distributions are kept as exact integers or rationals end
-to end; floats appear only in reported logarithms.
+error fractions (a depth-first zero count of the difference polynomial, one
+variable substituted at a time, ~sum_j q^j C(ell - j + 1 + k, k)
+multiply-adds instead of C(ell + k, k) at each of q^ell points).
+Distributions are kept as exact integers or rationals end to end; floats
+appear only in reported logarithms.
 
 Conventions: total variation is the unhalved sum of absolute differences
 (maximum 2), and collision divergence D2(P||Q) = log2 sum P^2/Q is +inf as
@@ -17,10 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
 from typing import Sequence
 
-from .rmid import Identity, IdCodeParams, evaluate_tag
+from .rmid import Identity, monomial_exponents
 from .wiretap import SecrecyParams, leakage_bound, leakage_bound_squared
 
 # cost guard of exact_leakage: directions * |Z|^ell' * ell' * q^2 steps
@@ -345,12 +348,39 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
 # ---------------------------------------------------------------------------
 # exact identification error
 
+@lru_cache(maxsize=4)
+def _substitution_plan(ell: int, k: int) -> tuple:
+    """Entry d serves a polynomial in the last ell - d variables, laid out
+    as monomial_exponents(ell - d, k).  It holds one (top, rest) group per
+    monomial t of the variables after the first, in the layout of entry
+    d + 1: the indices of x^e * t for e from k - deg t down to 0, the
+    Horner order."""
+    plan = []
+    for nvars in range(ell, 0, -1):
+        index = {e: i for i, e in enumerate(monomial_exponents(nvars, k))}
+        tails = monomial_exponents(nvars - 1, k) if nvars > 1 else [()]
+        groups = []
+        for tail in tails:
+            group = [index[(e,) + tail] for e in range(k - sum(tail), -1, -1)]
+            groups.append((group[0], tuple(group[1:])))
+        plan.append(tuple(groups))
+    return tuple(plan)
+
+
 def exact_id_error(id_i: Identity, id_j: Identity) -> Fraction:
     """Exact per-challenge acceptance fraction: how many points of GF(q)^ell
     make id_j's tag match id_i's.  exact_id_error(x, x) = 1.
 
     The tag is linear in the coefficients, so the tags agree exactly where
-    the tag of the coefficient-wise difference is 0."""
+    the difference polynomial vanishes.  Its zeros are counted depth-first,
+    one variable at a time: for each value a of the first remaining
+    variable, Horner in a folds the coefficients into a polynomial of total
+    degree <= k in the variables left, and the count recurses on that.  A
+    polynomial that vanishes identically holds q^(variables left) zeros
+    without descending.  That is at most sum over j = 1..ell of
+    q^j * C(ell - j + 1 + k, k) multiply-adds instead of C(ell + k, k) per
+    point, e.g. 25k instead of 302k at q = 7, ell = 4, k = 5, in memory of
+    ell coefficient vectors."""
     if id_i.params != id_j.params:
         raise ValueError("identities use different code parameters")
     params = id_i.params
@@ -358,10 +388,25 @@ def exact_id_error(id_i: Identity, id_j: Identity) -> Fraction:
     q = field.q
     if q ** params.ell > 10_000_000:
         raise ValueError(f"q^ell = {q ** params.ell} too large to enumerate")
-    diff = Identity(
-        params, tuple(field.sub(a, b) for a, b in zip(id_i.coeffs, id_j.coeffs))
-    )
-    hits = sum(
-        1 for r in product(range(q), repeat=params.ell) if evaluate_tag(diff, r) == 0
-    )
-    return Fraction(hits, q ** params.ell)
+    add, mul = field.fast_ops()
+    plan = _substitution_plan(params.ell, params.k)
+    last = len(plan) - 1
+
+    def zeros(poly: list[int], depth: int) -> int:
+        vanished = q ** (last - depth)  # points left below this variable
+        hits = 0
+        for a in range(q):
+            folded = []
+            for top, rest in plan[depth]:
+                acc = poly[top]
+                for i in rest:
+                    acc = add(mul(acc, a), poly[i])
+                folded.append(acc)
+            if not any(folded):
+                hits += vanished
+            elif depth < last:
+                hits += zeros(folded, depth + 1)
+        return hits
+
+    diff = [field.sub(a, b) for a, b in zip(id_i.coeffs, id_j.coeffs)]
+    return Fraction(zeros(diff, 0), q ** params.ell)

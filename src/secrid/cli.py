@@ -36,6 +36,7 @@ from .wiretap import (
     Seed,
     SecrecyParams,
     SecretChallenge,
+    check_binary_seed_length,
     decrypt_tags,
     encrypt_tags,
     kappa_d2_bits,
@@ -234,6 +235,8 @@ def cmd_encrypt(args) -> int:
         ell_prime = min_cipher_length(field.q, args.kappa, args.epsilon).ell_prime
     else:
         raise DomainError("give --ell-prime, or --kappa with --epsilon")
+    if args.seeds_bin_out:
+        check_binary_seed_length(ell_prime)
     params = SecrecyParams(field, ell_prime)
     rng = _rng(args)
     seeds = [sample_seed(params, rng) for _ in mc.challenges]
@@ -243,8 +246,8 @@ def cmd_encrypt(args) -> int:
         "ell_prime": ell_prime,
         "seeds": [s.to_json_dict() for s in seeds],
     }
-    # every output is built before any file is opened, so a failure
-    # (say, a pivot beyond the one-byte wire field) leaves no partial files
+    # every output is built before any file is opened, so a failure leaves
+    # no partial files
     files = {args.seeds_out: _dumps(seeds_obj).encode()}
     if args.seeds_bin_out:
         files[args.seeds_bin_out] = b"".join(s.to_bytes(field) for s in seeds)

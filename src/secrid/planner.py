@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ff import Field, field_for, prime_power
+from .ff import field_for, prime_power
 from .rmid import IdCodeParams, code_size_bits
 from .rsid import epsilon_2rs, min_challenges_for
 from .wiretap import min_cipher_length, split_leakage_budget

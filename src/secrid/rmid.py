@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .ff import Field, field_for, find_irreducible
@@ -88,24 +88,25 @@ class IdCodeParams:
     def coeff_count(self) -> int:
         return math.comb(self.ell + self.k, self.ell)
 
-    @cached_property
-    def _eval_chain(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Incremental evaluation plan: monomial i equals monomial pred[i]
-        times variable var[i], so a sweep costs one multiplication per
-        monomial.  Entry 0 is the constant monomial."""
-        exponents = monomial_exponents(self.ell, self.k)
-        index = {e: i for i, e in enumerate(exponents)}
-        pred = [0] * len(exponents)
-        var = [0] * len(exponents)
-        for i, exps in enumerate(exponents):
-            if i == 0:
-                continue
-            j = next(pos for pos, e in enumerate(exps) if e > 0)
-            shorter = list(exps)
-            shorter[j] -= 1
-            pred[i] = index[tuple(shorter)]
-            var[i] = j
-        return tuple(pred), tuple(var)
+@lru_cache(maxsize=4)
+def _eval_chain(ell: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Incremental evaluation plan, shared by every IdCodeParams of the same
+    (ell, k): monomial i equals monomial pred[i] times variable var[i], so a
+    sweep costs one multiplication per monomial.  Entry 0 is the constant
+    monomial."""
+    exponents = monomial_exponents(ell, k)
+    index = {e: i for i, e in enumerate(exponents)}
+    pred = [0] * len(exponents)
+    var = [0] * len(exponents)
+    for i, exps in enumerate(exponents):
+        if i == 0:
+            continue
+        j = next(pos for pos, e in enumerate(exps) if e > 0)
+        shorter = list(exps)
+        shorter[j] -= 1
+        pred[i] = index[tuple(shorter)]
+        var[i] = j
+    return tuple(pred), tuple(var)
 
 
 @dataclass(frozen=True)
@@ -230,7 +231,7 @@ def evaluate_tag(identity: Identity, r: Sequence[int]) -> int:
         raise ValueError(f"point has {len(r)} coordinates, expected {params.ell}")
     point = tuple(field._check(x) for x in r)
     add, mul = field.fast_ops()
-    pred, var = params._eval_chain
+    pred, var = _eval_chain(params.ell, params.k)
     coeffs = identity.coeffs
     count = len(coeffs)
     vals = [1] * count

@@ -55,6 +55,14 @@ class SecrecyParams:
         return self.direction_count * self.field.q
 
 
+def check_binary_seed_length(ell_prime: int) -> None:
+    if ell_prime > 255:
+        raise ValueError(
+            f"the binary seed layout has a one-byte pivot field, so it "
+            f"holds at most 255 coordinates; ell_prime is {ell_prime}"
+        )
+
+
 @dataclass(frozen=True)
 class Seed:
     """s has s[pivot] == 1 and zeros above (pivot is a 0-based index here;
@@ -93,11 +101,7 @@ class Seed:
         """1-based pivot byte, then ell_prime + 1 fixed-width symbols
         (s with its zeros, then s0).  The one byte holds pivots up to 255,
         so longer direction vectors are rejected whatever their pivot."""
-        if len(self.s) > 255:
-            raise ValueError(
-                f"the binary seed layout has a one-byte pivot field, so it "
-                f"holds at most 255 coordinates; this seed has {len(self.s)}"
-            )
+        check_binary_seed_length(len(self.s))
         return bytes([self.pivot + 1]) + field.encode_symbols(self.s + (self.s0,))
 
 

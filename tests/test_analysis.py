@@ -18,8 +18,10 @@ from secrid.analysis import (
     total_variation,
 )
 from secrid.ff import Field, field_for
-from secrid.rmid import IdCodeParams, Identity
+from secrid.rmid import IdCodeParams, Identity, monomial_exponents
 from secrid.wiretap import SecrecyParams, enumerate_seeds, hyperplane
+
+from util import id_error_by_sweep
 
 
 def params_for(q, ell_prime):
@@ -369,6 +371,46 @@ def test_exact_id_error_requires_matching_params():
     p2 = IdCodeParams(field_for(5, 1), 1, 3)
     with pytest.raises(ValueError):
         exact_id_error(Identity(p1, (0, 0, 1)), Identity(p2, (0, 0, 1, 0)))
+
+
+@st.composite
+def id_error_pairs(draw):
+    """Identity pairs over prime, XOR-add and Zech-add fields.  Half the
+    draws force a shape: equal identities (error 1), a nonzero constant
+    difference (error 0), or x_v - c, whose substitution x_v = c vanishes
+    identically, so whole subgrids are counted at once."""
+    p, m = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2)]))
+    field = field_for(p, m)
+    ell = draw(st.integers(min_value=1, max_value=4 if field.q <= 5 else 3))
+    k = draw(st.integers(min_value=0, max_value=min(field.q - 1, 3)))
+    params = IdCodeParams(field, ell, k)
+    coeffs = st.lists(
+        st.integers(min_value=0, max_value=field.q - 1),
+        min_size=params.coeff_count,
+        max_size=params.coeff_count,
+    )
+    a = draw(coeffs)
+    shape = draw(st.sampled_from(["random", "random", "random", "equal", "constant", "linear"]))
+    if shape == "random":
+        b = draw(coeffs)
+    else:
+        diff = [0] * params.coeff_count
+        if shape == "constant":
+            diff[0] = draw(st.integers(min_value=1, max_value=field.q - 1))
+        elif shape == "linear" and k >= 1:
+            v = draw(st.integers(min_value=0, max_value=ell - 1))
+            unit = tuple(int(i == v) for i in range(ell))
+            diff[0] = draw(st.integers(min_value=0, max_value=field.q - 1))
+            diff[monomial_exponents(ell, k).index(unit)] = 1
+        b = [field.sub(x, d) for x, d in zip(a, diff)]
+    return Identity(params, tuple(a)), Identity(params, tuple(b))
+
+
+@given(id_error_pairs())
+@settings(max_examples=300, deadline=None)
+def test_exact_id_error_matches_per_point_sweep(pair):
+    id_i, id_j = pair
+    assert exact_id_error(id_i, id_j) == id_error_by_sweep(id_i, id_j)
 
 
 def test_exact_id_error_stays_under_degree_bound():

@@ -179,6 +179,30 @@ def test_encrypt_writes_no_file_when_an_output_fails(pipeline, tmp_path, capsys)
     assert not seeds_bin.exists()
 
 
+def test_encrypt_rejects_long_binary_seeds_before_sampling(
+    pipeline, tmp_path, capsys, monkeypatch
+):
+    def no_sampling(*_):
+        raise AssertionError("a seed was drawn before ell_prime was checked")
+
+    monkeypatch.setattr(secrid.cli, "sample_seed", no_sampling)
+    _, challenge = pipeline
+    seeds = tmp_path / "seeds.json"
+    seeds_bin = tmp_path / "s.bin"
+    code, out, err = run_cli(
+        capsys,
+        "encrypt", "--challenge", str(challenge), "--ell-prime", "256",
+        "--seeds-out", str(seeds), "--seeds-bin-out", str(seeds_bin), "--seed", "1",
+    )
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "ValueError"
+    assert "one-byte pivot field" in error["message"]
+    assert not seeds.exists()
+    assert not seeds_bin.exists()
+
+
 def test_decrypt_rejects_mismatched_files(pipeline, tmp_path, capsys):
     _, challenge = pipeline
     seeds = tmp_path / "seeds.json"

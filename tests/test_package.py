@@ -1,9 +1,11 @@
+import ast
 import re
 from pathlib import Path
 
 import secrid
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(secrid.__file__).resolve().parent
 
 # The public surface.  A name leaves it only by an edit here, which the
 # change log then has to explain.
@@ -66,3 +68,33 @@ def test_every_exported_name_resolves():
 
 def test_public_names_are_pinned():
     assert sorted(secrid.__all__) == sorted(PUBLIC_NAMES)
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never mentions again.  A name listed in
+    __all__ counts as used: a package re-export."""
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports_in_package():
+    unused = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert unused == {}

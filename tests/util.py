@@ -1,12 +1,15 @@
 """Deterministic stand-ins for random.Random used by the sampling tests,
-and the tag of the two-layer Reed-Solomon baseline, whose error quote is
-all the library needs."""
+the tag of the two-layer Reed-Solomon baseline, whose error quote is all
+the library needs, and a per-point sweep for the identification error."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from secrid.ff import Field, field_for
+from secrid.rmid import Identity, evaluate_tag
 from secrid.rsid import RsIdParams
 
 
@@ -99,3 +102,21 @@ def rs_tag(params: RsIdParams, outer_coeffs: Sequence[int], r1: int, r2: int) ->
         raise ValueError(f"expected {params.k_out} outer coefficients")
     y = horner(rs_outer_field(params), outer_coeffs, r1)
     return horner(params.field, split_outer_symbol(params, y), r2)
+
+
+# ---------------------------------------------------------------------------
+# identification error by evaluating the difference tag at every point
+# (oracle for secrid.analysis.exact_id_error)
+
+
+def id_error_by_sweep(id_i: Identity, id_j: Identity) -> Fraction:
+    params = id_i.params
+    field = params.field
+    q = field.q
+    diff = Identity(
+        params, tuple(field.sub(a, b) for a, b in zip(id_i.coeffs, id_j.coeffs))
+    )
+    hits = sum(
+        1 for r in product(range(q), repeat=params.ell) if evaluate_tag(diff, r) == 0
+    )
+    return Fraction(hits, q ** params.ell)
