@@ -5,8 +5,9 @@ scale: exact total variation between conditional seed-observation laws for
 a given per-symbol observation channel (an integer dynamic program over the
 seed directions), exact collision-entropy budgets, and exact identification
 error fractions (a depth-first zero count of the difference polynomial, one
-variable substituted at a time, ~sum_j q^j C(ell - j + 1 + k, k)
-multiply-adds instead of C(ell + k, k) at each of q^ell points).
+variable substituted at a time through rmid.substitution_plan, the Horner
+plan evaluate_tag folds by, ~sum_j q^j C(ell - j + 1 + k, k) multiply-adds
+instead of C(ell + k, k) at each of q^ell points).
 Distributions are kept as exact integers or rationals end to end; floats
 appear only in reported logarithms.
 
@@ -20,10 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
-from .rmid import Identity, monomial_exponents
+from .rmid import Identity, substitution_plan
 from .wiretap import SecrecyParams, leakage_bound, leakage_bound_squared
 
 # cost guard of exact_leakage: directions * |Z|^ell' * ell' * q^2 steps
@@ -348,25 +348,6 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
 # ---------------------------------------------------------------------------
 # exact identification error
 
-@lru_cache(maxsize=4)
-def _substitution_plan(ell: int, k: int) -> tuple:
-    """Entry d serves a polynomial in the last ell - d variables, laid out
-    as monomial_exponents(ell - d, k).  It holds one (top, rest) group per
-    monomial t of the variables after the first, in the layout of entry
-    d + 1: the indices of x^e * t for e from k - deg t down to 0, the
-    Horner order."""
-    plan = []
-    for nvars in range(ell, 0, -1):
-        index = {e: i for i, e in enumerate(monomial_exponents(nvars, k))}
-        tails = monomial_exponents(nvars - 1, k) if nvars > 1 else [()]
-        groups = []
-        for tail in tails:
-            group = [index[(e,) + tail] for e in range(k - sum(tail), -1, -1)]
-            groups.append((group[0], tuple(group[1:])))
-        plan.append(tuple(groups))
-    return tuple(plan)
-
-
 def exact_id_error(id_i: Identity, id_j: Identity) -> Fraction:
     """Exact per-challenge acceptance fraction: how many points of GF(q)^ell
     make id_j's tag match id_i's.  exact_id_error(x, x) = 1.
@@ -389,13 +370,14 @@ def exact_id_error(id_i: Identity, id_j: Identity) -> Fraction:
     if q ** params.ell > 10_000_000:
         raise ValueError(f"q^ell = {q ** params.ell} too large to enumerate")
     add, mul = field.fast_ops()
-    plan = _substitution_plan(params.ell, params.k)
+    plan = substitution_plan(params.ell, params.k)
     last = len(plan) - 1
 
     def zeros(poly: list[int], depth: int) -> int:
         vanished = q ** (last - depth)  # points left below this variable
         hits = 0
         for a in range(q):
+            # inline, not shared with evaluate_tag: a call per (node, a) costs ~7%
             folded = []
             for top, rest in plan[depth]:
                 acc = poly[top]

@@ -10,6 +10,7 @@ common numeric options; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -85,6 +86,30 @@ def _read_json(path: str) -> dict:
         return json.load(sys.stdin)
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _write_outputs(files: dict[str, bytes]) -> None:
+    """Write each output to a temp file beside it, then move them all into
+    place, so a failure leaves neither a partial output nor a temp file."""
+    temps: list[str] = []
+    try:
+        for path, data in files.items():
+            tmp = f"{path}.{os.getpid()}.tmp"
+            try:
+                fh = open(tmp, "wb")
+            except OSError as exc:
+                exc.filename = path  # name the output, not its temp
+                raise
+            temps.append(tmp)
+            with fh:
+                fh.write(data)
+        for tmp, path in zip(temps, files):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
 
 
 def _load_config(path: str) -> dict:
@@ -184,8 +209,7 @@ def cmd_challenge(args) -> int:
         **mc.to_json_dict(),
     }
     if args.out_bin:
-        with open(args.out_bin, "wb") as fh:
-            fh.write(mc.to_bytes(field))
+        _write_outputs({args.out_bin: mc.to_bytes(field)})
     _emit(out)
     return 0
 
@@ -246,16 +270,13 @@ def cmd_encrypt(args) -> int:
         "ell_prime": ell_prime,
         "seeds": [s.to_json_dict() for s in seeds],
     }
-    # every output is built before any file is opened, so a failure leaves
-    # no partial files
+    # every output is built before any file is opened
     files = {args.seeds_out: _dumps(seeds_obj).encode()}
     if args.seeds_bin_out:
         files[args.seeds_bin_out] = b"".join(s.to_bytes(field) for s in seeds)
     if args.out_bin:
         files[args.out_bin] = b"".join(sc.to_bytes(field) for sc in secrets)
-    for path, data in files.items():
-        with open(path, "wb") as fh:
-            fh.write(data)
+    _write_outputs(files)
     out = {
         "q": field.q,
         "ell": header.get("ell", len(mc.challenges[0].r) if mc.challenges else 0),

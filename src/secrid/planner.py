@@ -89,6 +89,8 @@ def plan(
     # the challenge count is always sized to beat the layered baseline;
     # an explicit epsilon_total only changes the secrecy budget being split
     n = min_challenges_for(Fraction(k, q), quote.error)
+    if epsilon_total is not None and not 0 < epsilon_total <= 2:  # NaN, inf too
+        raise ValueError(f"budget must be in (0, 2], got {epsilon_total}")
     eps_total = quote.error if epsilon_total is None else Fraction(epsilon_total)
     if eps_total <= 0:
         raise ValueError(

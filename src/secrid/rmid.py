@@ -89,24 +89,24 @@ class IdCodeParams:
         return math.comb(self.ell + self.k, self.ell)
 
 @lru_cache(maxsize=4)
-def _eval_chain(ell: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Incremental evaluation plan, shared by every IdCodeParams of the same
-    (ell, k): monomial i equals monomial pred[i] times variable var[i], so a
-    sweep costs one multiplication per monomial.  Entry 0 is the constant
-    monomial."""
-    exponents = monomial_exponents(ell, k)
-    index = {e: i for i, e in enumerate(exponents)}
-    pred = [0] * len(exponents)
-    var = [0] * len(exponents)
-    for i, exps in enumerate(exponents):
-        if i == 0:
-            continue
-        j = next(pos for pos, e in enumerate(exps) if e > 0)
-        shorter = list(exps)
-        shorter[j] -= 1
-        pred[i] = index[tuple(shorter)]
-        var[i] = j
-    return tuple(pred), tuple(var)
+def substitution_plan(ell: int, k: int) -> tuple:
+    """Horner plan of the graded-lex layout, shared by every IdCodeParams of
+    the same (ell, k).  Entry d serves a polynomial in the last ell - d
+    variables, laid out as monomial_exponents(ell - d, k).  It holds one
+    (top, rest) group per monomial t of the variables after the first, in
+    the layout of entry d + 1: the indices of x^e * t for e from k - deg t
+    down to 0, the Horner order.  Folding entry d at one value of its first
+    variable costs a multiply-add per input coefficient, C(ell - d + k, k)."""
+    plan = []
+    for nvars in range(ell, 0, -1):
+        index = {e: i for i, e in enumerate(monomial_exponents(nvars, k))}
+        tails = monomial_exponents(nvars - 1, k) if nvars > 1 else [()]
+        groups = []
+        for tail in tails:
+            group = [index[(e,) + tail] for e in range(k - sum(tail), -1, -1)]
+            groups.append((group[0], tuple(group[1:])))
+        plan.append(tuple(groups))
+    return tuple(plan)
 
 
 @dataclass(frozen=True)
@@ -223,26 +223,26 @@ def identity_to_bytes(identity: Identity) -> bytes:
 # challenge / verify
 
 def evaluate_tag(identity: Identity, r: Sequence[int]) -> int:
-    """p_i(r) by a single graded-lex sweep; one multiplication builds each
-    monomial from its predecessor, one more folds in the coefficient."""
+    """p_i(r) by Horner, one variable at a time: substituting r_1 folds each
+    group of substitution_plan into one coefficient of a polynomial in the
+    variables left, and so on down to a constant.  One multiply-add per
+    coefficient, plus C(ell - d + k, k) for each smaller level d >= 1."""
     params = identity.params
     field = params.field
     if len(r) != params.ell:
         raise ValueError(f"point has {len(r)} coordinates, expected {params.ell}")
     point = tuple(field._check(x) for x in r)
     add, mul = field.fast_ops()
-    pred, var = _eval_chain(params.ell, params.k)
-    coeffs = identity.coeffs
-    count = len(coeffs)
-    vals = [1] * count
-    acc = coeffs[0]
-    for i in range(1, count):
-        v = mul(vals[pred[i]], point[var[i]])
-        vals[i] = v
-        c = coeffs[i]
-        if c:
-            acc = add(acc, mul(c, v))
-    return acc
+    poly = identity.coeffs
+    for groups, a in zip(substitution_plan(params.ell, params.k), point):
+        folded = []
+        for top, rest in groups:
+            acc = poly[top]
+            for i in rest:
+                acc = add(mul(acc, a), poly[i])
+            folded.append(acc)
+        poly = folded
+    return poly[0]
 
 
 def generate_challenge(identity: Identity, rng) -> Challenge:

@@ -246,7 +246,7 @@ def leakage_bound(params: SecrecyParams, d2_bits: float) -> LeakageBounds:
     collision information, clamped at the trivial maximum 2."""
     q = params.field.q
     lp = params.ell_prime
-    if d2_bits < 0 or d2_bits > lp * params.field.log2_q * (1 + 1e-12):
+    if not 0 <= d2_bits <= lp * params.field.log2_q * (1 + 1e-12):  # NaN too
         raise ValueError(
             f"d2_bits={d2_bits} outside [0, ell_prime * log2 q]"
         )

@@ -179,6 +179,28 @@ def test_encrypt_writes_no_file_when_an_output_fails(pipeline, tmp_path, capsys)
     assert not seeds_bin.exists()
 
 
+def test_encrypt_leaves_no_file_when_an_output_cannot_be_opened(
+    pipeline, tmp_path, capsys
+):
+    _, challenge = pipeline
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    missing = out_dir / "nodir" / "sec.bin"
+    code, out, err = run_cli(
+        capsys,
+        "encrypt", "--challenge", str(challenge), "--ell-prime", "3",
+        "--seeds-out", str(out_dir / "seeds.json"),
+        "--seeds-bin-out", str(out_dir / "seeds.bin"),
+        "--out-bin", str(missing), "--seed", "1",
+    )
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "FileNotFoundError"
+    assert error["message"] == f"{missing}: no such file"
+    assert list(out_dir.iterdir()) == []
+
+
 def test_encrypt_rejects_long_binary_seeds_before_sampling(
     pipeline, tmp_path, capsys, monkeypatch
 ):
@@ -290,6 +312,28 @@ def test_leakage_bound_command(capsys):
     )
     assert obj["tight"] == 0.0
     assert obj["simplified"] == pytest.approx(2 / 3 ** 0.5)
+
+
+@pytest.mark.parametrize("flag", ["--d2-bits", "--kappa"])
+def test_leakage_bound_rejects_nan(capsys, flag):
+    code, out, err = run_cli(
+        capsys, "leakage-bound", "--q", "5", "--ell-prime", "3", flag, "nan",
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "ValueError"
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "-inf", "nan"])
+def test_params_rejects_non_finite_epsilon(capsys, epsilon):
+    code, out, err = run_cli(
+        capsys, "params", "--q", "59049", "--ell", "2", "--k", "20", f"--epsilon={epsilon}",
+    )
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "ValueError"
+    assert "(0, 2]" in error["message"]
 
 
 def test_leakage_exact_single_point(capsys):

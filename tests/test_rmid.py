@@ -27,7 +27,7 @@ from secrid.rmid import (
     verify_multi,
 )
 
-from util import ScriptedSource
+from util import ScriptedSource, tag_by_monomials
 
 
 def brute_force_exponents(ell, k):
@@ -35,17 +35,6 @@ def brute_force_exponents(ell, k):
     cube = itertools.product(range(k + 1), repeat=ell)
     kept = [e for e in cube if sum(e) <= k]
     return sorted(kept, key=lambda e: (sum(e), e))
-
-
-def brute_force_tag(identity, r):
-    field = identity.params.field
-    acc = 0
-    for c, exps in zip(identity.coeffs, monomial_exponents(identity.params.ell, identity.params.k)):
-        term = c
-        for rj, e in zip(r, exps):
-            term = field.mul(term, field.pow(rj, e))
-        acc = field.add(acc, term)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -85,16 +74,21 @@ def test_univariate_example_tag():
 
 @pytest.mark.parametrize(
     "q,ell,k",
-    [(5, 1, 3), (5, 2, 2), (7, 2, 3), (9, 3, 2), (8, 2, 2), (25, 1, 4)],
+    [
+        (5, 1, 3), (5, 2, 2), (7, 2, 3), (9, 3, 2), (8, 2, 2), (25, 1, 4),
+        (7, 4, 3), (5, 2, 4), (2 ** 21, 2, 2),  # ell = 4, k = q - 1, no tables
+    ],
 )
 def test_evaluation_matches_monomial_oracle(q, ell, k):
     field = Field.from_q(q)
     params = IdCodeParams(field, ell, k)
     rng = random.Random(q * 100 + ell * 10 + k)
-    for _ in range(20):
+    for trial in range(20 + ell):
         identity = Identity(params, field.sample_vector(rng, params.coeff_count))
-        r = field.sample_vector(rng, ell)
-        assert evaluate_tag(identity, r) == brute_force_tag(identity, r)
+        r = list(field.sample_vector(rng, ell))
+        if trial < ell:
+            r[trial] = 0  # a zero in each coordinate position
+        assert evaluate_tag(identity, r) == tag_by_monomials(identity, r)
 
 
 def test_evaluation_at_origin_reads_constant_coeff():

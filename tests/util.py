@@ -1,6 +1,7 @@
 """Deterministic stand-ins for random.Random used by the sampling tests,
 the tag of the two-layer Reed-Solomon baseline, whose error quote is all
-the library needs, and a per-point sweep for the identification error."""
+the library needs, a per-monomial tag, and a per-point sweep for the
+identification error."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from itertools import product
 from typing import Sequence
 
 from secrid.ff import Field, field_for
-from secrid.rmid import Identity, evaluate_tag
+from secrid.rmid import Identity, monomial_exponents
 from secrid.rsid import RsIdParams
 
 
@@ -105,8 +106,22 @@ def rs_tag(params: RsIdParams, outer_coeffs: Sequence[int], r1: int, r2: int) ->
 
 
 # ---------------------------------------------------------------------------
-# identification error by evaluating the difference tag at every point
-# (oracle for secrid.analysis.exact_id_error)
+# Reed-Muller tag term by term, and the identification error by evaluating
+# the difference tag at every point (oracles for secrid.rmid.evaluate_tag and
+# secrid.analysis.exact_id_error, independent of their shared Horner plan)
+
+
+def tag_by_monomials(identity: Identity, r: Sequence[int]) -> int:
+    """sum over the layout of c * prod r_j^e_j, with checked field ops."""
+    params = identity.params
+    field = params.field
+    acc = 0
+    for c, exps in zip(identity.coeffs, monomial_exponents(params.ell, params.k)):
+        term = c
+        for rj, e in zip(r, exps):
+            term = field.mul(term, field.pow(rj, e))
+        acc = field.add(acc, term)
+    return acc
 
 
 def id_error_by_sweep(id_i: Identity, id_j: Identity) -> Fraction:
@@ -116,7 +131,6 @@ def id_error_by_sweep(id_i: Identity, id_j: Identity) -> Fraction:
     diff = Identity(
         params, tuple(field.sub(a, b) for a, b in zip(id_i.coeffs, id_j.coeffs))
     )
-    hits = sum(
-        1 for r in product(range(q), repeat=params.ell) if evaluate_tag(diff, r) == 0
-    )
+    points = product(range(q), repeat=params.ell)
+    hits = sum(1 for r in points if tag_by_monomials(diff, r) == 0)
     return Fraction(hits, q ** params.ell)
