@@ -60,7 +60,7 @@ def _time_op(op: Callable[[], object], reps: int) -> list[float]:
     """reps samples of seconds per call; op is batched until one sample
     costs at least _MIN_SAMPLE_SECONDS so the clock resolution never
     dominates."""
-    op()  # warmup, also triggers lazy table builds
+    op()  # warmup
     batch = 1
     while True:
         t0 = time.perf_counter()
@@ -90,6 +90,7 @@ def run_bench(report: PlanReport, reps: int = 50, rng: random.Random | None = No
     if rng is None:
         rng = random.Random(0)
     field = field_for(report.p, report.m)
+    field.fast_ops()  # steady-state latency: build the tables before timing
     params = IdCodeParams(field, report.ell, report.k, report.n_challenges)
     secrecy = SecrecyParams(field, report.ell_prime)
     # identity content does not affect timing; draw coefficients directly

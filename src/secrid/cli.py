@@ -183,7 +183,7 @@ def _require(args, *names: str) -> None:
 def cmd_gen_identity(args) -> int:
     _require(args, "ell", "k")
     field = _field_from_args(args)
-    params = IdCodeParams(field, args.ell, args.k, args.n if args.n else 1)
+    params = IdCodeParams(field, args.ell, args.k, 1 if args.n is None else args.n)
     if args.data_hex is not None:
         identity = identity_from_bytes(bytes.fromhex(args.data_hex), params)
     elif args.data_file is not None:

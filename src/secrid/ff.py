@@ -7,12 +7,19 @@ falls back to schoolbook polynomial multiplication above that.  Addition in
 extension fields with p > 2 uses a Zech-logarithm table so the hot paths
 never leave integer land; GF(2^m) addition is plain XOR.
 
+A field builds its tables only once its table-free work would have paid
+for them (the ski-rental rule): callers charge the multiply-adds they are
+about to run, and until the charge reaches q / TABLE_PAYBACK the digit
+arithmetic serves them.  A cold CLI call at q = 59049, which runs a few
+hundred multiply-adds, never builds the tables; the exact oracles, which
+run millions, ask for them up front.
+
 The tables are built by stepping x -> x * g through lookups over digit
 chunks of about m/2 digits, about 2 * p^(m/2) schoolbook products in all
 (see Field._times), so the build is linear in q; no temporary table holds
 more than q entries, and none outlives the build.  The schoolbook
-multiply stays the table-free path above the limit and the oracle the
-tables are checked against.
+multiply is the table-free path, above the limit and until the tables pay,
+and the oracle the tables are checked against.
 
 The reducing polynomial is not a free choice here: for every (p, m) we use
 the monic irreducible of degree m with the smallest canonical integer, found
@@ -29,6 +36,11 @@ from typing import Callable, Sequence
 
 # exp/log (and Zech) tables are built for fields up to this size
 TABLE_LIMIT = 1 << 20
+# one table-free multiply-add costs about as much as building this many
+# table entries (measured 19 on GF(3^10) and 9.5 on GF(2^16), 2-core x86,
+# Python 3.11), so a field's tables are built once the multiply-adds charged
+# to it reach q / TABLE_PAYBACK
+TABLE_PAYBACK = 16
 # no field is larger; above it the digit arithmetic is still exact, but the
 # trial-division searches behind a field's construction run for minutes
 MAX_Q = 1 << 32
@@ -210,10 +222,13 @@ def _chunk_add_table(p: int, chunk: int) -> list[int]:
 class Field:
     """GF(p^m) acting on canonical integer representatives.
 
-    The heavy lookup tables are built lazily on first arithmetic use, so
-    parameter-only work (size formulas, planning) stays cheap.  Once built
-    they are never mutated; instances are safe to share between threads
-    (a lost race during the first build just rebuilds identical tables).
+    The heavy lookup tables are built lazily: by fast_ops() with no
+    argument, or once the work charged through fast_ops(work) and the
+    checked operations reaches q / TABLE_PAYBACK multiply-adds.  Until then
+    arithmetic runs on digits, so parameter-only work and short runs stay
+    cheap.  Once built the tables are never mutated; instances are safe to
+    share between threads (a lost race during the first build just rebuilds
+    identical tables, and a lost update of the work count only delays it).
     """
 
     def __init__(self, p: int, m: int):
@@ -222,9 +237,12 @@ class Field:
         self.m = m
         self.q = p ** m
         self.generator: int | None = None
-        # both set on first arithmetic use, by fast_ops()
+        # both set by fast_ops() once the pair is fixed; until then _work
+        # counts the multiply-adds charged to the table-free pair _digits
         self._tables: tuple[list[int], list[int], list[int] | None] | None = None
         self._ops: tuple[Callable[[int, int], int], Callable[[int, int], int]] | None = None
+        self._digits: tuple[Callable[[int, int], int], Callable[[int, int], int]] | None = None
+        self._work = 0
 
     # -- construction ------------------------------------------------------
 
@@ -256,50 +274,76 @@ class Field:
 
     # -- arithmetic core --------------------------------------------------
 
-    def fast_ops(self) -> tuple[Callable[[int, int], int], Callable[[int, int], int]]:
+    def fast_ops(
+        self, work: int | None = None
+    ) -> tuple[Callable[[int, int], int], Callable[[int, int], int]]:
         """(add, mul) without canonicality checks, for inner loops whose
         operands were validated up front: the pair add and mul call after
-        checking.  Fixed on first arithmetic use, which also builds the
+        checking.
+
+        work is the number of multiply-adds the caller is about to run.  It
+        is added to the field's count, and while the count stays below
+        q / TABLE_PAYBACK the table-free digit pair is returned: the tables
+        would cost more to build than they save.  With no work, or once the
+        count reaches that, the pair is fixed for good, which builds the
         tables when q <= TABLE_LIMIT; above that the pair is digit
         arithmetic."""
         if self._ops is not None:
             return self._ops
         if self.q <= TABLE_LIMIT:
+            if work is not None:
+                self._work += work
+                if self._work * TABLE_PAYBACK < self.q:
+                    return self._digit_ops()
             self._tables = self._build_tables()
-        p, qm1 = self.p, self.q - 1
-        tables = self._tables
-        if tables is None:
-            mul = self._mul_core
+            self._ops = self._table_ops(*self._tables)
         else:
-            exp, log, zech = tables
-
-            def mul(a: int, b: int) -> int:
-                if a == 0 or b == 0:
-                    return 0
-                return exp[log[a] + log[b]]
-
-        if p == 2:
-            add = operator.xor
-        elif self.m == 1:
-            def add(a: int, b: int) -> int:
-                return (a + b) % p
-        elif tables is None:
-            add = self._add_digits
-        else:
-            def add(a: int, b: int) -> int:
-                if a == 0:
-                    return b
-                if b == 0:
-                    return a
-                la = log[a]
-                t = log[b] - la
-                if t < 0:
-                    t += qm1
-                z = zech[t]
-                return 0 if z < 0 else exp[la + z]
-
-        self._ops = (add, mul)
+            self._ops = self._digit_ops()
         return self._ops
+
+    def _digit_ops(self) -> tuple[Callable[[int, int], int], Callable[[int, int], int]]:
+        """The table-free (add, mul): xor, sum mod p or digit-wise sum, and
+        the schoolbook multiply.  Built once per field."""
+        if self._digits is None:
+            p = self.p
+            if p == 2:
+                add = operator.xor
+            elif self.m == 1:
+                def add(a: int, b: int) -> int:
+                    return (a + b) % p
+            else:
+                add = self._add_digits
+            self._digits = (add, self._mul_core)
+        return self._digits
+
+    def _table_ops(
+        self, exp: list[int], log: list[int], zech: list[int] | None
+    ) -> tuple[Callable[[int, int], int], Callable[[int, int], int]]:
+        """(add, mul) through the tables; add is the digit one unless
+        there is a Zech table."""
+        qm1 = self.q - 1
+
+        def mul(a: int, b: int) -> int:
+            if a == 0 or b == 0:
+                return 0
+            return exp[log[a] + log[b]]
+
+        if zech is None:
+            return self._digit_ops()[0], mul
+
+        def add(a: int, b: int) -> int:
+            if a == 0:
+                return b
+            if b == 0:
+                return a
+            la = log[a]
+            t = log[b] - la
+            if t < 0:
+                t += qm1
+            z = zech[t]
+            return 0 if z < 0 else exp[la + z]
+
+        return add, mul
 
     def _build_tables(self) -> tuple[list[int], list[int], list[int] | None]:
         """(exp, log, zech).  exp is doubled so mul can skip a modulo;
@@ -435,7 +479,7 @@ class Field:
     def add(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        return (self._ops or self.fast_ops())[0](a, b)
+        return (self._ops or self.fast_ops(1))[0](a, b)
 
     def neg(self, a: int) -> int:
         # the canonical integer p - 1 is the constant -1, also for p = 2, m = 1
@@ -447,7 +491,7 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        return (self._ops or self.fast_ops())[1](a, b)
+        return (self._ops or self.fast_ops(1))[1](a, b)
 
     def mul_schoolbook(self, a: int, b: int) -> int:
         """Table-free multiplication: digit convolution reduced by the
@@ -461,12 +505,7 @@ class Field:
         self._check(a)
         if a == 0:
             raise ZeroDivisionError(f"0 has no multiplicative inverse in {self!r}")
-        self.fast_ops()  # first arithmetic use builds the tables
-        tables = self._tables
-        if tables is None:
-            return self._pow_schoolbook(a, self.q - 2)
-        exp, log, _ = tables
-        return exp[(self.q - 1 - log[a]) % (self.q - 1)]
+        return self._pow_nonzero(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -477,7 +516,12 @@ class Field:
             return self.pow(self.inv(a), -e)
         if a == 0:
             return 1 if e == 0 else 0
-        self.fast_ops()  # first arithmetic use builds the tables
+        return self._pow_nonzero(a, e)
+
+    def _pow_nonzero(self, a: int, e: int) -> int:
+        """a^e for a != 0 and e >= 0, charging the square-and-multiply
+        steps of the table-free path."""
+        self.fast_ops(2 * e.bit_length())
         tables = self._tables
         if tables is None:
             return self._pow_schoolbook(a, e)

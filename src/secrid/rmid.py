@@ -232,7 +232,7 @@ def evaluate_tag(identity: Identity, r: Sequence[int]) -> int:
     if len(r) != params.ell:
         raise ValueError(f"point has {len(r)} coordinates, expected {params.ell}")
     point = tuple(field._check(x) for x in r)
-    add, mul = field.fast_ops()
+    add, mul = field.fast_ops(params.coeff_count)
     poly = identity.coeffs
     for groups, a in zip(substitution_plan(params.ell, params.k), point):
         folded = []

@@ -54,6 +54,21 @@ def test_gen_identity_accepts_p_m_spelling(capsys):
     assert obj["q_params"]["q"] == 25
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_gen_identity_rejects_zero_challenges(tmp_path, capsys, source):
+    args = ["gen-identity", "--q", "5", "--ell", "1", "--k", "1", "--seed", "1"]
+    if source == "flag":
+        args += ["--n", "0"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 0\n")
+        args += ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert "n_challenges must be >= 1" in json.loads(err)["error"]["message"]
+
+
 def test_gen_identity_rejects_inconsistent_q_p(capsys):
     code, out, err = run_cli(
         capsys,
@@ -540,6 +555,44 @@ def test_cli_import_leaves_sweep_and_bench_modules_out():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+# one process runs the seeded round at the reference point; its few hundred
+# multiply-adds stay far below what building the GF(3^10) tables costs
+COLD_ROUND = """
+import contextlib, io
+from secrid.cli import main
+from secrid.ff import field_for
+
+def run(out, *argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(list(argv)) == 0, argv
+    if out:
+        with open(out, "w") as fh:
+            fh.write(buf.getvalue())
+    return buf.getvalue()
+
+run("id.json", "gen-identity", "--q", "59049", "--ell", "2", "--k", "20", "--n", "2",
+    "--seed", "7")
+run("ch.json", "challenge", "--identity", "id.json", "--seed", "8", "--out-bin", "ch.bin")
+run("secret.json", "encrypt", "--challenge", "ch.json", "--ell-prime", "3",
+    "--seeds-out", "seeds.json", "--seeds-bin-out", "seeds.bin", "--out-bin", "sec.bin",
+    "--seed", "9")
+run("dec.json", "decrypt", "--secret", "secret.json", "--seeds", "seeds.json")
+print(run(None, "verify", "--identity", "id.json", "--challenge", "dec.json"), end="")
+print("tables built:", field_for(3, 10)._tables is not None)
+"""
+
+
+def test_cold_reference_round_builds_no_field_tables(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", COLD_ROUND],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path, env=_child_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == '{"accept":true}\ntables built: False\n'
+    assert (tmp_path / "ch.json").read_text() == (tmp_path / "dec.json").read_text()
 
 
 def _set_first_coeff(value):

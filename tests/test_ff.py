@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secrid.ff import (
-    TABLE_LIMIT, Field, _int_digits, field_for, find_irreducible, is_irreducible, is_prime,
-    prime_power,
+    TABLE_LIMIT, TABLE_PAYBACK, Field, _int_digits, field_for, find_irreducible,
+    is_irreducible, is_prime, prime_power,
 )
 
 from util import CountingSource
@@ -129,6 +129,8 @@ def test_axioms_exhaustive(p, m):
 @pytest.mark.parametrize("p,m", SMALL_FIELDS)
 def test_table_and_schoolbook_paths_agree_exhaustive(p, m):
     field = field_for(p, m)
+    field.fast_ops()  # the checked ops below must run on the tables
+    assert field._tables is not None
     for a in range(field.q):
         for b in range(field.q):
             assert field.mul(a, b) == field.mul_schoolbook(a, b)
@@ -139,6 +141,8 @@ def test_table_and_schoolbook_paths_agree_exhaustive(p, m):
 @pytest.mark.parametrize("p,m", BIG_FIELDS)
 def test_table_and_schoolbook_paths_agree_random(p, m):
     field = field_for(p, m)
+    field.fast_ops()  # the checked ops below must run on the tables
+    assert field._tables is not None
     rng = random.Random(0xF00D + p)
     for _ in range(20_000):
         a = rng.randrange(field.q)
@@ -151,13 +155,61 @@ def test_table_and_schoolbook_paths_agree_random(p, m):
 @pytest.mark.parametrize("p,m", SMALL_FIELDS + BIG_FIELDS)
 def test_fast_ops_match_checked_ops(p, m):
     field = field_for(p, m)
-    add_fast, mul_fast = field.fast_ops()
+    add_fast, mul_fast = field.fast_ops()  # builds the tables
+    assert field._tables is not None
     rng = random.Random(42)
     for _ in range(2_000):
         a = rng.randrange(field.q)
         b = rng.randrange(field.q)
         assert add_fast(a, b) == field.add(a, b)
         assert mul_fast(a, b) == field.mul(a, b)
+
+
+@pytest.mark.parametrize("p,m", BIG_FIELDS)
+def test_tables_are_built_once_the_charged_work_repays_them(p, m):
+    field = Field(p, m)  # not field_for: the work count starts at zero
+    crossing = -(-field.q // TABLE_PAYBACK)  # least work with work * TABLE_PAYBACK >= q
+    digits = field.fast_ops(crossing - 1)
+    assert field._tables is None
+    assert field.fast_ops(0) is digits and digits[1] == field._mul_core
+    tables = field.fast_ops(1)
+    assert field._tables is not None
+    assert tables != digits
+    assert field.fast_ops() is field.fast_ops(10 ** 9) is tables
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (7, 1), (3, 2), (2, 4)])
+def test_small_fields_build_their_tables_on_the_first_charge(p, m):
+    field = Field(p, m)
+    field.mul(1, 1)
+    assert field._tables is not None
+
+
+@pytest.mark.parametrize("p,m", TABLE_FREE_FIELDS)
+def test_fields_above_the_table_limit_fix_the_digit_pair(p, m):
+    field = Field(p, m)
+    ops = field.fast_ops(1)
+    assert ops is field._ops is field.fast_ops()
+    assert field._tables is None
+
+
+@pytest.mark.parametrize("p,m", BIG_FIELDS)
+def test_table_free_and_table_built_fields_agree(p, m):
+    plain = Field(p, m)
+    built = Field(p, m)
+    built.fast_ops()
+    rng = random.Random(p * 1000 + m)
+    for _ in range(20):
+        a = rng.randrange(1, plain.q)
+        e = rng.randrange(plain.q)
+        u = plain.sample_vector(rng, 5)
+        v = plain.sample_vector(rng, 5)
+        assert plain.inv(a) == built.inv(a)
+        assert plain.pow(a, e) == built.pow(a, e)
+        assert plain.pow(a, -e) == built.pow(a, -e)
+        assert plain.neg(a) == built.neg(a)
+        assert plain.dot(u, v) == built.dot(u, v)
+    assert plain._tables is None  # the charged work stayed below q / 16
 
 
 @pytest.mark.parametrize("p,m", TABLE_FREE_FIELDS)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secrid.ff import Field, field_for
+from secrid.ff import TABLE_PAYBACK, Field, field_for
 from secrid.rmid import (
     Challenge,
     IdCodeParams,
@@ -89,6 +89,22 @@ def test_evaluation_matches_monomial_oracle(q, ell, k):
         if trial < ell:
             r[trial] = 0  # a zero in each coordinate position
         assert evaluate_tag(identity, r) == tag_by_monomials(identity, r)
+
+
+def test_short_evaluations_run_table_free_until_they_repay_the_tables():
+    field = Field(3, 10)  # not field_for: the work count starts at zero
+    params = IdCodeParams(field, 2, 20)
+    # the oracle's checked pow/mul charge its own field, not this one
+    oracle_params = IdCodeParams(field_for(3, 10), 2, 20)
+    rng = random.Random(59049)
+    coeffs = field.sample_vector(rng, params.coeff_count)
+    identity = Identity(params, coeffs)
+    oracle = Identity(oracle_params, coeffs)
+    crossing = -(-field.q // (TABLE_PAYBACK * params.coeff_count))  # 16 tags
+    for done in range(1, crossing + 1):
+        r = field.sample_vector(rng, 2)
+        assert evaluate_tag(identity, r) == tag_by_monomials(oracle, r)
+        assert (field._tables is None) == (done < crossing)
 
 
 def test_evaluation_at_origin_reads_constant_coeff():
