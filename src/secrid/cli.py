@@ -191,9 +191,7 @@ def cmd_gen_identity(args) -> int:
             identity = identity_from_bytes(fh.read(), params)
     else:
         rng = _rng(args)
-        identity = Identity(
-            params, tuple(field.sample_uniform(rng) for _ in range(params.coeff_count))
-        )
+        identity = Identity(params, field.sample_vector(rng, params.coeff_count))
     _emit(identity.to_json_dict())
     return 0
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Sequence
 
 # exp/log (and Zech) tables are built for fields up to this size
@@ -349,20 +350,24 @@ class Field:
         """(exp, log, zech).  exp is doubled so mul can skip a modulo;
         zech[t] = log(1 + g^t), or -1 when 1 + g^t = 0, exists only when
         p > 2 and m > 1.  exp steps by _times(g), so no entry costs a
-        schoolbook multiply; Zech adds 1 to the low digit only."""
+        schoolbook multiply; Zech adds 1 to the low digit only, and its
+        entries are log's int objects."""
         p, m, q = self.p, self.m, self.q
         g = self._find_generator()
         step = self._times(g)
         exp = [1] * (q - 1)
         log = [-1] * q
+        # exp and log hold one shared int object per value, taken from ints,
+        # instead of a fresh one from step(x) in exp and another in log
+        ints = list(range(q))
         x = 1
-        for i in range(q - 1):
-            exp[i] = x
+        for i in islice(ints, q - 1):
+            exp[i] = ints[x]
             log[x] = i
             x = step(x)
         if x != 1:
             raise AssertionError("generator order check failed")
-        del step  # frees the chunk tables before the Zech table is built
+        del step, ints  # frees the chunk tables before the Zech table is built
         self.generator = g
         zech = None
         if p > 2 and m > 1:
@@ -507,9 +512,6 @@ class Field:
             raise ZeroDivisionError(f"0 has no multiplicative inverse in {self!r}")
         return self._pow_nonzero(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         self._check(a)
         if e < 0:
@@ -528,33 +530,37 @@ class Field:
         exp, log, _ = tables
         return exp[(log[a] * e) % (self.q - 1)]
 
-    # -- vectors -----------------------------------------------------------
-
-    def dot(self, u: Sequence[int], v: Sequence[int]) -> int:
-        if len(u) != len(v):
-            raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-        acc = 0
-        for a, b in zip(u, v):
-            acc = self.add(acc, self.mul(a, b))
-        return acc
-
     # -- sampling ----------------------------------------------------------
 
     def sample_uniform(self, rng) -> int:
-        """Uniform element, one base-p digit per draw; no element-level
-        rejection, so a scripted source with m in-range values yields
-        exactly one element."""
-        if self.p == 2:
-            return rng.getrandbits(self.m)
-        value = 0
-        scale = 1
-        for _ in range(self.m):
-            value += rng.randrange(self.p) * scale
-            scale *= self.p
-        return value
+        """One uniform element: sample_vector(rng, 1)[0], with its draws."""
+        return self.sample_vector(rng, 1)[0]
 
     def sample_vector(self, rng, length: int) -> tuple[int, ...]:
-        return tuple(self.sample_uniform(rng) for _ in range(length))
+        """length uniform elements, each from m base-p digits, low digit
+        first.  For p > 2 a digit is rng.getrandbits(p.bit_length()), drawn
+        again while it is >= p: the very calls random.Random.randrange(p)
+        makes, so a seeded stream is the one of one randrange(p) per digit,
+        without randrange's argument handling on every digit.  For p = 2 an
+        element is one getrandbits(m).  No element-level rejection, so a
+        scripted source with m in-range values per element yields exactly
+        one element each."""
+        bits = rng.getrandbits
+        p, m = self.p, self.m
+        if p == 2:
+            return tuple([bits(m) for _ in range(length)])
+        k = p.bit_length()
+        places = [p ** i for i in range(m)]
+        out = []
+        for _ in range(length):
+            value = 0
+            for place in places:
+                d = bits(k)
+                while d >= p:
+                    d = bits(k)
+                value += d * place
+            out.append(value)
+        return tuple(out)
 
     # -- serialization -----------------------------------------------------
 

@@ -85,8 +85,9 @@ class Seed:
             raise ValueError("pivot coordinate must be 1")
         if any(c != 0 for c in self.s[self.pivot + 1 :]):
             raise ValueError("coordinates above the pivot must be 0")
-        if any(not 0 <= c < q for c in self.s) or not 0 <= self.s0 < q:
-            raise ValueError("seed coordinates outside the field")
+        for c in (*self.s, self.s0):
+            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < q:
+                raise ValueError("seed coordinates outside the field")
         return self
 
     def to_json_dict(self) -> dict:
@@ -141,12 +142,10 @@ def sample_seed(params: SecrecyParams, rng) -> Seed:
         block *= q
         cumulative += block
         pivot += 1
-    s = [0] * params.ell_prime
-    s[pivot] = 1
-    for j in range(pivot):
-        s[j] = field.sample_uniform(rng)
-    s0 = field.sample_uniform(rng)
-    return Seed(tuple(s), s0, pivot)
+    # the coordinates below the pivot, then s0, in one call
+    drawn = field.sample_vector(rng, pivot + 1)
+    s = drawn[:pivot] + (1,) + (0,) * (params.ell_prime - pivot - 1)
+    return Seed(s, drawn[pivot], pivot)
 
 
 def enumerate_seeds(params: SecrecyParams) -> Iterator[Seed]:
@@ -164,42 +163,58 @@ def enumerate_seeds(params: SecrecyParams) -> Iterator[Seed]:
 # the cipher
 
 def decrypt(params: SecrecyParams, seed: Seed, x: Sequence[int]) -> int:
-    """m = s.x + s0."""
+    """m = s.x + s0.  The seed and every symbol of x are validated here,
+    once; the sum then runs on the field's unchecked pair, over the
+    coordinates up to the pivot (the ones above it are 0)."""
     field = params.field
     if len(x) != params.ell_prime:
         raise ValueError(f"ciphertext has {len(x)} symbols, expected {params.ell_prime}")
-    return field.add(field.dot(seed.s, tuple(x)), seed.s0)
+    seed.validate(params)
+    for v in x:
+        field._check(v)
+    pivot, s = seed.pivot, seed.s
+    add, mul = field.fast_ops(pivot + 1)
+    acc = add(seed.s0, x[pivot])  # s[pivot] = 1
+    for j in range(pivot):
+        acc = add(acc, mul(s[j], x[j]))
+    return acc
 
 
 def _solve_pivot(field: Field, seed: Seed, message: int, x: list[int]) -> tuple[int, ...]:
-    """Fill x[pivot] with message - s0 - sum_(j<pivot) s_j x_j, putting x on
-    the hyperplane; coordinates above the pivot have s_j = 0."""
-    acc = 0
-    for j in range(seed.pivot):
-        acc = field.add(acc, field.mul(seed.s[j], x[j]))
-    x[seed.pivot] = field.sub(field.sub(message, seed.s0), acc)
+    """Fill x[pivot] with message - (s0 + sum_(j<pivot) s_j x_j), putting x
+    on the hyperplane; coordinates above the pivot have s_j = 0.  Runs on
+    the unchecked pair: the caller has validated seed, message and x."""
+    pivot, s = seed.pivot, seed.s
+    add, mul = field.fast_ops(pivot + 1)
+    acc = seed.s0
+    for j in range(pivot):
+        acc = add(acc, mul(s[j], x[j]))
+    # the canonical integer p - 1 is the constant -1
+    x[pivot] = add(message, mul(acc, field.p - 1))
     return tuple(x)
 
 
 def encrypt(params: SecrecyParams, seed: Seed, message: int, rng) -> tuple[int, ...]:
     """Uniform point of the hyperplane s.x + s0 = message: non-pivot
     coordinates are sampled in ascending position order, then the pivot
-    coordinate is solved for."""
+    coordinate is solved for.  message and the seed are validated here,
+    once, before any draw; the solve runs on the field's unchecked pair."""
     field = params.field
     field._check(message)
-    x = [
-        0 if j == seed.pivot else field.sample_uniform(rng)
-        for j in range(params.ell_prime)
-    ]
-    return _solve_pivot(field, seed, message, x)
+    seed.validate(params)
+    free = field.sample_vector(rng, params.ell_prime - 1)
+    pivot = seed.pivot
+    return _solve_pivot(field, seed, message, [*free[:pivot], 0, *free[pivot:]])
 
 
 def hyperplane(params: SecrecyParams, seed: Seed, message: int) -> Iterator[tuple[int, ...]]:
     """All q^(ell_prime - 1) ciphertexts decrypting to message under seed."""
+    field = params.field
+    field._check(message)
+    seed.validate(params)
     pivot = seed.pivot
-    for free in product(range(params.field.q), repeat=params.ell_prime - 1):
-        x = [*free[:pivot], 0, *free[pivot:]]
-        yield _solve_pivot(params.field, seed, message, x)
+    for free in product(range(field.q), repeat=params.ell_prime - 1):
+        yield _solve_pivot(field, seed, message, [*free[:pivot], 0, *free[pivot:]])
 
 
 def encrypt_tags(
@@ -211,7 +226,7 @@ def encrypt_tags(
             f"{len(challenges)} challenges but {len(seeds)} seeds; need one each"
         )
     return tuple(
-        SecretChallenge(c.r, encrypt(params, seed.validate(params), c.tag, rng))
+        SecretChallenge(c.r, encrypt(params, seed, c.tag, rng))
         for c, seed in zip(challenges, seeds)
     )
 
@@ -225,7 +240,7 @@ def decrypt_tags(
         raise ValueError(f"{len(secrets)} ciphertexts but {len(seeds)} seeds")
     return MultiChallenge(
         tuple(
-            Challenge(sc.r, decrypt(params, seed.validate(params), sc.x))
+            Challenge(sc.r, decrypt(params, seed, sc.x))
             for sc, seed in zip(secrets, seeds)
         )
     )

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -595,6 +596,79 @@ def test_cold_reference_round_builds_no_field_tables(tmp_path):
     assert (tmp_path / "ch.json").read_text() == (tmp_path / "dec.json").read_text()
 
 
+# the seeded round gen-identity -> challenge -> encrypt -> decrypt -> verify,
+# with ell' = 3: (q, ell, k, n, binary outputs too)
+SEEDED_ROUNDS = {
+    "reference": [(59049, 2, 20, 2, True)],
+    "small_fields": [(65536, 2, 5, 3, False), (7, 2, 3, 2, False), (625, 3, 4, 2, False)],
+}
+# SHA-256 of every stdout and file of those rounds; a change here means a
+# seeded CLI call no longer prints or writes the same bytes
+SEEDED_ROUND_SHA256 = {
+    "reference": {
+        "q59049.ch.bin": "a19b0ede21ec30b77bf0076486f5b870067157f54ef13a138e849e01437842e5",
+        "q59049.ch.json": "f4e1dd9ff71ce55cadee35052c9e6b93cbe502345daa8cd6320a094d855a9492",
+        "q59049.dec.json": "f4e1dd9ff71ce55cadee35052c9e6b93cbe502345daa8cd6320a094d855a9492",
+        "q59049.id.json": "389a8673bb18f79840161cced47467e0e39a840c1938857f91c3f5caf83147da",
+        "q59049.secret.bin": "ed8bbe3002fe55e716a69d1cb0c203656d04216260574d22025d2411c2d96c5b",
+        "q59049.secret.json": "caee7cfbad96f3a1bc37cb455c3ce8c08668d5ac49eadbd02668a4e3684f836e",
+        "q59049.seeds.bin": "6958789881777b4b1dde726fcceeb7bbc556256c0dfe6b179bca97248d5153e2",
+        "q59049.seeds.json": "e9871d760397e7e6ee700d3a251afd360bb8b7446e711c887c7b406179d39544",
+        "q59049.verify": "021e801af5f6f070733559fa5d6f12e3cd86390b800983800707911838012abd",
+    },
+    "small_fields": {
+        "q625.ch.json": "66acdb513ef7f456d284e1b29c4d7338b54695fe61447beb8af40be7bcfe28f3",
+        "q625.dec.json": "66acdb513ef7f456d284e1b29c4d7338b54695fe61447beb8af40be7bcfe28f3",
+        "q625.id.json": "bcd23b4bfe0a417e10f3276389d60f6c069d3e8b03cfdce9afe9802226ea4ff6",
+        "q625.secret.json": "09c7b32d4d8d6292dea720babe29de8f5e2645a4568d3ee2a84d616f68059c9d",
+        "q625.seeds.json": "46ecd11ab94d68d5d6b9719e0bcca34e1740747a50604e930ec4627e81ccb577",
+        "q625.verify": "021e801af5f6f070733559fa5d6f12e3cd86390b800983800707911838012abd",
+        "q65536.ch.json": "1797c34612864b34afcac41eed91f5921ba70a5fb6f5042a47dabcd34e946fd6",
+        "q65536.dec.json": "1797c34612864b34afcac41eed91f5921ba70a5fb6f5042a47dabcd34e946fd6",
+        "q65536.id.json": "bc504c18e6d47b21b4f165520df181cb38a050611c87547351fd38a3443dfa06",
+        "q65536.secret.json": "39a45081e1723c640b82ef55a303b781fb0c4e7039e0c8407c65030493469a9b",
+        "q65536.seeds.json": "7cf727f0dfa3247c654b0e1d55756c8cb279d467fc0536a194d361d98bbff1d5",
+        "q65536.verify": "021e801af5f6f070733559fa5d6f12e3cd86390b800983800707911838012abd",
+        "q7.ch.json": "f3772e0ac40494aa00461fd389031dc43ab1e04350f92a52e22804f31f981174",
+        "q7.dec.json": "f3772e0ac40494aa00461fd389031dc43ab1e04350f92a52e22804f31f981174",
+        "q7.id.json": "d902036ee36f81aaf96337221d7eb26868f3741e2e2a9353b2c56e47b69b2476",
+        "q7.secret.json": "175213a1b09065c7e82f69d9026d9b53c60018fac30137fbf3303cd8a207d6c5",
+        "q7.seeds.json": "5bb6da5bbfe890c10963a62b0689da5a697c543777057536b414eb2a5e13c265",
+        "q7.verify": "021e801af5f6f070733559fa5d6f12e3cd86390b800983800707911838012abd",
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(SEEDED_ROUNDS))
+def test_seeded_cli_rounds_are_byte_identical(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+
+    def run(name, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        digests[name] = hashlib.sha256(out.encode()).hexdigest()
+        if name.endswith(".json"):
+            Path(name).write_text(out)
+
+    for q, ell, k, n, binary in SEEDED_ROUNDS[case]:
+        tag = f"q{q}"
+        run(f"{tag}.id.json", "gen-identity", "--q", str(q), "--ell", str(ell),
+            "--k", str(k), "--n", str(n), "--seed", "7")
+        bins = ["--out-bin", f"{tag}.ch.bin"] if binary else []
+        run(f"{tag}.ch.json", "challenge", "--identity", f"{tag}.id.json", "--seed", "8", *bins)
+        bins = ["--seeds-bin-out", f"{tag}.seeds.bin", "--out-bin", f"{tag}.secret.bin"] if binary else []
+        run(f"{tag}.secret.json", "encrypt", "--challenge", f"{tag}.ch.json", "--ell-prime", "3",
+            "--seeds-out", f"{tag}.seeds.json", "--seed", "9", *bins)
+        run(f"{tag}.dec.json", "decrypt", "--secret", f"{tag}.secret.json",
+            "--seeds", f"{tag}.seeds.json")
+        run(f"{tag}.verify", "verify", "--identity", f"{tag}.id.json", "--challenge", f"{tag}.dec.json")
+    for path in sorted(tmp_path.iterdir()):
+        if path.name not in digests:
+            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == SEEDED_ROUND_SHA256[case]
+
+
 def _set_first_coeff(value):
     def edit(obj):
         obj["coeffs"][0] = value
@@ -662,6 +736,7 @@ def _set_path(path, value):
         ("decrypt", "secret", _set_path(("secret_challenges", 0, "r"), [99])),
         ("decrypt", "secret", _set_path(("secret_challenges", 0, "r", 0), 99)),
         ("decrypt", "secret", _set_path(("secret_challenges", 0, "x"), 5)),
+        ("decrypt", "secret", _set_path(("secret_challenges", 0, "x", 0), 25)),  # q
         ("decrypt", "seeds", _set_path(("seeds",), 5)),
         ("decrypt", "seeds", _set_path(("seeds", 0, "pivot"), 1.5)),
         ("decrypt", "seeds", _set_path(("seeds", 0, "s", 0), "1")),
@@ -670,7 +745,7 @@ def _set_path(path, value):
         "challenge_array", "challenges_not_list", "challenge_not_object",
         "r_outside_field", "r_true", "r_too_short", "q_string", "ell_string",
         "secret_array", "secret_r_99", "secret_r_outside_field", "x_not_list",
-        "seeds_not_list", "pivot_float", "s_string",
+        "x_outside_field", "seeds_not_list", "pivot_float", "s_string",
     ],
 )
 def test_mistyped_record_files_fail_with_json_error(

@@ -192,6 +192,44 @@ def test_encrypt_tags_roundtrip_and_errors():
         encrypt_tags(params, MultiChallenge((mc.challenges[0],)), bad, rng)
 
 
+# over GF(5) with ell' = 3: 2 * x_0 + x_1 + 3 = m
+GOOD_SEED = Seed((2, 1, 0), 3, 1)
+BAD_SEEDS = [
+    Seed((5, 1, 0), 3, 1),  # below-pivot coordinate = q
+    Seed((True, 1, 0), 3, 1),
+    Seed((2, 1, 0), 5, 1),  # s0 = q
+    Seed((2, 1, 0), 3.0, 1),
+]
+BAD_SEED_IDS = ["s_q", "s_true", "s0_q", "s0_float"]
+
+
+@pytest.mark.parametrize(
+    "seed,message", [(seed, 2) for seed in BAD_SEEDS] + [(GOOD_SEED, 5)],
+    ids=BAD_SEED_IDS + ["message_q"],
+)
+def test_encrypt_validates_its_operands_before_any_draw(seed, message):
+    # encrypt checks seed and message once, on entry, and then runs on the
+    # unchecked field pair; the empty script fails any draw
+    params = params_for(5, 3)
+    with pytest.raises(ValueError):
+        encrypt(params, seed, message, ScriptedSource([]))
+    with pytest.raises(ValueError):
+        list(hyperplane(params, seed, message))
+
+
+@pytest.mark.parametrize(
+    "seed,x",
+    [(seed, (1, 4, 0)) for seed in BAD_SEEDS]
+    + [(GOOD_SEED, x) for x in ((1, 5, 0), (-1, 4, 0), (1, True, 0), (1, 4))],
+    ids=BAD_SEED_IDS + ["x_q", "x_minus_one", "x_true", "x_short"],
+)
+def test_decrypt_validates_its_operands(seed, x):
+    params = params_for(5, 3)
+    assert decrypt(params, GOOD_SEED, (1, 4, 0)) == 4  # 2 + 4 + 3 = 9 = 4
+    with pytest.raises(ValueError):
+        decrypt(params, seed, x)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -1,7 +1,7 @@
 """Deterministic stand-ins for random.Random used by the sampling tests,
-the tag of the two-layer Reed-Solomon baseline, whose error quote is all
-the library needs, a per-monomial tag, and a per-point sweep for the
-identification error."""
+a checked dot product, the tag of the two-layer Reed-Solomon baseline,
+whose error quote is all the library needs, a per-monomial tag, and a
+per-point sweep for the identification error."""
 
 from __future__ import annotations
 
@@ -49,9 +49,11 @@ class ScriptedSource:
 class CountingSource:
     """Cycles 0, 1, 2, ... reduced into whatever range is requested.
 
-    With a single randrange(q) call per sample this visits every residue
-    exactly once per q consecutive samples, which makes 'each element hit
-    once' assertions trivial.
+    The field sampler draws each base-p digit as getrandbits(p.bit_length())
+    and draws again while the value is >= p.  The counter reduced mod 2^k,
+    with the values >= p skipped, still runs through the digits 0 .. p-1 in
+    order, so on a prime field q consecutive samples hit every element
+    exactly once, which makes 'each element hit once' assertions trivial.
     """
 
     def __init__(self, start: int = 0):
@@ -87,6 +89,14 @@ def split_outer_symbol(params: RsIdParams, y: int) -> tuple[int, ...]:
         y, c = divmod(y, q)
         out.append(c)
     return tuple(out)
+
+
+def dot(field: Field, u: Sequence[int], v: Sequence[int]) -> int:
+    """sum u_i v_i with checked field ops."""
+    acc = 0
+    for a, b in zip(u, v):
+        acc = field.add(acc, field.mul(a, b))
+    return acc
 
 
 def horner(field: Field, coeffs: Sequence[int], x: int) -> int:
