@@ -1,41 +1,36 @@
 """secrid: identification codecs over GF(q) with information-theoretically
-secret tags, plus the exact oracles that keep the closed forms honest."""
+secret tags, plus the exact oracles that keep the closed forms honest.
 
-from .ff import Field, field_for, prime_power
-from .rmid import (
-    Challenge,
-    IdCodeParams,
-    Identity,
-    MultiChallenge,
-    capacity_diagnostics,
-    code_size_bits,
-    error_bound,
-    evaluate_tag,
-    generate_challenge,
-    generate_multi,
-    identity_from_bytes,
-    identity_to_bytes,
-    verify,
-    verify_multi,
-)
-from .rsid import RsErrorQuote, RsIdParams, epsilon_2rs, required_rm_challenges
-from .wiretap import (
-    Seed,
-    SecrecyParams,
-    SecretChallenge,
-    decrypt,
-    decrypt_tags,
-    encrypt,
-    encrypt_tags,
-    leakage_bound,
-    min_cipher_length,
-    sample_seed,
-    split_leakage_budget,
-)
-from .analysis import ChannelModel, LeakageReport, conditional_d2, exact_id_error, exact_leakage, renyi2, total_variation
-from .planner import PlanReport, plan
+The exports load on first use (PEP 562): `import secrid` imports no
+submodule, and `secrid.plan` or `from secrid import plan` imports the
+module that defines it and what that module needs, nothing else, so a CLI
+process pays for the layers its subcommand runs and no others."""
+
+import importlib
 
 __version__ = "0.1.0"
+
+# the module that defines each name in __all__
+_EXPORTS = {
+    "ff": ("Field", "field_for", "prime_power"),
+    "rmid": (
+        "IdCodeParams", "Identity", "Challenge", "MultiChallenge", "identity_from_bytes",
+        "evaluate_tag", "generate_challenge", "generate_multi", "verify", "verify_multi",
+        "code_size_bits", "capacity_diagnostics",
+    ),
+    "rsid": ("RsIdParams", "RsErrorQuote", "epsilon_2rs"),
+    "wiretap": (
+        "SecrecyParams", "Seed", "SecretChallenge", "sample_seed", "encrypt", "decrypt",
+        "encrypt_tags", "decrypt_tags", "leakage_bound", "min_cipher_length",
+        "split_leakage_budget",
+    ),
+    "analysis": (
+        "ChannelModel", "LeakageReport", "total_variation", "renyi2", "conditional_d2",
+        "exact_leakage", "exact_id_error",
+    ),
+    "planner": ("PlanReport", "plan"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [
     "Field",
@@ -46,19 +41,16 @@ __all__ = [
     "Challenge",
     "MultiChallenge",
     "identity_from_bytes",
-    "identity_to_bytes",
     "evaluate_tag",
     "generate_challenge",
     "generate_multi",
     "verify",
     "verify_multi",
-    "error_bound",
     "code_size_bits",
     "capacity_diagnostics",
     "RsIdParams",
     "RsErrorQuote",
     "epsilon_2rs",
-    "required_rm_challenges",
     "SecrecyParams",
     "Seed",
     "SecretChallenge",
@@ -80,3 +72,16 @@ __all__ = [
     "PlanReport",
     "plan",
 ]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

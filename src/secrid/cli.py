@@ -11,18 +11,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .analysis import LEAKAGE_CSV_HEADER, ChannelModel, exact_leakage
 from .ff import Field, field_for, prime_power
-from .planner import plan
 from .rmid import (
+    BUDGET_POLICIES,
     IdCodeParams,
     Identity,
     MultiChallenge,
@@ -32,19 +29,10 @@ from .rmid import (
     json_field,
     verify_multi,
 )
-from .wiretap import (
-    BUDGET_POLICIES,
-    Seed,
-    SecrecyParams,
-    SecretChallenge,
-    check_binary_seed_length,
-    decrypt_tags,
-    encrypt_tags,
-    kappa_d2_bits,
-    leakage_bound,
-    min_cipher_length,
-    sample_seed,
-)
+
+# Every other layer, and the standard modules only some subcommands need,
+# is imported inside the subcommands that run it, so a cold process loads
+# only what its subcommand runs.
 
 CONFIG_KEYS = {
     "p": int,
@@ -158,9 +146,13 @@ def _rng(args) -> random.Random:
     return random.Random(args.seed)  # Random(None) seeds from the OS
 
 
-def _channel(kind: str, q: int, delta_text: str | None) -> ChannelModel:
+def _channel(kind: str, q: int, delta_text: str | None):
     """Observation channel by name; delta_text ("1/8", "0.125") defaults to 0
     and is ignored by the parameter-free identity and uniform channels."""
+    from fractions import Fraction
+
+    from .analysis import ChannelModel
+
     if kind in ("identity", "uniform"):
         return getattr(ChannelModel, kind)(q)
     if kind in ("symmetric", "erasure"):
@@ -246,10 +238,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_encrypt(args) -> int:
+    from .wiretap import (
+        SecrecyParams,
+        check_binary_seed_length,
+        encrypt_tags,
+        min_cipher_length,
+        sample_seed,
+    )
+
     header, mc = _load_multichallenge(args.challenge)
     if "q" not in header:
         raise DomainError("challenge file lacks the q header needed to encrypt")
     field = Field.from_q(header["q"])
+    if not mc.challenges:
+        raise DomainError("challenge file holds no challenges")
     _check_points(field, header, [c.r for c in mc.challenges])
     if args.ell_prime is not None:
         ell_prime = args.ell_prime
@@ -277,7 +279,7 @@ def cmd_encrypt(args) -> int:
     _write_outputs(files)
     out = {
         "q": field.q,
-        "ell": header.get("ell", len(mc.challenges[0].r) if mc.challenges else 0),
+        "ell": header.get("ell", len(mc.challenges[0].r)),
         "ell_prime": ell_prime,
         "secret_challenges": [sc.to_json_dict() for sc in secrets],
     }
@@ -286,6 +288,8 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
+    from .wiretap import SecrecyParams, SecretChallenge, Seed, decrypt_tags
+
     secret_obj = _read_json(args.secret)
     seeds_obj = _read_json(args.seeds)
     seeds = [Seed.from_json_dict(s) for s in json_field(seeds_obj, "seeds", list)]
@@ -298,6 +302,8 @@ def cmd_decrypt(args) -> int:
     if secret_obj.get("ell_prime") != seeds_obj.get("ell_prime"):
         raise DomainError("secret challenges and seeds disagree on ell_prime")
     field = Field.from_q(seeds_obj["q"])
+    if not secrets:
+        raise DomainError("secret challenge file holds no challenges")
     params = SecrecyParams(field, seeds_obj["ell_prime"])
     _check_points(field, secret_obj, [sc.r for sc in secrets])
     mc = decrypt_tags(params, seeds, secrets)
@@ -313,6 +319,8 @@ def cmd_decrypt(args) -> int:
 
 
 def cmd_params(args) -> int:
+    from .planner import plan
+
     _require(args, "ell", "k")
     report = plan(
         q=_field_from_args(args).q,
@@ -327,6 +335,8 @@ def cmd_params(args) -> int:
 
 
 def cmd_leakage_bound(args) -> int:
+    from .wiretap import SecrecyParams, kappa_d2_bits, leakage_bound
+
     _require(args, "ell_prime")
     field = _field_from_args(args)
     params = SecrecyParams(field, args.ell_prime)
@@ -350,6 +360,9 @@ def cmd_leakage_bound(args) -> int:
 
 
 def _sweep_point(point: tuple[int, int, str, str | None]) -> list:
+    from .analysis import exact_leakage
+    from .wiretap import SecrecyParams
+
     q, ell_prime, kind, delta_text = point
     params = SecrecyParams(Field.from_q(q), ell_prime)
     return exact_leakage(params, _channel(kind, q, delta_text)).to_csv_row()
@@ -362,6 +375,11 @@ def _pool_size(workers: int, n_points: int) -> int:
 
 
 def cmd_leakage_exact(args) -> int:
+    import csv
+
+    from .analysis import LEAKAGE_CSV_HEADER, exact_leakage
+    from .wiretap import SecrecyParams
+
     if args.workers < 1:
         raise DomainError(f"--workers must be at least 1, got {args.workers}")
     field = _field_from_args(args)
@@ -381,7 +399,6 @@ def cmd_leakage_exact(args) -> int:
     ]
     size = _pool_size(args.workers, len(points))
     if size > 1:
-        # imported here so no other command pays for it at start-up
         from multiprocessing import get_context
 
         with get_context("spawn").Pool(size) as pool:
@@ -412,7 +429,6 @@ def cmd_capacity_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    # imported here so no other command pays for it at start-up
     from .bench import run_grid, write_csv
 
     records = []

@@ -23,7 +23,8 @@ and the oracle the tables are checked against.
 
 The reducing polynomial is not a free choice here: for every (p, m) we use
 the monic irreducible of degree m with the smallest canonical integer, found
-by deterministic search and verified with the gcd(x^(p^i) - x, f) criterion.
+by deterministic search: the first candidate with gcd(x^(p^d) - x, f) = 1
+for every d <= m/2, since a reducible f has a factor of such a degree.
 Two processes therefore always agree on the representation.
 """
 
@@ -144,10 +145,10 @@ def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return a
 
 
-def _poly_powmod_x(e: int, f: Sequence[int], p: int) -> list[int]:
-    """x**e modulo f, by square and multiply."""
+def _poly_powmod(base: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
+    """base**e modulo f, by square and multiply."""
     result = [1]
-    base = _poly_rem([0, 1], f, p)
+    base = _poly_rem(base, f, p)
     while e:
         if e & 1:
             result = _poly_rem(_poly_mul(result, base, p), f, p)
@@ -165,15 +166,27 @@ def is_irreducible(f: Sequence[int], p: int) -> bool:
         return False
     if m == 1:
         return True
-    h = _poly_powmod_x(p ** m, f, p)
+    h = _poly_powmod([0, 1], p ** m, f, p)
     if _trim(_poly_add(h, [0, p - 1], p)) != []:  # h - x must vanish
         return False
     for r in factorize(m):
-        g = _poly_powmod_x(p ** (m // r), f, p)
+        g = _poly_powmod([0, 1], p ** (m // r), f, p)
         g_minus_x = _poly_add(g, [0, p - 1], p)
         if len(_poly_gcd(g_minus_x, f, p)) != 1:
             return False
     return True
+
+
+def _has_factor_up_to(f: Sequence[int], p: int, degree: int) -> bool:
+    """Whether f has an irreducible factor of degree d <= degree: the
+    distinct-degree test gcd(x^(p^d) - x, f) != 1, with x^(p^d) mod f
+    raised to the p-th power from d - 1.  d = 1 asks for a root in GF(p)."""
+    h = [0, 1]
+    for _ in range(degree):
+        h = _poly_powmod(h, p, f, p)
+        if len(_poly_gcd(_poly_add(h, [0, p - 1], p), f, p)) != 1:
+            return True
+    return False
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: m = 2.0 must not hit m = 2
@@ -187,9 +200,9 @@ def find_irreducible(p: int, m: int) -> tuple[int, ...]:
     if m < 1:
         raise ValueError(f"extension degree must be >= 1, got {m}")
     for c in range(p ** m):
-        low = _int_digits(c, p, m)
-        f = list(low) + [1]
-        if is_irreducible(f, p):
+        f = list(_int_digits(c, p, m)) + [1]
+        # a reducible f has an irreducible factor of degree <= m/2
+        if not _has_factor_up_to(f, p, m // 2):
             return tuple(f)
     raise AssertionError("unreachable: irreducibles of every degree exist")
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
@@ -208,17 +207,6 @@ def identity_from_bytes(data: bytes, params: IdCodeParams) -> Identity:
     return Identity(params, tuple(digits))
 
 
-def identity_to_bytes(identity: Identity) -> bytes:
-    """Minimal big-endian encoding of the base-q value.  Round-trips exactly
-    on admissible inputs: byte strings without a leading zero byte (the
-    empty string encodes the all-zero identity)."""
-    q = identity.params.field.q
-    value = 0
-    for d in identity.coeffs:
-        value = value * q + d
-    return value.to_bytes((value.bit_length() + 7) // 8, "big")
-
-
 # ---------------------------------------------------------------------------
 # challenge / verify
 
@@ -274,15 +262,14 @@ def verify_multi(identity: Identity, mc: MultiChallenge) -> bool:
     return all(verify(identity, c) for c in mc.challenges)
 
 
+# How a round of n challenges splits its secrecy budget: the policies of
+# wiretap.split_leakage_budget, named here so the CLI's parser can offer
+# them without loading the cipher.
+BUDGET_POLICIES = ("paper", "additive")
+
+
 # ---------------------------------------------------------------------------
-# size and error accounting
-
-def error_bound(params: IdCodeParams) -> Fraction:
-    """Exact false-accept bound (k/q)^n for distinct identities: two distinct
-    degree-<=k polynomials agree on at most a k/q fraction of points, and
-    challenges are independent."""
-    return Fraction(params.k, params.field.q) ** params.n_challenges
-
+# size accounting
 
 def code_size_bits(params: IdCodeParams) -> float:
     """log2 of the identity count: C(ell+k, ell) * log2 q."""

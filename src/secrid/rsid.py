@@ -90,12 +90,6 @@ def epsilon_2rs(target: IdCodeParams) -> RsErrorQuote:
     return min(quotes, key=lambda rq: (rq.error, rq.params.k_in, rq.params.k_out))
 
 
-def required_rm_challenges(target: IdCodeParams) -> int:
-    """Smallest n with (k/q)^n at or below the layered baseline's error."""
-    eps = epsilon_2rs(target).error
-    return min_challenges_for(Fraction(target.k, target.field.q), eps)
-
-
 def min_challenges_for(ratio: Fraction, eps: Fraction) -> int:
     """Smallest n >= 1 with ratio^n <= eps, exact rational arithmetic.  A
     zero ratio (degree bound k = 0) meets every eps >= 0 with n = 1."""

@@ -28,7 +28,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .ff import Field
-from .rmid import Challenge, MultiChallenge, json_field, json_ints
+from .rmid import BUDGET_POLICIES, Challenge, MultiChallenge, json_field, json_ints
 
 
 @dataclass(frozen=True)
@@ -349,9 +349,6 @@ def min_cipher_length(q: int, kappa: float, epsilon: float) -> MinLength:
     log2_q = math.log2(q)
     real = (2.0 + log2_q + 2.0 * math.log2(1.0 / epsilon)) / ((1.0 - kappa) * log2_q)
     return MinLength(ell_prime=max(2, math.ceil(real)), real_bound=real)
-
-
-BUDGET_POLICIES = ("paper", "additive")
 
 
 def split_leakage_budget(epsilon_total, n: int, policy: str = "paper"):

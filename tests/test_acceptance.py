@@ -30,7 +30,7 @@ from secrid.rmid import (
     monomial_exponents,
     verify,
 )
-from secrid.rsid import epsilon_2rs, required_rm_challenges
+from secrid.rsid import epsilon_2rs
 from secrid.wiretap import (
     SecrecyParams,
     Seed,
@@ -44,7 +44,7 @@ from secrid.wiretap import (
     sample_seed,
 )
 
-from util import ScriptedSource
+from util import ScriptedSource, required_rm_challenges
 
 
 def test_acceptance_1_false_accept_never_beats_degree_bound():

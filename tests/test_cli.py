@@ -223,7 +223,8 @@ def test_encrypt_rejects_long_binary_seeds_before_sampling(
     def no_sampling(*_):
         raise AssertionError("a seed was drawn before ell_prime was checked")
 
-    monkeypatch.setattr(secrid.cli, "sample_seed", no_sampling)
+    # encrypt imports sample_seed when it runs, so the module is patched
+    monkeypatch.setattr("secrid.wiretap.sample_seed", no_sampling)
     _, challenge = pipeline
     seeds = tmp_path / "seeds.json"
     seeds_bin = tmp_path / "s.bin"
@@ -239,6 +240,37 @@ def test_encrypt_rejects_long_binary_seeds_before_sampling(
     assert "one-byte pivot field" in error["message"]
     assert not seeds.exists()
     assert not seeds_bin.exists()
+
+
+def test_encrypt_rejects_a_challenge_file_without_challenges(tmp_path, capsys):
+    # no identity has n = 0, so there is nothing to encrypt
+    challenge = tmp_path / "ch.json"
+    challenge.write_text('{"q":59049,"challenges":[]}')
+    seeds = tmp_path / "seeds.json"
+    code, out, err = run_cli(
+        capsys,
+        "encrypt", "--challenge", str(challenge), "--ell-prime", "3",
+        "--seeds-out", str(seeds), "--out-bin", str(tmp_path / "sec.bin"), "--seed", "1",
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "kind": "DomainError", "message": "challenge file holds no challenges",
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ch.json"]
+
+
+def test_decrypt_rejects_files_without_challenges(tmp_path, capsys):
+    secret = tmp_path / "secret.json"
+    secret.write_text('{"q":59049,"ell":2,"ell_prime":3,"secret_challenges":[]}')
+    seeds = tmp_path / "seeds.json"
+    seeds.write_text('{"q":59049,"ell_prime":3,"seeds":[]}')
+    code, out, err = run_cli(capsys, "decrypt", "--secret", str(secret), "--seeds", str(seeds))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "kind": "DomainError", "message": "secret challenge file holds no challenges",
+    }
 
 
 def test_decrypt_rejects_mismatched_files(pipeline, tmp_path, capsys):
@@ -455,6 +487,9 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["params", "--q", "25", "--ell", "1", "--k", "1", "--budget-policy", "nope"])
+    assert exc.value.code == 2
 
 
 def test_domain_errors_exit_one_with_json(capsys):
@@ -556,6 +591,45 @@ def test_cli_import_leaves_sweep_and_bench_modules_out():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+# runs the CLI as `python -m secrid.cli` does, then reports its exit code
+# and every module the process holds on stderr
+FOOTPRINT_PROBE = """
+import json, runpy, sys
+try:
+    runpy.run_module("secrid.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+sys.stderr.write(json.dumps([code, sorted(sys.modules)]))
+"""
+# the reference round, one fresh process per subcommand: (stdout file, argv)
+FOOTPRINT_ROUND = [
+    ("id.json", ["gen-identity", "--q", "59049", "--ell", "2", "--k", "20", "--n", "2",
+                 "--seed", "7"]),
+    ("ch.json", ["challenge", "--identity", "id.json", "--seed", "8"]),
+    ("secret.json", ["encrypt", "--challenge", "ch.json", "--ell-prime", "3",
+                     "--seeds-out", "seeds.json", "--seed", "9"]),
+    ("dec.json", ["decrypt", "--secret", "secret.json", "--seeds", "seeds.json"]),
+    (None, ["verify", "--identity", "id.json", "--challenge", "dec.json"]),
+]
+NOT_IN_THE_ROUND = {"secrid.analysis", "secrid.planner", "secrid.rsid", "secrid.bench"}
+NOT_WITHOUT_SECRECY = NOT_IN_THE_ROUND | {"secrid.wiretap", "fractions"}
+
+
+def test_each_round_subcommand_imports_only_its_own_layers(tmp_path):
+    for out, argv in FOOTPRINT_ROUND:
+        result = subprocess.run(
+            [sys.executable, "-c", FOOTPRINT_PROBE, *argv],
+            capture_output=True, text=True, timeout=60, cwd=tmp_path, env=_child_env(),
+        )
+        code, modules = json.loads(result.stderr)
+        assert code == 0, argv
+        unwanted = NOT_IN_THE_ROUND if argv[0] in ("encrypt", "decrypt") else NOT_WITHOUT_SECRECY
+        assert unwanted & set(modules) == set(), argv[0]
+        if out:
+            (tmp_path / out).write_text(result.stdout)
+    assert result.stdout == '{"accept":true}\n'
 
 
 # one process runs the seeded round at the reference point; its few hundred

@@ -58,6 +58,27 @@ def test_frozen_big_field_polynomials():
     assert find_irreducible(2, 16) == (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)
 
 
+def test_find_irreducible_equals_a_plain_rabin_scan():
+    # the distinct-degree search must pick the polynomial Rabin's test picks:
+    # the first candidate that passes it, for every field up to 2^12
+    def plain_scan(p, m):
+        for c in range(p ** m):
+            f = list(_int_digits(c, p, m)) + [1]
+            if is_irreducible(f, p):
+                return tuple(f)
+
+    fields = [
+        (p, m)
+        for p in range(2, 1 << 12)
+        if is_prime(p)
+        for m in range(1, 13)
+        if p ** m <= 1 << 12
+    ]
+    assert {pm: find_irreducible(*pm) for pm in fields} == {
+        pm: plain_scan(*pm) for pm in fields
+    }
+
+
 def test_frozen_generator_gf_3_10():
     field = field_for(3, 10)
     field._build_tables()

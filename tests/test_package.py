@@ -1,10 +1,16 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import secrid
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 PACKAGE = Path(secrid.__file__).resolve().parent
 
 # The public surface.  A name leaves it only by an edit here, which the
@@ -18,19 +24,16 @@ PUBLIC_NAMES = [
     "Challenge",
     "MultiChallenge",
     "identity_from_bytes",
-    "identity_to_bytes",
     "evaluate_tag",
     "generate_challenge",
     "generate_multi",
     "verify",
     "verify_multi",
-    "error_bound",
     "code_size_bits",
     "capacity_diagnostics",
     "RsIdParams",
     "RsErrorQuote",
     "epsilon_2rs",
-    "required_rm_challenges",
     "SecrecyParams",
     "Seed",
     "SecretChallenge",
@@ -68,6 +71,40 @@ def test_every_exported_name_resolves():
 
 def test_public_names_are_pinned():
     assert sorted(secrid.__all__) == sorted(PUBLIC_NAMES)
+
+
+def test_dir_lists_every_export():
+    lazy = [name for names in secrid._EXPORTS.values() for name in names]
+    assert sorted(lazy) == sorted(secrid.__all__)
+    assert set(secrid.__all__) <= set(dir(secrid))
+    assert "__version__" in dir(secrid)
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        secrid.no_such_name
+
+
+def test_bare_import_loads_no_submodule():
+    # the exports load on first use; a child process starts with none loaded
+    probe = (
+        "import sys, secrid; "
+        "print(sorted(m for m in sys.modules if m.startswith('secrid.')))"
+    )
+    pythonpath = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
+def test_version_matches_pyproject():
+    # the version is written twice: in pyproject.toml and in the package
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with (ROOT / "pyproject.toml").open("rb") as fh:
+        assert secrid.__version__ == tomllib.load(fh)["project"]["version"]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

@@ -16,18 +16,16 @@ from secrid.rmid import (
     MultiChallenge,
     capacity_diagnostics,
     code_size_bits,
-    error_bound,
     evaluate_tag,
     generate_challenge,
     generate_multi,
     identity_from_bytes,
-    identity_to_bytes,
     monomial_exponents,
     verify,
     verify_multi,
 )
 
-from util import ScriptedSource, tag_by_monomials
+from util import ScriptedSource, error_bound, identity_to_bytes, tag_by_monomials
 
 
 def brute_force_exponents(ell, k):

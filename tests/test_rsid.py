@@ -9,11 +9,10 @@ from secrid.rsid import (
     RsIdParams,
     epsilon_2rs,
     min_challenges_for,
-    required_rm_challenges,
     rs_candidates,
 )
 
-from util import rs_outer_field, rs_tag, split_outer_symbol
+from util import required_rm_challenges, rs_outer_field, rs_tag, split_outer_symbol
 
 
 def test_quote_union_bound_values():

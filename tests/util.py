@@ -1,7 +1,8 @@
 """Deterministic stand-ins for random.Random used by the sampling tests,
 a checked dot product, the tag of the two-layer Reed-Solomon baseline,
-whose error quote is all the library needs, a per-monomial tag, and a
-per-point sweep for the identification error."""
+whose error quote is all the library needs, a per-monomial tag, a
+per-point sweep for the identification error, and the closed forms and
+the byte inverse that only the tests call."""
 
 from __future__ import annotations
 
@@ -10,8 +11,8 @@ from itertools import product
 from typing import Sequence
 
 from secrid.ff import Field, field_for
-from secrid.rmid import Identity, monomial_exponents
-from secrid.rsid import RsIdParams
+from secrid.rmid import IdCodeParams, Identity, monomial_exponents
+from secrid.rsid import RsIdParams, epsilon_2rs, min_challenges_for
 
 
 class ScriptedSource:
@@ -144,3 +145,32 @@ def id_error_by_sweep(id_i: Identity, id_j: Identity) -> Fraction:
     points = product(range(q), repeat=params.ell)
     hits = sum(1 for r in points if tag_by_monomials(diff, r) == 0)
     return Fraction(hits, q ** params.ell)
+
+
+# ---------------------------------------------------------------------------
+# closed forms and the byte inverse that no program path calls
+
+
+def identity_to_bytes(identity: Identity) -> bytes:
+    """Inverse of secrid.rmid.identity_from_bytes: the minimal big-endian
+    encoding of the base-q value.  Round-trips exactly on admissible
+    inputs: byte strings without a leading zero byte (the empty string
+    encodes the all-zero identity)."""
+    q = identity.params.field.q
+    value = 0
+    for d in identity.coeffs:
+        value = value * q + d
+    return value.to_bytes((value.bit_length() + 7) // 8, "big")
+
+
+def error_bound(params: IdCodeParams) -> Fraction:
+    """Exact false-accept bound (k/q)^n for distinct identities: two distinct
+    degree-<=k polynomials agree on at most a k/q fraction of points, and
+    challenges are independent."""
+    return Fraction(params.k, params.field.q) ** params.n_challenges
+
+
+def required_rm_challenges(target: IdCodeParams) -> int:
+    """Smallest n with (k/q)^n at or below the layered baseline's error."""
+    eps = epsilon_2rs(target).error
+    return min_challenges_for(Fraction(target.k, target.field.q), eps)
