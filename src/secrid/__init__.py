@@ -24,54 +24,12 @@ _EXPORTS = {
         "encrypt_tags", "decrypt_tags", "leakage_bound", "min_cipher_length",
         "split_leakage_budget",
     ),
-    "analysis": (
-        "ChannelModel", "LeakageReport", "total_variation", "renyi2", "conditional_d2",
-        "exact_leakage", "exact_id_error",
-    ),
+    "analysis": ("ChannelModel", "LeakageReport", "exact_leakage", "exact_id_error"),
     "planner": ("PlanReport", "plan"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "Field",
-    "field_for",
-    "prime_power",
-    "IdCodeParams",
-    "Identity",
-    "Challenge",
-    "MultiChallenge",
-    "identity_from_bytes",
-    "evaluate_tag",
-    "generate_challenge",
-    "generate_multi",
-    "verify",
-    "verify_multi",
-    "code_size_bits",
-    "capacity_diagnostics",
-    "RsIdParams",
-    "RsErrorQuote",
-    "epsilon_2rs",
-    "SecrecyParams",
-    "Seed",
-    "SecretChallenge",
-    "sample_seed",
-    "encrypt",
-    "decrypt",
-    "encrypt_tags",
-    "decrypt_tags",
-    "leakage_bound",
-    "min_cipher_length",
-    "split_leakage_budget",
-    "ChannelModel",
-    "LeakageReport",
-    "total_variation",
-    "renyi2",
-    "conditional_d2",
-    "exact_leakage",
-    "exact_id_error",
-    "PlanReport",
-    "plan",
-]
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name: str):

@@ -12,8 +12,9 @@ Distributions are kept as exact integers or rationals end to end; floats
 appear only in reported logarithms.
 
 Conventions: total variation is the unhalved sum of absolute differences
-(maximum 2), and collision divergence D2(P||Q) = log2 sum P^2/Q is +inf as
-soon as P puts mass outside the support of Q.
+(maximum 2), and the collision divergence D2(P||Q) = log2 sum P^2/Q of a
+channel is taken at uniform input, where Q covers every output a row of
+the channel reaches, so it is always finite.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from .wiretap import SecrecyParams, leakage_bound, leakage_bound_squared
 # cost guard of exact_leakage: directions * |Z|^ell' * ell' * q^2 steps
 STATE_SPACE_LIMIT = 100_000_000
 
-_NUM_TOLERANCE = 1e-12
-
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -40,45 +39,6 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(x)  # exact binary expansion
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact probability")
-
-
-def _check_distribution(dist: Sequence) -> tuple[Fraction, ...]:
-    probs = tuple(_as_fraction(v) for v in dist)
-    if any(v < 0 for v in probs):
-        raise ValueError("negative probability mass")
-    total = sum(probs)
-    if abs(float(total) - 1.0) > _NUM_TOLERANCE:
-        raise ValueError(f"distribution sums to {float(total)}, not 1")
-    return probs
-
-
-def total_variation(p: Sequence, q: Sequence) -> Fraction:
-    """Unhalved: sum |p_i - q_i|, up to 2 for disjoint supports."""
-    pp, qq = _check_distribution(p), _check_distribution(q)
-    if len(pp) != len(qq):
-        raise ValueError("distributions live on different universes")
-    return sum(abs(a - b) for a, b in zip(pp, qq))
-
-
-def renyi2_pow(p: Sequence, q: Sequence) -> Fraction | None:
-    """2^(D2(p||q)) as an exact rational, or None when D2 is infinite."""
-    pp, qq = _check_distribution(p), _check_distribution(q)
-    if len(pp) != len(qq):
-        raise ValueError("distributions live on different universes")
-    acc = Fraction(0)
-    for a, b in zip(pp, qq):
-        if a == 0:
-            continue
-        if b == 0:
-            return None
-        acc += a * a / b
-    return acc
-
-
-def renyi2(p: Sequence, q: Sequence) -> float:
-    """Collision divergence in bits; +inf on support violation."""
-    pow2 = renyi2_pow(p, q)
-    return math.inf if pow2 is None else math.log2(pow2)
 
 
 # ---------------------------------------------------------------------------
@@ -156,39 +116,14 @@ class ChannelModel:
         return cls(kind, len(rows), rows)
 
 
-def conditional_d2_pow(channel: ChannelModel, input_dist: Sequence | None = None) -> Fraction:
-    """2^(D2(W || P_X W | P_X)) exactly: the reference output law is the
-    push-forward of the given input distribution (uniform by default)."""
-    q = channel.q
-    if input_dist is None:
-        px: tuple[Fraction, ...] = tuple(Fraction(1, q) for _ in range(q))
-    else:
-        px = _check_distribution(input_dist)
-        if len(px) != q:
-            raise ValueError(f"input distribution needs {q} entries")
-    n_out = channel.n_outputs
-    py = [Fraction(0)] * n_out
-    for x in range(q):
-        if px[x]:
-            for z in range(n_out):
-                py[z] += px[x] * channel.matrix[x][z]
-    acc = Fraction(0)
-    for x in range(q):
-        if px[x] == 0:
-            continue
-        row_sum = Fraction(0)
-        for z in range(n_out):
-            w = channel.matrix[x][z]
-            if w:
-                # py[z] > 0 whenever the row contributes, since px[x] > 0
-                row_sum += w * w / py[z]
-        acc += px[x] * row_sum
-    return acc
-
-
-def conditional_d2(channel: ChannelModel, input_dist: Sequence | None = None) -> float:
-    """Conditional collision divergence of a channel in bits."""
-    return math.log2(conditional_d2_pow(channel, input_dist))
+def conditional_d2_pow(channel: ChannelModel) -> Fraction:
+    """2^(D2(W || P_X W | P_X)) exactly at uniform input P_X: with output
+    law py(z) = sum_x W(z | x) / q, it is sum_(x,z) W(z | x)^2 / (q py(z))."""
+    py = [sum(col) for col in zip(*channel.matrix)]  # q times the output law
+    return sum(
+        (w * w / py[z] for row in channel.matrix for z, w in enumerate(row) if w),
+        Fraction(0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +160,8 @@ class LeakageReport:
         }
 
     def to_csv_row(self) -> list:
-        return [
-            self.q,
-            self.ell_prime,
-            "" if self.delta is None else float(self.delta),
-            self.kappa_true,
-            float(self.exact_max_tv),
-            self.bound_tight,
-            self.bound_simplified,
-        ]
+        row = self.to_json_dict()  # csv writes a None delta as an empty cell
+        return [row[key] for key in LEAKAGE_CSV_HEADER]
 
 
 LEAKAGE_CSV_HEADER = [

@@ -176,6 +176,9 @@ def cmd_gen_identity(args) -> int:
     _require(args, "ell", "k")
     field = _field_from_args(args)
     params = IdCodeParams(field, args.ell, args.k, 1 if args.n is None else args.n)
+    # every coefficient is held in memory; 2^24 is ~28x what the bench mints
+    if params.coeff_count > 1 << 24:
+        raise DomainError(f"{params.coeff_count} coefficients are above the limit 2^24")
     if args.data_hex is not None:
         identity = identity_from_bytes(bytes.fromhex(args.data_hex), params)
     elif args.data_file is not None:
@@ -204,11 +207,6 @@ def cmd_challenge(args) -> int:
     return 0
 
 
-def _load_multichallenge(path: str) -> tuple[dict, MultiChallenge]:
-    obj = _read_json(path)
-    return obj, MultiChallenge.from_json_dict(obj)
-
-
 def _check_points(field: Field, header: dict, points) -> None:
     """Every challenge point has the header's ell coordinates (as many as
     the first one without that header), each a canonical element of the
@@ -224,7 +222,8 @@ def _check_points(field: Field, header: dict, points) -> None:
 
 def cmd_verify(args) -> int:
     identity = Identity.from_json_dict(_read_json(args.identity))
-    header, mc = _load_multichallenge(args.challenge)
+    header = _read_json(args.challenge)
+    mc = MultiChallenge.from_json_dict(header)
     field = identity.params.field
     if header.get("q") not in (None, field.q):
         raise DomainError(
@@ -246,7 +245,8 @@ def cmd_encrypt(args) -> int:
         sample_seed,
     )
 
-    header, mc = _load_multichallenge(args.challenge)
+    header = _read_json(args.challenge)
+    mc = MultiChallenge.from_json_dict(header)
     if "q" not in header:
         raise DomainError("challenge file lacks the q header needed to encrypt")
     field = Field.from_q(header["q"])

@@ -282,7 +282,7 @@ class Field:
     # -- validation --------------------------------------------------------
 
     def _check(self, a: int) -> int:
-        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.q:
+        if type(a) is not int or not 0 <= a < self.q:  # JSON true is not 1
             raise ValueError(f"{a!r} is not a canonical element of {self!r}")
         return a
 

@@ -9,7 +9,7 @@ so a run is reproducible from its JSON alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .ff import field_for, prime_power
@@ -43,27 +43,9 @@ class PlanReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "p": self.p,
-            "m": self.m,
-            "q": self.q,
-            "ell": self.ell,
-            "k": self.k,
-            "coeff_count": self.coeff_count,
-            "identity_bits": self.identity_bits,
-            "symbol_bits": self.symbol_bits,
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "eps_2rs": float(self.eps_2rs),
             "eps_2rs_exact": str(self.eps_2rs),
-            "rs_k_in": self.rs_k_in,
-            "rs_k_out": self.rs_k_out,
-            "n_challenges": self.n_challenges,
-            "budget_policy": self.budget_policy,
-            "epsilon_total": self.epsilon_total,
-            "per_challenge_epsilon": self.per_challenge_epsilon,
-            "kappa": self.kappa,
-            "ell_prime": self.ell_prime,
-            "ell_prime_real": self.ell_prime_real,
-            "wire_plain_symbols": self.wire_plain_symbols,
-            "wire_secret_symbols": self.wire_secret_symbols,
             "wire_plain_bits": self.wire_plain_symbols * self.symbol_bits,
             "wire_secret_bits": self.wire_secret_symbols * self.symbol_bits,
         }

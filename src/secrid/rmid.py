@@ -119,11 +119,9 @@ class Identity:
                 f"identity needs {self.params.coeff_count} coefficients, "
                 f"got {len(self.coeffs)}"
             )
-        q = self.params.field.q
+        check = self.params.field._check
         for c in self.coeffs:
-            # type(), not isinstance(): JSON true must not pass for 1
-            if type(c) is not int or not 0 <= c < q:
-                raise ValueError(f"coefficient {c!r} is not an integer in [0, {q})")
+            check(c)
 
     def to_json_dict(self) -> dict:
         f = self.params.field
@@ -301,8 +299,9 @@ class CapacityDiagnostics:
 
 
 def capacity_diagnostics(n_seq: int) -> CapacityDiagnostics:
-    if n_seq < 1:
-        raise ValueError(f"sequence index must be >= 1, got {n_seq}")
+    # n = 1023 is the last index whose ell = 2^n converts to a float
+    if not 1 <= n_seq <= 1023:
+        raise ValueError(f"sequence index must be in [1, 1023], got {n_seq}")
     n = n_seq
     ell = 2 ** n
     log2_q = n * n  # q = 2^(n^2), never materialized

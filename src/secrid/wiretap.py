@@ -73,7 +73,6 @@ class Seed:
     pivot: int
 
     def validate(self, params: SecrecyParams) -> "Seed":
-        q = params.field.q
         if len(self.s) != params.ell_prime:
             raise ValueError(
                 f"direction vector has {len(self.s)} coordinates, "
@@ -86,8 +85,7 @@ class Seed:
         if any(c != 0 for c in self.s[self.pivot + 1 :]):
             raise ValueError("coordinates above the pivot must be 0")
         for c in (*self.s, self.s0):
-            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < q:
-                raise ValueError("seed coordinates outside the field")
+            params.field._check(c)
         return self
 
     def to_json_dict(self) -> dict:

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 from itertools import product
 
@@ -9,13 +8,9 @@ from hypothesis import strategies as st
 from secrid.analysis import (
     LEAKAGE_CSV_HEADER,
     ChannelModel,
-    conditional_d2,
     conditional_d2_pow,
     exact_id_error,
     exact_leakage,
-    renyi2,
-    renyi2_pow,
-    total_variation,
 )
 from secrid.ff import Field, field_for
 from secrid.rmid import IdCodeParams, Identity, monomial_exponents
@@ -46,75 +41,15 @@ def channel_power(channel, n):
 
 
 # ---------------------------------------------------------------------------
-# divergence primitives
-
-def test_total_variation_endpoints():
-    u = [Fraction(1, 2), Fraction(1, 2)]
-    assert total_variation(u, u) == 0
-    assert total_variation([1, 0], [0, 1]) == 2
-    assert total_variation([Fraction(3, 4), Fraction(1, 4)], u) == Fraction(1, 2)
-
-
-def test_total_variation_validates_inputs():
-    with pytest.raises(ValueError):
-        total_variation([1, 0], [1, 0, 0])
-    with pytest.raises(ValueError):
-        total_variation([Fraction(1, 2), Fraction(1, 4)], [1, 0])  # not normalized
-    with pytest.raises(ValueError):
-        total_variation([2, -1], [1, 0])
-
-
-def test_renyi2_identical_is_zero_bits():
-    u = [Fraction(1, 4)] * 4
-    assert renyi2_pow(u, u) == 1
-    assert renyi2(u, u) == 0.0
-
-
-def test_renyi2_point_mass_against_uniform():
-    p = [Fraction(1), Fraction(0)]
-    u = [Fraction(1, 2), Fraction(1, 2)]
-    assert renyi2_pow(p, u) == 2
-    assert renyi2(p, u) == 1.0
-
-
-def test_renyi2_support_violation_is_infinite():
-    p = [Fraction(1, 2), Fraction(1, 2)]
-    q = [Fraction(1), Fraction(0)]
-    assert renyi2_pow(p, q) is None
-    assert renyi2(p, q) == math.inf
-
-
-@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=1000))
-@settings(max_examples=60, deadline=None)
-def test_renyi2_lower_bounds_tv_squared(size, seed):
-    # 4 * (2^D2 - 1) >= tv^2 for laws with a common full support reference;
-    # spot-check the weaker statement tv <= 2 on random rational laws
-    import random as _random
-
-    rng = _random.Random(seed)
-    raw_p = [rng.randrange(1, 10) for _ in range(size)]
-    raw_q = [rng.randrange(1, 10) for _ in range(size)]
-    p = [Fraction(v, sum(raw_p)) for v in raw_p]
-    q = [Fraction(v, sum(raw_q)) for v in raw_q]
-    tv = total_variation(p, q)
-    assert 0 <= tv <= 2
-    pow2 = renyi2_pow(p, q)
-    assert pow2 is not None and pow2 >= 1
-    assert tv * tv <= 4 * (pow2 - 1)
-
-
-# ---------------------------------------------------------------------------
 # channels
 
 def test_identity_channel_d2_counts_alphabet():
     assert conditional_d2_pow(ChannelModel.identity(2)) == 2
-    assert conditional_d2(ChannelModel.identity(2)) == 1.0
     assert conditional_d2_pow(ChannelModel.identity(5)) == 5
 
 
 def test_uniform_channel_carries_nothing():
     assert conditional_d2_pow(ChannelModel.uniform(3)) == 1
-    assert conditional_d2(ChannelModel.uniform(3)) == 0.0
 
 
 def test_symmetric_channel_interpolates():
@@ -134,18 +69,6 @@ def test_erasure_channel_d2_closed_form():
         for delta in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
             got = conditional_d2_pow(ChannelModel.erasure(q, delta))
             assert got == q * (1 - delta) + delta
-
-
-def test_nonuniform_input_changes_d2():
-    # identity channel: sum_x px * 1/px = support size, whatever the law
-    channel = ChannelModel.identity(2)
-    skew = [Fraction(3, 4), Fraction(1, 4)]
-    assert conditional_d2_pow(channel, skew) == 2
-    # an asymmetric channel does move with the input law
-    lopsided = ChannelModel.from_matrix(
-        "custom", [[Fraction(1), Fraction(0)], [Fraction(1, 2), Fraction(1, 2)]]
-    )
-    assert conditional_d2_pow(lopsided, skew) != conditional_d2_pow(lopsided)
 
 
 def test_channel_validation():

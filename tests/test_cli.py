@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import secrid
+from secrid import cli, rmid
 from secrid.cli import _pool_size, main
+from secrid.ff import Field
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +70,27 @@ def test_gen_identity_rejects_zero_challenges(tmp_path, capsys, source):
     assert code == 1
     assert out == ""
     assert "n_challenges must be >= 1" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("source", ["random", "data-hex"])
+def test_gen_identity_rejects_oversized_identities_before_drawing(capsys, monkeypatch, source):
+    # C(80, 40) ~ 1.1e23 coefficients: a draw would run out of memory and
+    # --data-hex would compute q ** 1.1e23, so both are made to fail loudly
+    def boom(*args):
+        raise AssertionError("gen-identity built an oversized identity")
+
+    monkeypatch.setattr(Field, "sample_vector", boom)
+    monkeypatch.setattr(rmid, "identity_from_bytes", boom)
+    monkeypatch.setattr(cli, "identity_from_bytes", boom)
+    args = ["gen-identity", "--q", "59049", "--ell", "40", "--k", "40", "--seed", "1"]
+    if source == "data-hex":
+        args += ["--data-hex", "01"]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "DomainError"
+    assert "above the limit 2^24" in error["message"]
 
 
 def test_gen_identity_rejects_inconsistent_q_p(capsys):
@@ -445,6 +468,19 @@ def test_capacity_check_single_and_sweep(capsys):
     assert [d["n_seq"] for d in sweep] == [2, 3, 4, 5]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--n-seq", "1024"], ["--n-seq", "1020", "--sweep-to", "1030"], ["--n-seq", "0"]],
+    ids=["n_1024", "sweep_1020_1030", "n_0"],
+)
+def test_capacity_check_rejects_indices_beyond_float_range(capsys, argv):
+    # ell = 2^n has no float above n = 1023
+    code, out, err = run_cli(capsys, "capacity-check", *argv)
+    assert code == 1
+    assert out == ""
+    assert "[1, 1023]" in json.loads(err)["error"]["message"]
+
+
 def test_bench_command_writes_csv(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     code, _, _ = run_cli(
@@ -741,6 +777,49 @@ def test_seeded_cli_rounds_are_byte_identical(tmp_path, capsys, monkeypatch, cas
         if path.name not in digests:
             digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == SEEDED_ROUND_SHA256[case]
+
+
+# SHA-256 of the stdout of the report subcommands, which draw nothing
+REPORT_SHA256 = {
+    "params_reference": (
+        ["params", "--q", "59049", "--ell", "2", "--k", "20", "--kappa", "0.2"],
+        "8055bf0599b3f0cea81cc64a1e95bc62757181ca1bc8af258367faf42ab58170",
+    ),
+    "params_additive": (
+        ["params", "--q", "625", "--ell", "3", "--k", "9", "--kappa", "0.5",
+         "--budget-policy", "additive", "--epsilon", "0.01"],
+        "297989a754c13920a5a0f0209a1fa5a076231339286b6db8b13cdda52495a5e5",
+    ),
+    "leakage_sweep": (
+        ["leakage-exact", "--q", "5", "--sweep"],
+        "05465d2c302efebf0f364654763bd6b6668404374a0e3b69fe34715f14972f8a",
+    ),
+    # a parameter-free channel: the delta column is empty
+    "leakage_sweep_identity": (
+        ["leakage-exact", "--q", "3", "--sweep", "--channel", "identity"],
+        "873ceaad29da2bf44aedee087372306f6fc07a4248c64dbc46ef3ea6c7b3986b",
+    ),
+    "leakage_sweep_erasure": (
+        ["leakage-exact", "--q", "4", "--sweep", "--channel", "erasure", "--deltas", "0,1/3,1"],
+        "c75995cdd57cf12e6ae81d87ccc2d7107f94e699a085844f18e9f70196881297",
+    ),
+    "leakage_point": (
+        ["leakage-exact", "--q", "3", "--ell-prime", "3", "--delta", "1/4"],
+        "ef40dfabcc327bc42756256c96d52f385419c224fc3894937fa4f6416969bdc8",
+    ),
+    "capacity_sweep": (
+        ["capacity-check", "--n-seq", "2", "--sweep-to", "5"],
+        "ff86baea0c72f336039fa1d70323474aea8253d73dbec91cb087fc648c6b90cb",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REPORT_SHA256))
+def test_report_subcommands_are_byte_identical(capsys, case):
+    argv, digest = REPORT_SHA256[case]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _set_first_coeff(value):
