@@ -305,7 +305,8 @@ def exact_id_error(id_i: Identity, id_j: Identity) -> Fraction:
         vanished = q ** (last - depth)  # points left below this variable
         hits = 0
         for a in range(q):
-            # inline, not shared with evaluate_tag: a call per (node, a) costs ~7%
+            # on the fast_ops pair: of the goldens' fields only GF(9) has Zech
+            # logs, and a log copy, ~28% faster there, would be a third log loop
             folded = []
             for top, rest in plan[depth]:
                 acc = poly[top]

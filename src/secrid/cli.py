@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import random
 import sys
@@ -24,10 +25,10 @@ from .rmid import (
     Identity,
     MultiChallenge,
     capacity_diagnostics,
+    first_failure,
     generate_multi,
     identity_from_bytes,
     json_field,
-    verify_multi,
 )
 
 # Every other layer, and the standard modules only some subcommands need,
@@ -176,9 +177,11 @@ def cmd_gen_identity(args) -> int:
     _require(args, "ell", "k")
     field = _field_from_args(args)
     params = IdCodeParams(field, args.ell, args.k, 1 if args.n is None else args.n)
-    # every coefficient is held in memory; 2^24 is ~28x what the bench mints
-    if params.coeff_count > 1 << 24:
-        raise DomainError(f"{params.coeff_count} coefficients are above the limit 2^24")
+    # every coefficient is held in memory; 2^24 is ~28x what the bench mints.
+    # C(n, i) rises up to i = min(ell, k), so a huge count fails at a small i
+    n = params.ell + params.k
+    if any(math.comb(n, i) > 1 << 24 for i in range(min(params.ell, params.k) + 1)):
+        raise DomainError(f"C({n}, {params.ell}) coefficients are above the limit 2^24")
     if args.data_hex is not None:
         identity = identity_from_bytes(bytes.fromhex(args.data_hex), params)
     elif args.data_file is not None:
@@ -232,7 +235,10 @@ def cmd_verify(args) -> int:
         )
     for c in mc.challenges:
         field._check(c.tag)
-    _emit({"accept": verify_multi(identity, mc)})
+    failed = first_failure(identity, mc)
+    if failed is not None:
+        sys.stderr.write(f"reject: challenge {failed} (0-based) is the first to fail\n")
+    _emit({"accept": failed is None})
     return 0
 
 
@@ -418,6 +424,8 @@ def cmd_leakage_exact(args) -> int:
 
 def cmd_capacity_check(args) -> int:
     if args.sweep_to is not None:
+        if args.sweep_to < args.n_seq:
+            raise DomainError(f"--sweep-to {args.sweep_to} is below --n-seq {args.n_seq}")
         reports = [
             capacity_diagnostics(n).to_json_dict()
             for n in range(args.n_seq, args.sweep_to + 1)

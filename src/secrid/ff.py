@@ -3,9 +3,9 @@
 Elements are canonical integers in [0, q): the little-endian base-p digit
 vector of an integer is the coefficient vector of the residue polynomial.
 Multiplication goes through precomputed exp/log tables for q <= 2**20 and
-falls back to schoolbook polynomial multiplication above that.  Addition in
-extension fields with p > 2 uses a Zech-logarithm table so the hot paths
-never leave integer land; GF(2^m) addition is plain XOR.
+falls back to schoolbook polynomial multiplication above that.  Extension
+fields with p > 2 add a Zech-logarithm table, read by add and by the log-
+domain loops of tag evaluation and the cipher; GF(2^m) addition is XOR.
 
 A field builds its tables only once its table-free work would have paid
 for them (the ski-rental rule): callers charge the multiply-adds they are

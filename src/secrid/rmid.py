@@ -123,6 +123,11 @@ class Identity:
         for c in self.coeffs:
             check(c)
 
+    @cached_property
+    def _logs(self) -> list[int]:
+        """Coefficient logs (-1 for 0); pickle-safe: one generator per (p, m)."""
+        return list(map(self.params.field._tables[1].__getitem__, self.coeffs))
+
     def to_json_dict(self) -> dict:
         f = self.params.field
         return {
@@ -212,23 +217,48 @@ def evaluate_tag(identity: Identity, r: Sequence[int]) -> int:
     """p_i(r) by Horner, one variable at a time: substituting r_1 folds each
     group of substitution_plan into one coefficient of a polynomial in the
     variables left, and so on down to a constant.  One multiply-add per
-    coefficient, plus C(ell - d + k, k) for each smaller level d >= 1."""
+    coefficient, plus C(ell - d + k, k) for each smaller level d >= 1.  With
+    a Zech table it runs on logs (-1 for 0), one Zech lookup per step, and a
+    zero coordinate leaves each group's constant; else on the fast_ops pair."""
     params = identity.params
     field = params.field
     if len(r) != params.ell:
         raise ValueError(f"point has {len(r)} coordinates, expected {params.ell}")
     point = tuple(field._check(x) for x in r)
     add, mul = field.fast_ops(params.coeff_count)
-    poly = identity.coeffs
+    tables = field._tables
+    if tables is None or tables[2] is None:
+        poly = identity.coeffs
+        for groups, a in zip(substitution_plan(params.ell, params.k), point):
+            folded = []
+            for top, rest in groups:
+                acc = poly[top]
+                for i in rest:
+                    acc = add(mul(acc, a), poly[i])
+                folded.append(acc)
+            poly = folded
+        return poly[0]
+    exp, log, zech = tables
+    qm1 = field.q - 1
+    poly = identity._logs
     for groups, a in zip(substitution_plan(params.ell, params.k), point):
+        if a == 0:
+            poly = [poly[rest[-1] if rest else top] for top, rest in groups]
+            continue
+        la = log[a]
         folded = []
         for top, rest in groups:
             acc = poly[top]
             for i in rest:
-                acc = add(mul(acc, a), poly[i])
-            folded.append(acc)
+                c = poly[i]
+                if acc < 0 or c < 0:
+                    acc = c if acc < 0 else (acc + la) % qm1
+                else:
+                    z = zech[(acc + la - c) % qm1]
+                    acc = c + z if z >= 0 else -1
+            folded.append(acc - qm1 if acc >= qm1 else acc)
         poly = folded
-    return poly[0]
+    return exp[poly[0]] if poly[0] >= 0 else 0
 
 
 def generate_challenge(identity: Identity, rng) -> Challenge:
@@ -252,12 +282,17 @@ def generate_multi(identity: Identity, rng) -> MultiChallenge:
 
 def verify_multi(identity: Identity, mc: MultiChallenge) -> bool:
     """Accept only if every challenge verifies."""
+    return first_failure(identity, mc) is None
+
+
+def first_failure(identity: Identity, mc: MultiChallenge) -> int | None:
+    """0-based index of the first challenge that does not verify, or None."""
     if len(mc.challenges) != identity.params.n_challenges:
         raise ValueError(
             f"expected {identity.params.n_challenges} challenges, "
             f"got {len(mc.challenges)}"
         )
-    return all(verify(identity, c) for c in mc.challenges)
+    return next((i for i, c in enumerate(mc.challenges) if not verify(identity, c)), None)
 
 
 # How a round of n challenges splits its secrecy budget: the policies of

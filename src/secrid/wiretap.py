@@ -161,34 +161,50 @@ def enumerate_seeds(params: SecrecyParams) -> Iterator[Seed]:
 # the cipher
 
 def decrypt(params: SecrecyParams, seed: Seed, x: Sequence[int]) -> int:
-    """m = s.x + s0.  The seed and every symbol of x are validated here,
-    once; the sum then runs on the field's unchecked pair, over the
-    coordinates up to the pivot (the ones above it are 0)."""
+    """m = s.x + s0, with the seed and every symbol of x validated here, once;
+    the sum runs unchecked up to the pivot (above it s is 0; s[pivot] = 1)."""
     field = params.field
     if len(x) != params.ell_prime:
         raise ValueError(f"ciphertext has {len(x)} symbols, expected {params.ell_prime}")
     seed.validate(params)
     for v in x:
         field._check(v)
-    pivot, s = seed.pivot, seed.s
-    add, mul = field.fast_ops(pivot + 1)
-    acc = add(seed.s0, x[pivot])  # s[pivot] = 1
-    for j in range(pivot):
-        acc = add(acc, mul(s[j], x[j]))
-    return acc
+    add, mul = field.fast_ops(seed.pivot + 1)
+    return add(_affine_sum(field, seed, x, add, mul), x[seed.pivot])
+
+
+def _affine_sum(field: Field, seed: Seed, x: Sequence[int], add, mul) -> int:
+    """s0 + sum_(j<pivot) s_j x_j: on logs (-1 for 0), one Zech lookup per
+    term, if the field has a Zech table; else on the caller's fast_ops pair."""
+    terms = zip(seed.s[: seed.pivot], x)
+    tables = field._tables
+    if tables is None or tables[2] is None:
+        acc = seed.s0
+        for sj, xj in terms:
+            acc = add(acc, mul(sj, xj))
+        return acc
+    exp, log, zech = tables
+    qm1 = field.q - 1
+    acc = log[seed.s0]
+    for sj, xj in terms:
+        if sj and xj:
+            t = log[sj] + log[xj]
+            if acc < 0:
+                acc = t
+            else:
+                z = zech[(acc - t) % qm1]
+                acc = t + z if z >= 0 else -1
+    return exp[acc % qm1] if acc >= 0 else 0
 
 
 def _solve_pivot(field: Field, seed: Seed, message: int, x: list[int]) -> tuple[int, ...]:
     """Fill x[pivot] with message - (s0 + sum_(j<pivot) s_j x_j), putting x
-    on the hyperplane; coordinates above the pivot have s_j = 0.  Runs on
-    the unchecked pair: the caller has validated seed, message and x."""
-    pivot, s = seed.pivot, seed.s
-    add, mul = field.fast_ops(pivot + 1)
-    acc = seed.s0
-    for j in range(pivot):
-        acc = add(acc, mul(s[j], x[j]))
+    on the hyperplane; coordinates above the pivot have s_j = 0.  Runs
+    unchecked: the caller has validated seed, message and x."""
+    add, mul = field.fast_ops(seed.pivot + 1)
+    acc = _affine_sum(field, seed, x, add, mul)
     # the canonical integer p - 1 is the constant -1
-    x[pivot] = add(message, mul(acc, field.p - 1))
+    x[seed.pivot] = add(message, mul(acc, field.p - 1))
     return tuple(x)
 
 

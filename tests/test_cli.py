@@ -93,6 +93,44 @@ def test_gen_identity_rejects_oversized_identities_before_drawing(capsys, monkey
     assert "above the limit 2^24" in error["message"]
 
 
+def test_gen_identity_refuses_a_huge_geometry_without_counting_it():
+    # C(2*10^6, 10^6) alone takes ~40 s to build; the guard must not need it
+    argv = ["gen-identity", "--q", "4294967291", "--ell", "1000000", "--k", "1000000"]
+    result = subprocess.run(
+        [sys.executable, "-m", "secrid", *argv],
+        capture_output=True, text=True, timeout=10, env=_child_env(),
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    error = json.loads(result.stderr)["error"]
+    assert error["kind"] == "DomainError"
+    assert "above the limit 2^24" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "ell,k,refused",
+    [(1, (1 << 24) - 1, False), (1, 1 << 24, True),
+     (2, 5791, False), (2, 5792, True), (40, 40, True)],
+)
+def test_gen_identity_limit_is_the_exact_binomial(capsys, monkeypatch, ell, k, refused):
+    # C(5793, 2) = 16,776,528 <= 2^24 < C(5794, 2) = 16,782,321; an
+    # accepted geometry reaches the draw, which fails here instead
+    def drawn(*args):
+        raise ValueError("drawn")
+
+    monkeypatch.setattr(Field, "sample_vector", drawn)
+    code, out, err = run_cli(
+        capsys, "gen-identity", "--q", "4294967291", "--ell", str(ell), "--k", str(k)
+    )
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    if refused:
+        assert error["kind"] == "DomainError"
+        assert "above the limit 2^24" in error["message"]
+    else:
+        assert error == {"kind": "ValueError", "message": "drawn"}
+
+
 def test_gen_identity_rejects_inconsistent_q_p(capsys):
     code, out, err = run_cli(
         capsys,
@@ -137,6 +175,19 @@ def test_verify_rejects_tampered_tag(pipeline, tmp_path, capsys):
     assert run_json(capsys, "verify", "--identity", str(identity), "--challenge", str(bad)) == {
         "accept": False
     }
+
+
+def test_verify_names_the_first_failing_challenge_on_stderr(pipeline, tmp_path, capsys):
+    identity, challenge = pipeline
+    argv = ["verify", "--identity", str(identity), "--challenge"]
+    assert run_cli(capsys, *argv, str(challenge)) == (0, '{"accept":true}\n', "")
+    obj = json.loads(challenge.read_text())
+    obj["challenges"][1]["tag"] = (obj["challenges"][1]["tag"] + 1) % 25
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, *argv, str(bad))
+    assert (code, out) == (0, '{"accept":false}\n')
+    assert err == "reject: challenge 1 (0-based) is the first to fail\n"
 
 
 @pytest.mark.parametrize("bad_tag", ["tag_plus_q", "json_true"])
@@ -479,6 +530,14 @@ def test_capacity_check_rejects_indices_beyond_float_range(capsys, argv):
     assert code == 1
     assert out == ""
     assert "[1, 1023]" in json.loads(err)["error"]["message"]
+
+
+def test_capacity_check_rejects_an_inverted_range(capsys):
+    code, out, err = run_cli(capsys, "capacity-check", "--n-seq", "5", "--sweep-to", "2")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "kind": "DomainError", "message": "--sweep-to 2 is below --n-seq 5",
+    }
 
 
 def test_bench_command_writes_csv(tmp_path, capsys):

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -25,7 +27,14 @@ from secrid.rmid import (
     verify_multi,
 )
 
-from util import ScriptedSource, error_bound, identity_to_bytes, tag_by_monomials
+from util import (
+    ScriptedSource,
+    error_bound,
+    identity_to_bytes,
+    table_built,
+    table_free,
+    tag_by_monomials,
+)
 
 
 def brute_force_exponents(ell, k):
@@ -87,6 +96,64 @@ def test_evaluation_matches_monomial_oracle(q, ell, k):
         if trial < ell:
             r[trial] = 0  # a zero in each coordinate position
         assert evaluate_tag(identity, r) == tag_by_monomials(identity, r)
+
+
+# one of each kernel: Zech logs (GF(9), GF(3^10)), the XOR and prime fast
+# pairs, and the digit pair of a field that never builds tables
+KERNEL_FIELDS = {
+    "zech_9": (table_built, 3, 2),
+    "zech_59049": (table_built, 3, 10),
+    "xor_16": (table_built, 2, 4),
+    "prime_7": (table_built, 7, 1),
+    "table_free_9": (table_free, 3, 2),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def kernel_field(name):
+    make, p, m = KERNEL_FIELDS[name]
+    return make(p, m)
+
+
+@st.composite
+def kernel_cases(draw):
+    name = draw(st.sampled_from(sorted(KERNEL_FIELDS)))
+    field = kernel_field(name)
+    ell = draw(st.integers(1, 3))
+    k = draw(st.integers(0, min(4, field.q - 1)))
+    element = st.one_of(st.just(0), st.integers(0, field.q - 1))
+    count = math.comb(ell + k, ell)
+    coeffs = draw(st.lists(element, min_size=count, max_size=count))
+    r = draw(st.lists(element, min_size=ell, max_size=ell))
+    return name, Identity(IdCodeParams(field, ell, k), tuple(coeffs)), r
+
+
+@given(kernel_cases())
+@settings(max_examples=300, deadline=None)
+def test_every_kernel_matches_the_monomial_oracle(case):
+    name, identity, r = case
+    tables = identity.params.field._tables
+    assert (tables is None) == name.startswith("table_free")
+    assert (tables is not None and tables[2] is not None) == name.startswith("zech")
+    assert evaluate_tag(identity, r) == tag_by_monomials(identity, r)
+
+
+def test_coefficient_logs_stay_out_of_identity_records_and_survive_pickling():
+    field = table_built(3, 10)
+    params = IdCodeParams(field, 2, 3)
+    rng = random.Random(10)
+    coeffs = (0,) + field.sample_vector(rng, params.coeff_count - 1)
+    warm, cold = Identity(params, coeffs), Identity(params, coeffs)
+    r = field.sample_vector(rng, 2)
+    tag = evaluate_tag(warm, r)
+    assert "_logs" in vars(warm) and "_logs" not in vars(cold)
+    assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+    assert warm.to_json_dict() == cold.to_json_dict()
+    copy = pickle.loads(pickle.dumps(warm))
+    assert copy.params.field._tables is None  # rebuilt by (p, m), no tables
+    copy.params.field.fast_ops()
+    assert vars(copy)["_logs"] == Identity(copy.params, coeffs)._logs
+    assert evaluate_tag(copy, r) == tag == tag_by_monomials(cold, r)
 
 
 def test_short_evaluations_run_table_free_until_they_repay_the_tables():

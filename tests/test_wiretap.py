@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -29,7 +30,7 @@ from secrid.wiretap import (
     split_leakage_budget,
 )
 
-from util import ScriptedSource
+from util import ScriptedSource, table_built, table_free
 
 
 def params_for(q, ell_prime, **kw):
@@ -228,6 +229,39 @@ def test_decrypt_validates_its_operands(seed, x):
     assert decrypt(params, GOOD_SEED, (1, 4, 0)) == 4  # 2 + 4 + 3 = 9 = 4
     with pytest.raises(ValueError):
         decrypt(params, seed, x)
+
+
+@st.composite
+def cipher_cases(draw):
+    pm = draw(st.sampled_from([(3, 2), (3, 10)]))
+    q = pm[0] ** pm[1]
+    element = st.one_of(st.just(0), st.integers(0, q - 1))
+    ell_prime = draw(st.integers(2, 6))
+    pivot = draw(st.integers(0, ell_prime - 1))
+    below = tuple(draw(st.lists(element, min_size=pivot, max_size=pivot)))
+    seed = Seed(below + (1,) + (0,) * (ell_prime - pivot - 1), draw(element), pivot)
+    x = tuple(draw(st.lists(element, min_size=ell_prime, max_size=ell_prime)))
+    return pm, ell_prime, seed, draw(element), x, draw(st.integers(0, 2 ** 32))
+
+
+@functools.lru_cache(maxsize=None)
+def cipher_fields(pm):
+    return table_built(*pm), table_free(*pm)
+
+
+@given(cipher_cases())
+@settings(max_examples=200, deadline=None)
+def test_log_domain_cipher_matches_the_table_free_pair(case):
+    pm, ell_prime, seed, message, x, stream = case
+    built, plain = (SecrecyParams(f, ell_prime) for f in cipher_fields(pm))
+    assert built.field._tables[2] is not None and plain.field._tables is None
+    cipher = encrypt(built, seed, message, random.Random(stream))
+    assert cipher == encrypt(plain, seed, message, random.Random(stream))
+    assert decrypt(built, seed, cipher) == message == decrypt(plain, seed, cipher)
+    # x with zero symbols, and the pivot-0 seed, whose sum is s0 + x_0
+    assert decrypt(built, seed, x) == decrypt(plain, seed, x)
+    first = Seed((1,) + (0,) * (ell_prime - 1), seed.s0, 0)
+    assert decrypt(built, first, x) == plain.field.add(seed.s0, x[0])
 
 
 # ---------------------------------------------------------------------------

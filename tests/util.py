@@ -1,5 +1,5 @@
 """Deterministic stand-ins for random.Random used by the sampling tests,
-a checked dot product, the tag of the two-layer Reed-Solomon baseline,
+table-free and table-built fields, a checked dot product, the tag of the two-layer Reed-Solomon baseline,
 whose error quote is all the library needs, a per-monomial tag, a
 per-point sweep for the identification error, and the closed forms and
 the byte inverse that only the tests call."""
@@ -13,6 +13,20 @@ from typing import Sequence
 from secrid.ff import Field, field_for
 from secrid.rmid import IdCodeParams, Identity, monomial_exponents
 from secrid.rsid import RsIdParams, epsilon_2rs, min_challenges_for
+
+
+def table_free(p: int, m: int) -> Field:
+    """A GF(p^m) fixed on its digit pair, so it never builds tables."""
+    field = Field(p, m)
+    field._ops = field._digit_ops()
+    return field
+
+
+def table_built(p: int, m: int) -> Field:
+    """A fresh GF(p^m) with its tables built."""
+    field = Field(p, m)
+    field.fast_ops()
+    return field
 
 
 class ScriptedSource:
