@@ -3,14 +3,15 @@
 JSON goes to stdout, machine-readable errors go to stderr as JSON with exit
 code 1; argparse handles usage errors with exit code 2.  Every drawing
 subcommand takes --seed, and identical seeds give byte-identical output.
-A --config file (KEY = VALUE lines, # comments) supplies defaults for the
-common numeric options; explicit flags win.
+A --config file (KEY = VALUE lines, # comments) sets the default of each
+flag it names; explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from . import __version__
 from .ff import Field, field_for, prime_power
 from .rmid import (
     BUDGET_POLICIES,
+    Challenge,
     IdCodeParams,
     Identity,
     MultiChallenge,
@@ -71,10 +73,13 @@ def _fail(kind: str, message: str) -> int:
 
 
 def _read_json(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _write_outputs(files: dict[str, bytes]) -> None:
@@ -101,6 +106,14 @@ def _write_outputs(files: dict[str, bytes]) -> None:
         raise
 
 
+def _write_text(out: str | None, text: str) -> None:
+    """text to the file out through _write_outputs, or to stdout."""
+    if out:
+        _write_outputs({out: text.encode()})
+    else:
+        sys.stdout.write(text)
+
+
 def _load_config(path: str) -> dict:
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -121,35 +134,48 @@ def _load_config(path: str) -> dict:
     return values
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    for key, value in _load_config(args.config).items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+def _read_records(path: str, key: str, record_cls, field: Field | None = None):
+    """(header, field, records) of a challenge, secret-challenge or seeds file.
+    q is an integer naming the field, optional only if the field is given;
+    ell, if present, an integer; every point r canonical, all of one length."""
+    header = _read_json(path)
+    records = tuple(record_cls.from_json_dict(obj) for obj in json_field(header, key, list))
+    if field is None:
+        field = Field.from_q(json_field(header, "q", int))
+    elif "q" in header and json_field(header, "q", int) != field.q:
+        raise DomainError(
+            f"challenge was issued over GF({header['q']}), "
+            f"identity lives in GF({field.q})"
+        )
+    ell = json_field(header, "ell", int) if "ell" in header else None
+    for record in records:
+        r = getattr(record, "r", ())  # a seed has no point
+        ell = len(r) if ell is None else ell
+        if len(r) != ell:
+            raise ValueError(f"challenge point has {len(r)} coordinates, expected {ell!r}")
+        for x in r:
+            field._check(x)
+    return header, field, records
 
 
 def _field_from_args(args) -> Field:
-    if getattr(args, "q", None) is not None:
-        if getattr(args, "p", None) is not None or getattr(args, "m", None) is not None:
-            p, m = prime_power(args.q)
-            if (args.p is not None and args.p != p) or (
-                args.m is not None and args.m != m
-            ):
-                raise DomainError(f"--q {args.q} is not --p raised to --m")
-        return Field.from_q(args.q)
-    if getattr(args, "p", None) is None:
-        raise DomainError("give --q or --p (with optional --m)")
-    return field_for(args.p, args.m if args.m is not None else 1)
+    if args.q is None:
+        if args.p is None:
+            raise DomainError("give --q or --p (with optional --m)")
+        return field_for(args.p, 1 if args.m is None else args.m)
+    p, m = prime_power(args.q)
+    if args.p not in (None, p) or args.m not in (None, m):
+        raise DomainError(f"--q {args.q} is not --p raised to --m")
+    return field_for(p, m)
 
 
 def _rng(args) -> random.Random:
     return random.Random(args.seed)  # Random(None) seeds from the OS
 
 
-def _channel(kind: str, q: int, delta_text: str | None):
-    """Observation channel by name; delta_text ("1/8", "0.125") defaults to 0
-    and is ignored by the parameter-free identity and uniform channels."""
+def _channel(kind: str, q: int, delta_text: str):
+    """Observation channel by name; delta_text ("1/8", "0.125") is ignored
+    by the parameter-free identity and uniform channels."""
     from fractions import Fraction
 
     from .analysis import ChannelModel
@@ -157,8 +183,7 @@ def _channel(kind: str, q: int, delta_text: str | None):
     if kind in ("identity", "uniform"):
         return getattr(ChannelModel, kind)(q)
     if kind in ("symmetric", "erasure"):
-        delta = Fraction(delta_text) if delta_text is not None else Fraction(0)
-        return getattr(ChannelModel, kind)(q, delta)
+        return getattr(ChannelModel, kind)(q, Fraction(delta_text))
     raise DomainError(f"unknown channel kind {kind!r}")
 
 
@@ -176,7 +201,7 @@ def _require(args, *names: str) -> None:
 def cmd_gen_identity(args) -> int:
     _require(args, "ell", "k")
     field = _field_from_args(args)
-    params = IdCodeParams(field, args.ell, args.k, 1 if args.n is None else args.n)
+    params = IdCodeParams(field, args.ell, args.k, args.n)
     # every coefficient is held in memory; 2^24 is ~28x what the bench mints.
     # C(n, i) rises up to i = min(ell, k), so a huge count fails at a small i
     n = params.ell + params.k
@@ -210,32 +235,13 @@ def cmd_challenge(args) -> int:
     return 0
 
 
-def _check_points(field: Field, header: dict, points) -> None:
-    """Every challenge point has the header's ell coordinates (as many as
-    the first one without that header), each a canonical element of the
-    field."""
-    ell = json_field(header, "ell", int) if "ell" in header else None
-    for r in points:
-        ell = len(r) if ell is None else ell
-        if len(r) != ell:
-            raise ValueError(f"challenge point has {len(r)} coordinates, expected {ell!r}")
-        for x in r:
-            field._check(x)
-
-
 def cmd_verify(args) -> int:
     identity = Identity.from_json_dict(_read_json(args.identity))
-    header = _read_json(args.challenge)
-    mc = MultiChallenge.from_json_dict(header)
     field = identity.params.field
-    if header.get("q") not in (None, field.q):
-        raise DomainError(
-            f"challenge was issued over GF({header['q']}), "
-            f"identity lives in GF({field.q})"
-        )
-    for c in mc.challenges:
+    _, _, challenges = _read_records(args.challenge, "challenges", Challenge, field)
+    for c in challenges:
         field._check(c.tag)
-    failed = first_failure(identity, mc)
+    failed = first_failure(identity, MultiChallenge(challenges))
     if failed is not None:
         sys.stderr.write(f"reject: challenge {failed} (0-based) is the first to fail\n")
     _emit({"accept": failed is None})
@@ -251,14 +257,9 @@ def cmd_encrypt(args) -> int:
         sample_seed,
     )
 
-    header = _read_json(args.challenge)
-    mc = MultiChallenge.from_json_dict(header)
-    if "q" not in header:
-        raise DomainError("challenge file lacks the q header needed to encrypt")
-    field = Field.from_q(header["q"])
-    if not mc.challenges:
+    header, field, challenges = _read_records(args.challenge, "challenges", Challenge)
+    if not challenges:
         raise DomainError("challenge file holds no challenges")
-    _check_points(field, header, [c.r for c in mc.challenges])
     if args.ell_prime is not None:
         ell_prime = args.ell_prime
     elif args.kappa is not None and args.epsilon is not None:
@@ -269,8 +270,8 @@ def cmd_encrypt(args) -> int:
         check_binary_seed_length(ell_prime)
     params = SecrecyParams(field, ell_prime)
     rng = _rng(args)
-    seeds = [sample_seed(params, rng) for _ in mc.challenges]
-    secrets = encrypt_tags(params, mc, seeds, rng)
+    seeds = [sample_seed(params, rng) for _ in challenges]
+    secrets = encrypt_tags(params, MultiChallenge(challenges), seeds, rng)
     seeds_obj = {
         "q": field.q,
         "ell_prime": ell_prime,
@@ -285,7 +286,7 @@ def cmd_encrypt(args) -> int:
     _write_outputs(files)
     out = {
         "q": field.q,
-        "ell": header.get("ell", len(mc.challenges[0].r)),
+        "ell": header.get("ell", len(challenges[0].r)),
         "ell_prime": ell_prime,
         "secret_challenges": [sc.to_json_dict() for sc in secrets],
     }
@@ -296,22 +297,15 @@ def cmd_encrypt(args) -> int:
 def cmd_decrypt(args) -> int:
     from .wiretap import SecrecyParams, SecretChallenge, Seed, decrypt_tags
 
-    secret_obj = _read_json(args.secret)
-    seeds_obj = _read_json(args.seeds)
-    seeds = [Seed.from_json_dict(s) for s in json_field(seeds_obj, "seeds", list)]
-    secrets = [
-        SecretChallenge.from_json_dict(sc)
-        for sc in json_field(secret_obj, "secret_challenges", list)
-    ]
-    if secret_obj.get("q") != seeds_obj.get("q"):
+    secret_obj, field, secrets = _read_records(args.secret, "secret_challenges", SecretChallenge)
+    seeds_obj, seeds_field, seeds = _read_records(args.seeds, "seeds", Seed)
+    if seeds_field != field:
         raise DomainError("secret challenges and seeds disagree on q")
     if secret_obj.get("ell_prime") != seeds_obj.get("ell_prime"):
         raise DomainError("secret challenges and seeds disagree on ell_prime")
-    field = Field.from_q(seeds_obj["q"])
     if not secrets:
         raise DomainError("secret challenge file holds no challenges")
     params = SecrecyParams(field, seeds_obj["ell_prime"])
-    _check_points(field, secret_obj, [sc.r for sc in secrets])
     mc = decrypt_tags(params, seeds, secrets)
     _emit(
         {
@@ -332,8 +326,8 @@ def cmd_params(args) -> int:
         q=_field_from_args(args).q,
         ell=args.ell,
         k=args.k,
-        kappa=args.kappa if args.kappa is not None else 0.0,
-        budget_policy=args.budget_policy or "paper",
+        kappa=args.kappa,
+        budget_policy=args.budget_policy,
         epsilon_total=args.epsilon,
     )
     _emit(report.to_json_dict())
@@ -365,7 +359,7 @@ def cmd_leakage_bound(args) -> int:
     return 0
 
 
-def _sweep_point(point: tuple[int, int, str, str | None]) -> list:
+def _sweep_point(point: tuple[int, int, str, str]) -> list:
     from .analysis import exact_leakage
     from .wiretap import SecrecyParams
 
@@ -394,15 +388,9 @@ def cmd_leakage_exact(args) -> int:
         report = exact_leakage(params, _channel(args.channel, field.q, args.delta))
         _emit(report.to_json_dict())
         return 0
-    deltas = args.deltas.split(",") if args.deltas else ["0", "1/8", "1/4", "1/2"]
-    ell_primes = (
-        [int(v) for v in args.ell_primes.split(",")] if args.ell_primes else [2, 3]
-    )
-    points = [
-        (field.q, lp, args.channel, d)
-        for lp in ell_primes
-        for d in deltas
-    ]
+    deltas = args.deltas.split(",")
+    ell_primes = [int(v) for v in args.ell_primes.split(",")]
+    points = [(field.q, lp, args.channel, d) for lp in ell_primes for d in deltas]
     size = _pool_size(args.workers, len(points))
     if size > 1:
         from multiprocessing import get_context
@@ -411,14 +399,11 @@ def cmd_leakage_exact(args) -> int:
             rows = pool.map(_sweep_point, points)  # map keeps input order
     else:
         rows = [_sweep_point(pt) for pt in points]
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(LEAKAGE_CSV_HEADER)
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(LEAKAGE_CSV_HEADER)
+    writer.writerows(rows)
+    _write_text(args.out, text.getvalue())
     return 0
 
 
@@ -439,32 +424,34 @@ def cmd_capacity_check(args) -> int:
 def cmd_bench(args) -> int:
     from .bench import run_grid, write_csv
 
+    # the reference field, unless a flag or config key names one
+    named = (args.q, args.p, args.m) != (None, None, None)
+    q = _field_from_args(args).q if named else 59049
     records = []
-    for kappa_text in (args.kappas or str(args.kappa if args.kappa is not None else 0.2)).split(","):
+    for kappa_text in (args.kappas or str(args.kappa)).split(","):
         records.extend(
             run_grid(
-                q=args.q if args.q is not None else 59049,
+                q=q,
                 kappa=float(kappa_text),
                 reps=args.reps,
-                budget_policy=args.budget_policy or "paper",
+                budget_policy=args.budget_policy,
                 max_coeffs=args.max_coeffs,
-                seed=args.seed if args.seed is not None else 0,
+                seed=args.seed,
                 ells=tuple(int(v) for v in args.ells.split(",")),
                 k_multipliers=tuple(int(v) for v in args.k_multipliers.split(",")),
             )
         )
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            write_csv(records, fh)
-    else:
-        write_csv(records, sys.stdout)
+    text = io.StringIO()
+    write_csv(records, text)
+    _write_text(args.out, text.getvalue())
     return 0
 
 
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; config values replace the defaults of the flags they name."""
     parser = argparse.ArgumentParser(
         prog="secrid",
         description="identification codecs with information-theoretically secret tags",
@@ -472,9 +459,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="KEY = VALUE defaults file")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed; same seed, same bytes")
+    def common_args(seed: int | None) -> argparse.ArgumentParser:
+        # bench gets its own: children share a parent's actions and defaults
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument("--config", help="KEY = VALUE defaults file")
+        parent.add_argument("--seed", type=int, default=seed,
+                            help="RNG seed; same seed, same bytes")
+        return parent
+
+    common = common_args(None)
 
     fieldargs = argparse.ArgumentParser(add_help=False)
     fieldargs.add_argument("--q", type=int, default=None, help="field size (prime power)")
@@ -485,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mint an identity from bytes or at random")
     s.add_argument("--ell", type=int, default=None)
     s.add_argument("--k", type=int, default=None)
-    s.add_argument("--n", type=int, default=None, help="challenges per verification")
+    s.add_argument("--n", type=int, default=1, help="challenges per verification")
     src = s.add_mutually_exclusive_group()
     src.add_argument("--data-hex", help="payload bytes as hex")
     src.add_argument("--data-file", help="payload bytes from a file")
@@ -520,10 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="plan challenges, budget, and ciphertext length")
     s.add_argument("--ell", type=int, default=None)
     s.add_argument("--k", type=int, default=None)
-    s.add_argument("--kappa", type=float, default=None)
+    s.add_argument("--kappa", type=float, default=0.0)
     s.add_argument("--epsilon", type=float, default=None,
                    help="override the secrecy budget (default: the layered-baseline error)")
-    s.add_argument("--budget-policy", choices=BUDGET_POLICIES, default=None)
+    s.add_argument("--budget-policy", choices=BUDGET_POLICIES, default="paper")
     s.set_defaults(func=cmd_params)
 
     s = sub.add_parser("leakage-bound", parents=[common, fieldargs],
@@ -538,10 +531,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ell-prime", type=int, default=2)
     s.add_argument("--channel", choices=["identity", "uniform", "symmetric", "erasure"],
                    default="symmetric")
-    s.add_argument("--delta", default=None, help="channel parameter, e.g. 1/8")
+    s.add_argument("--delta", default="0", help="channel parameter, e.g. 1/8")
     s.add_argument("--sweep", action="store_true", help="emit a CSV grid instead")
-    s.add_argument("--deltas", help="comma list for --sweep")
-    s.add_argument("--ell-primes", help="comma list for --sweep")
+    s.add_argument("--deltas", default="0,1/8,1/4,1/2", help="comma list for --sweep")
+    s.add_argument("--ell-primes", default="2,3", help="comma list for --sweep")
     s.add_argument("--workers", type=int, default=1,
                    help="sweep processes, capped at the sweep points and the CPU count")
     s.add_argument("--out", help="CSV path (default stdout)")
@@ -553,25 +546,27 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sweep-to", type=int, default=None)
     s.set_defaults(func=cmd_capacity_check)
 
-    s = sub.add_parser("bench", parents=[common, fieldargs], help="latency grid to CSV")
-    s.add_argument("--kappa", type=float, default=None)
+    s = sub.add_parser("bench", parents=[common_args(0), fieldargs], help="latency grid to CSV")
+    s.add_argument("--kappa", type=float, default=0.2)
     s.add_argument("--kappas", help="comma list of kappa values")
     s.add_argument("--reps", type=int, default=50)
     s.add_argument("--max-coeffs", type=int, default=600_000)
     s.add_argument("--ells", default="2,3,4,5,6")
     s.add_argument("--k-multipliers", default="10,20,30,40,50")
-    s.add_argument("--budget-policy", choices=BUDGET_POLICIES, default=None)
+    s.add_argument("--budget-policy", choices=BUDGET_POLICIES, default="paper")
     s.add_argument("--out", help="CSV path (default stdout)")
     s.set_defaults(func=cmd_bench)
 
+    for s in sub.choices.values():
+        s.set_defaults(**(config or {}))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:  # parse again, with the file's values as defaults
+            args = build_parser(_load_config(args.config)).parse_args(argv)
         return args.func(args)
     except (DomainError, ValueError, ZeroDivisionError) as exc:
         return _fail(type(exc).__name__, str(exc))

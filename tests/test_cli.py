@@ -1,4 +1,7 @@
+import contextlib
+import copy
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -6,9 +9,12 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import secrid
 from secrid import cli, rmid
@@ -540,6 +546,88 @@ def test_capacity_check_rejects_an_inverted_range(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "field_args,config,q",
+    [([], "", 59049), (["--p", "5", "--m", "2"], "", 25), (["--q", "7"], "", 7),
+     ([], "p = 3\n", 3), (["--q", "9"], "q = 25\n", 9)],
+    ids=["default", "p_m", "q", "config_p", "flag_over_config"],
+)
+def test_bench_resolves_its_field_from_any_field_flag(
+    tmp_path, capsys, monkeypatch, field_args, config, q
+):
+    # the grid itself is not run: only the field it would run on is read
+    seen = []
+    monkeypatch.setattr("secrid.bench.run_grid", lambda **kw: seen.append(kw["q"]) or [])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    code, out, err = run_cli(capsys, "bench", *field_args, "--config", str(cfg))
+    assert code == 0, err
+    assert seen == [q]
+    assert out.splitlines()[0].startswith("schema_version,")
+
+
+def test_bench_csv_names_the_field_given_as_p_and_m(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "bench", "--p", "5", "--m", "2", "--ells", "1", "--k-multipliers", "2",
+        "--reps", "30", "--seed", "0",
+    )
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 4
+    assert {row["q"] for row in rows} == {"25"}
+
+
+def test_bench_rejects_a_degree_without_a_characteristic(capsys, monkeypatch):
+    def no_grid(**kwargs):
+        raise AssertionError(f"bench ran its grid at q = {kwargs['q']}")
+
+    monkeypatch.setattr("secrid.bench.run_grid", no_grid)
+    code, out, err = run_cli(capsys, "bench", "--m", "2")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "kind": "DomainError", "message": "give --q or --p (with optional --m)",
+    }
+
+
+def _disk_full_after_first_row(monkeypatch):
+    """Make every csv writer fail with ENOSPC after its first row."""
+    real_writer = csv.writer
+
+    class DiskFull:
+        def __init__(self, fh, *args, **kwargs):
+            self.inner = real_writer(fh, *args, **kwargs)
+            self.rows = 0
+
+        def writerow(self, row):
+            if self.rows:
+                raise OSError(28, "No space left on device")
+            self.rows += 1
+            return self.inner.writerow(row)
+
+        def writerows(self, rows):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(csv, "writer", DiskFull)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["leakage-exact", "--q", "3", "--sweep"],
+     ["bench", "--q", "25", "--ells", "1", "--k-multipliers", "2", "--reps", "30"]],
+    ids=["leakage_exact_sweep", "bench"],
+)
+def test_a_failed_csv_write_leaves_the_old_output_alone(tmp_path, capsys, monkeypatch, argv):
+    out = tmp_path / "out.csv"
+    out.write_text("earlier results\n")
+    _disk_full_after_first_row(monkeypatch)
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert json.loads(err)["error"]["kind"] == "OSError"
+    assert out.read_text() == "earlier results\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
 def test_bench_command_writes_csv(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     code, _, _ = run_cli(
@@ -565,6 +653,15 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
         capsys, "gen-identity", "--config", str(cfg), "--k", "3",
     )
     assert len(overridden["coeffs"]) == 4
+
+
+@pytest.mark.parametrize("flag,ell_prime", [([], 3), (["--ell-prime", "2"], 2)])
+def test_config_sets_leakage_exact_ell_prime_and_the_flag_wins(tmp_path, capsys, flag, ell_prime):
+    # --ell-prime has a default of its own (2), which the config replaces
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("q = 3\nell_prime = 3\n")
+    obj = run_json(capsys, "leakage-exact", "--config", str(cfg), "--delta", "1/4", *flag)
+    assert obj["ell_prime"] == ell_prime
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
@@ -621,6 +718,23 @@ def test_malformed_json_exits_one_with_json(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"]["kind"] == "JSONDecodeError"
+
+
+@pytest.mark.parametrize("target", ["identity", "challenge"])
+def test_deeply_nested_json_exits_one_with_json(pipeline, tmp_path, capsys, target):
+    # the JSON decoder recurses once per level and runs out of stack here
+    identity, challenge = pipeline
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    paths = {"identity": identity, "challenge": challenge, target: deep}
+    code, out, err = run_cli(
+        capsys, "verify", "--identity", str(paths["identity"]),
+        "--challenge", str(paths["challenge"]),
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "kind": "ValueError", "message": f"{deep}: JSON nested too deeply to read",
+    }
 
 
 def _assert_prints_version(result):
@@ -939,6 +1053,8 @@ def _set_path(path, value):
         ("verify", "challenge", lambda obj: [1]),
         ("verify", "challenge", _set_path(("challenges",), 5)),
         ("verify", "challenge", _set_path(("challenges",), [1, 2])),
+        ("verify", "challenge", _set_path(("q",), 25.0)),
+        ("verify", "challenge", _set_path(("q",), "25")),
         ("encrypt", "challenge", _set_path(("challenges", 0, "r", 0), 99)),
         ("encrypt", "challenge", _set_path(("challenges", 0, "r", 0), True)),
         ("encrypt", "challenge", _set_path(("challenges", 0, "r"), [0])),
@@ -955,6 +1071,7 @@ def _set_path(path, value):
     ],
     ids=[
         "challenge_array", "challenges_not_list", "challenge_not_object",
+        "verify_q_float", "verify_q_string",
         "r_outside_field", "r_true", "r_too_short", "q_string", "ell_string",
         "secret_array", "secret_r_99", "secret_r_outside_field", "x_not_list",
         "x_outside_field", "seeds_not_list", "pivot_float", "s_string",
@@ -1031,3 +1148,130 @@ def test_oversized_fields_fail_fast(pipeline, tmp_path, case):
     assert error["kind"] == "ValueError"
     assert "above the limit 2^32" in error["message"]
     assert not seeds_out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the boundary under mutated record files and config lines
+
+
+def _main_captured(argv):
+    """(exit code, stdout, stderr) of main(argv), run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@functools.lru_cache(maxsize=None)
+def _round_records():
+    """The JSON records of one seeded round over GF(25), by file name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {name: os.path.join(tmp, name) for name in
+                 ("identity", "challenge", "secret", "seeds")}
+        steps = [
+            ("identity", ["gen-identity", "--q", "25", "--ell", "2", "--k", "3",
+                          "--n", "2", "--seed", "3"]),
+            ("challenge", ["challenge", "--identity", files["identity"], "--seed", "5"]),
+            ("secret", ["encrypt", "--challenge", files["challenge"], "--ell-prime", "3",
+                        "--seeds-out", files["seeds"], "--seed", "7"]),
+        ]
+        for name, argv in steps:
+            code, out, err = _main_captured(argv)
+            assert code == 0, err
+            Path(files[name]).write_text(out)
+        return {name: json.loads(Path(path).read_text()) for name, path in files.items()}
+
+
+def _json_paths(obj, path=()):
+    """The path of every node of a JSON value, the root's () included."""
+    yield path
+    if isinstance(obj, dict):
+        children = obj.items()
+    elif isinstance(obj, list):
+        children = enumerate(obj)
+    else:
+        children = ()
+    for key, value in children:
+        yield from _json_paths(value, (*path, key))
+
+
+DROP = object()  # a mutation that removes the node instead of replacing it
+FUZZ_VALUES = [True, False, None, "1", "", 1.5, 25.0, -1, 25, 2 ** 64, [], {}, [0, 0]]
+# each input file of the subcommands that read record files
+FUZZ_TARGETS = {"verify": ["challenge"], "encrypt": ["challenge"],
+                "decrypt": ["secret", "seeds"]}
+CONFIG_VALUES = ["x", "1.5", "True", "", "-1", "0", "1", "3", "nan", "1e400"]
+
+
+@st.composite
+def boundary_cases(draw):
+    """A subcommand, at most one mutated node in one of its record files,
+    and, in one case of four, an extra (mostly mistyped) config line."""
+    command = draw(st.sampled_from(sorted(FUZZ_TARGETS)))
+    target = draw(st.sampled_from([None, *FUZZ_TARGETS[command]]))
+    edit = None
+    if target is not None:
+        path = draw(st.sampled_from(list(_json_paths(_round_records()[target]))))
+        value = draw(st.just(DROP) | st.sampled_from(FUZZ_VALUES) | st.integers(-3, 30))
+        edit = (target, path, value)
+    line = None
+    if draw(st.integers(0, 3)) == 0:
+        line = draw(
+            st.just("no equals sign")
+            | st.builds("{} = {}".format, st.sampled_from([*cli.CONFIG_KEYS, "bogus"]),
+                        st.sampled_from(CONFIG_VALUES))
+        )
+    return command, edit, line
+
+
+def _mutated(obj, path, value):
+    """A copy of obj with the node at path replaced by value, or removed
+    for DROP; removing the root leaves an empty object."""
+    if not path:
+        return {} if value is DROP else value
+    obj = copy.deepcopy(obj)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return obj
+
+
+@given(boundary_cases())
+@settings(max_examples=250, deadline=None, derandomize=True)
+def test_mutated_inputs_exit_zero_or_fail_with_json_and_no_output(case):
+    command, edit, line = case
+    records = dict(_round_records())
+    if edit is not None:
+        target, path, value = edit
+        records[target] = _mutated(records[target], path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {name: os.path.join(tmp, name) for name in records}
+        for name, obj in records.items():
+            Path(files[name]).write_text(json.dumps(obj))
+        cfg = os.path.join(tmp, "run.cfg")
+        Path(cfg).write_text("ell_prime = 3\nseed = 2\n" + (line or "") + "\n")
+        out_dir = Path(tmp, "out")
+        out_dir.mkdir()
+        argv = {
+            "verify": ["--identity", files["identity"], "--challenge", files["challenge"]],
+            "encrypt": ["--challenge", files["challenge"],
+                        "--seeds-out", str(out_dir / "seeds.json"),
+                        "--seeds-bin-out", str(out_dir / "seeds.bin"),
+                        "--out-bin", str(out_dir / "secret.bin")],
+            "decrypt": ["--secret", files["secret"], "--seeds", files["seeds"]],
+        }[command]
+        code, out, err = _main_captured([command, *argv, "--config", cfg])
+        written = sorted(p.name for p in out_dir.iterdir())
+    assert code in (0, 1)
+    if code == 0:
+        json.loads(out)
+        assert written == (["secret.bin", "seeds.bin", "seeds.json"] if command == "encrypt" else [])
+    else:
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert sorted(error) == ["kind", "message"]
+        assert written == []
