@@ -5,6 +5,11 @@ code 1; argparse handles usage errors with exit code 2.  Every drawing
 subcommand takes --seed, and identical seeds give byte-identical output.
 A --config file (KEY = VALUE lines, # comments) sets the default of each
 flag it names; explicit flags win.
+
+Each subcommand computes all its outputs and returns them as (path, data)
+pairs, and main writes them: nothing is written until every output is
+computed, two outputs in one place are refused, and files are written
+before stdout.
 """
 
 from __future__ import annotations
@@ -60,15 +65,8 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit(obj) -> None:
-    sys.stdout.write(_dumps(obj))
-
-
 def _fail(kind: str, message: str) -> int:
-    sys.stderr.write(
-        json.dumps({"error": {"kind": kind, "message": message}}, sort_keys=True)
-        + "\n"
-    )
+    sys.stderr.write(_dumps({"error": {"kind": kind, "message": message}}))
     return 1
 
 
@@ -82,12 +80,24 @@ def _read_json(path: str) -> dict:
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
-def _write_outputs(files: dict[str, bytes]) -> None:
-    """Write each output to a temp file beside it, then move them all into
-    place, so a failure leaves neither a partial output nor a temp file."""
+def _write_outputs(outputs) -> None:
+    """Write a subcommand's (path, data) outputs, where a path of None or ""
+    was not asked for and "-" is stdout.  Two outputs in one place are
+    refused before any write; each file goes to a temp file beside it, then
+    they all move into place, and stdout comes last, so a failure leaves
+    neither a partial output nor a temp file."""
+    places: dict[str, tuple[str, str | bytes]] = {}
+    for path, data in outputs:
+        if not path:
+            continue
+        place = path if path == "-" else os.path.realpath(path)
+        if place in places:
+            raise DomainError(f"two outputs go to {'stdout' if place == '-' else place}")
+        places[place] = (path, data)
+    _, text = places.pop("-", (None, ""))
     temps: list[str] = []
     try:
-        for path, data in files.items():
+        for path, data in places.values():
             tmp = f"{path}.{os.getpid()}.tmp"
             try:
                 fh = open(tmp, "wb")
@@ -96,22 +106,15 @@ def _write_outputs(files: dict[str, bytes]) -> None:
                 raise
             temps.append(tmp)
             with fh:
-                fh.write(data)
-        for tmp, path in zip(temps, files):
+                fh.write(data.encode() if isinstance(data, str) else data)
+        for tmp, (path, _) in zip(temps, places.values()):
             os.replace(tmp, path)
     except BaseException:
         for tmp in temps:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
         raise
-
-
-def _write_text(out: str | None, text: str) -> None:
-    """text to the file out through _write_outputs, or to stdout."""
-    if out:
-        _write_outputs({out: text.encode()})
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(text)
 
 
 def _load_config(path: str) -> dict:
@@ -137,7 +140,8 @@ def _load_config(path: str) -> dict:
 def _read_records(path: str, key: str, record_cls, field: Field | None = None):
     """(header, field, records) of a challenge, secret-challenge or seeds file.
     q is an integer naming the field, optional only if the field is given;
-    ell, if present, an integer; every point r canonical, all of one length."""
+    ell and ell_prime, if present, integers; every point r canonical, all
+    of one length."""
     header = _read_json(path)
     records = tuple(record_cls.from_json_dict(obj) for obj in json_field(header, key, list))
     if field is None:
@@ -147,6 +151,8 @@ def _read_records(path: str, key: str, record_cls, field: Field | None = None):
             f"challenge was issued over GF({header['q']}), "
             f"identity lives in GF({field.q})"
         )
+    if "ell_prime" in header:
+        json_field(header, "ell_prime", int)
     ell = json_field(header, "ell", int) if "ell" in header else None
     for record in records:
         r = getattr(record, "r", ())  # a seed has no point
@@ -167,10 +173,6 @@ def _field_from_args(args) -> Field:
     if args.p not in (None, p) or args.m not in (None, m):
         raise DomainError(f"--q {args.q} is not --p raised to --m")
     return field_for(p, m)
-
-
-def _rng(args) -> random.Random:
-    return random.Random(args.seed)  # Random(None) seeds from the OS
 
 
 def _channel(kind: str, q: int, delta_text: str):
@@ -198,7 +200,7 @@ def _require(args, *names: str) -> None:
         raise DomainError(f"missing {flags} (flag or config key)")
 
 
-def cmd_gen_identity(args) -> int:
+def cmd_gen_identity(args) -> list:
     _require(args, "ell", "k")
     field = _field_from_args(args)
     params = IdCodeParams(field, args.ell, args.k, args.n)
@@ -213,15 +215,14 @@ def cmd_gen_identity(args) -> int:
         with open(args.data_file, "rb") as fh:
             identity = identity_from_bytes(fh.read(), params)
     else:
-        rng = _rng(args)
+        rng = random.Random(args.seed)  # Random(None) seeds from the OS
         identity = Identity(params, field.sample_vector(rng, params.coeff_count))
-    _emit(identity.to_json_dict())
-    return 0
+    return [("-", _dumps(identity.to_json_dict()))]
 
 
-def cmd_challenge(args) -> int:
+def cmd_challenge(args) -> list:
     identity = Identity.from_json_dict(_read_json(args.identity))
-    mc = generate_multi(identity, _rng(args))
+    mc = generate_multi(identity, random.Random(args.seed))
     field = identity.params.field
     out = {
         "q": field.q,
@@ -229,13 +230,10 @@ def cmd_challenge(args) -> int:
         "n": identity.params.n_challenges,
         **mc.to_json_dict(),
     }
-    if args.out_bin:
-        _write_outputs({args.out_bin: mc.to_bytes(field)})
-    _emit(out)
-    return 0
+    return [(args.out_bin, args.out_bin and mc.to_bytes(field)), ("-", _dumps(out))]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> list:
     identity = Identity.from_json_dict(_read_json(args.identity))
     field = identity.params.field
     _, _, challenges = _read_records(args.challenge, "challenges", Challenge, field)
@@ -244,11 +242,10 @@ def cmd_verify(args) -> int:
     failed = first_failure(identity, MultiChallenge(challenges))
     if failed is not None:
         sys.stderr.write(f"reject: challenge {failed} (0-based) is the first to fail\n")
-    _emit({"accept": failed is None})
-    return 0
+    return [("-", _dumps({"accept": failed is None}))]
 
 
-def cmd_encrypt(args) -> int:
+def cmd_encrypt(args) -> list:
     from .wiretap import (
         SecrecyParams,
         check_binary_seed_length,
@@ -257,6 +254,8 @@ def cmd_encrypt(args) -> int:
         sample_seed,
     )
 
+    if not args.seeds_out:  # the one output that may not be left out
+        raise DomainError("--seeds-out names no file")
     header, field, challenges = _read_records(args.challenge, "challenges", Challenge)
     if not challenges:
         raise DomainError("challenge file holds no challenges")
@@ -269,7 +268,7 @@ def cmd_encrypt(args) -> int:
     if args.seeds_bin_out:
         check_binary_seed_length(ell_prime)
     params = SecrecyParams(field, ell_prime)
-    rng = _rng(args)
+    rng = random.Random(args.seed)
     seeds = [sample_seed(params, rng) for _ in challenges]
     secrets = encrypt_tags(params, MultiChallenge(challenges), seeds, rng)
     seeds_obj = {
@@ -277,24 +276,22 @@ def cmd_encrypt(args) -> int:
         "ell_prime": ell_prime,
         "seeds": [s.to_json_dict() for s in seeds],
     }
-    # every output is built before any file is opened
-    files = {args.seeds_out: _dumps(seeds_obj).encode()}
-    if args.seeds_bin_out:
-        files[args.seeds_bin_out] = b"".join(s.to_bytes(field) for s in seeds)
-    if args.out_bin:
-        files[args.out_bin] = b"".join(sc.to_bytes(field) for sc in secrets)
-    _write_outputs(files)
     out = {
         "q": field.q,
         "ell": header.get("ell", len(challenges[0].r)),
         "ell_prime": ell_prime,
         "secret_challenges": [sc.to_json_dict() for sc in secrets],
     }
-    _emit(out)
-    return 0
+    # an output that was not asked for is not built
+    return [
+        (args.seeds_out, _dumps(seeds_obj)),
+        (args.seeds_bin_out, args.seeds_bin_out and b"".join(s.to_bytes(field) for s in seeds)),
+        (args.out_bin, args.out_bin and b"".join(sc.to_bytes(field) for sc in secrets)),
+        ("-", _dumps(out)),
+    ]
 
 
-def cmd_decrypt(args) -> int:
+def cmd_decrypt(args) -> list:
     from .wiretap import SecrecyParams, SecretChallenge, Seed, decrypt_tags
 
     secret_obj, field, secrets = _read_records(args.secret, "secret_challenges", SecretChallenge)
@@ -307,18 +304,16 @@ def cmd_decrypt(args) -> int:
         raise DomainError("secret challenge file holds no challenges")
     params = SecrecyParams(field, seeds_obj["ell_prime"])
     mc = decrypt_tags(params, seeds, secrets)
-    _emit(
-        {
-            "q": field.q,
-            "ell": secret_obj.get("ell"),
-            "n": len(mc.challenges),
-            **mc.to_json_dict(),
-        }
-    )
-    return 0
+    out = {
+        "q": field.q,
+        "ell": secret_obj.get("ell"),
+        "n": len(mc.challenges),
+        **mc.to_json_dict(),
+    }
+    return [("-", _dumps(out))]
 
 
-def cmd_params(args) -> int:
+def cmd_params(args) -> list:
     from .planner import plan
 
     _require(args, "ell", "k")
@@ -330,11 +325,10 @@ def cmd_params(args) -> int:
         budget_policy=args.budget_policy,
         epsilon_total=args.epsilon,
     )
-    _emit(report.to_json_dict())
-    return 0
+    return [("-", _dumps(report.to_json_dict()))]
 
 
-def cmd_leakage_bound(args) -> int:
+def cmd_leakage_bound(args) -> list:
     from .wiretap import SecrecyParams, kappa_d2_bits, leakage_bound
 
     _require(args, "ell_prime")
@@ -347,16 +341,14 @@ def cmd_leakage_bound(args) -> int:
     else:
         raise DomainError("give --d2-bits or --kappa")
     bounds = leakage_bound(params, d2)
-    _emit(
-        {
-            "q": field.q,
-            "ell_prime": args.ell_prime,
-            "d2_bits": bounds.d2_bits,
-            "tight": bounds.tight,
-            "simplified": bounds.simplified,
-        }
-    )
-    return 0
+    out = {
+        "q": field.q,
+        "ell_prime": args.ell_prime,
+        "d2_bits": bounds.d2_bits,
+        "tight": bounds.tight,
+        "simplified": bounds.simplified,
+    }
+    return [("-", _dumps(out))]
 
 
 def _sweep_point(point: tuple[int, int, str, str]) -> list:
@@ -374,7 +366,7 @@ def _pool_size(workers: int, n_points: int) -> int:
     return min(workers, n_points, os.cpu_count() or 1)
 
 
-def cmd_leakage_exact(args) -> int:
+def cmd_leakage_exact(args) -> list:
     import csv
 
     from .analysis import LEAKAGE_CSV_HEADER, exact_leakage
@@ -386,8 +378,7 @@ def cmd_leakage_exact(args) -> int:
     if not args.sweep:
         params = SecrecyParams(field, args.ell_prime)
         report = exact_leakage(params, _channel(args.channel, field.q, args.delta))
-        _emit(report.to_json_dict())
-        return 0
+        return [("-", _dumps(report.to_json_dict()))]
     deltas = args.deltas.split(",")
     ell_primes = [int(v) for v in args.ell_primes.split(",")]
     points = [(field.q, lp, args.channel, d) for lp in ell_primes for d in deltas]
@@ -400,28 +391,23 @@ def cmd_leakage_exact(args) -> int:
     else:
         rows = [_sweep_point(pt) for pt in points]
     text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(LEAKAGE_CSV_HEADER)
-    writer.writerows(rows)
-    _write_text(args.out, text.getvalue())
-    return 0
+    csv.writer(text).writerows([LEAKAGE_CSV_HEADER, *rows])
+    return [(args.out or "-", text.getvalue())]
 
 
-def cmd_capacity_check(args) -> int:
-    if args.sweep_to is not None:
-        if args.sweep_to < args.n_seq:
-            raise DomainError(f"--sweep-to {args.sweep_to} is below --n-seq {args.n_seq}")
-        reports = [
-            capacity_diagnostics(n).to_json_dict()
-            for n in range(args.n_seq, args.sweep_to + 1)
-        ]
-        _emit(reports)
-    else:
-        _emit(capacity_diagnostics(args.n_seq).to_json_dict())
-    return 0
+def cmd_capacity_check(args) -> list:
+    if args.sweep_to is None:
+        return [("-", _dumps(capacity_diagnostics(args.n_seq).to_json_dict()))]
+    if args.sweep_to < args.n_seq:
+        raise DomainError(f"--sweep-to {args.sweep_to} is below --n-seq {args.n_seq}")
+    reports = [
+        capacity_diagnostics(n).to_json_dict()
+        for n in range(args.n_seq, args.sweep_to + 1)
+    ]
+    return [("-", _dumps(reports))]
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> list:
     from .bench import run_grid, write_csv
 
     # the reference field, unless a flag or config key names one
@@ -443,8 +429,7 @@ def cmd_bench(args) -> int:
         )
     text = io.StringIO()
     write_csv(records, text)
-    _write_text(args.out, text.getvalue())
-    return 0
+    return [(args.out or "-", text.getvalue())]
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +522,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     s.add_argument("--ell-primes", default="2,3", help="comma list for --sweep")
     s.add_argument("--workers", type=int, default=1,
                    help="sweep processes, capped at the sweep points and the CPU count")
-    s.add_argument("--out", help="CSV path (default stdout)")
+    s.add_argument("--out", help="CSV path, - for stdout (the default)")
     s.set_defaults(func=cmd_leakage_exact)
 
     s = sub.add_parser("capacity-check", parents=[common],
@@ -554,7 +539,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     s.add_argument("--ells", default="2,3,4,5,6")
     s.add_argument("--k-multipliers", default="10,20,30,40,50")
     s.add_argument("--budget-policy", choices=BUDGET_POLICIES, default="paper")
-    s.add_argument("--out", help="CSV path (default stdout)")
+    s.add_argument("--out", help="CSV path, - for stdout (the default)")
     s.set_defaults(func=cmd_bench)
 
     for s in sub.choices.values():
@@ -567,12 +552,11 @@ def main(argv=None) -> int:
     try:
         if args.config:  # parse again, with the file's values as defaults
             args = build_parser(_load_config(args.config)).parse_args(argv)
-        return args.func(args)
-    except (DomainError, ValueError, ZeroDivisionError) as exc:
-        return _fail(type(exc).__name__, str(exc))
+        _write_outputs(args.func(args))
+        return 0
     except FileNotFoundError as exc:
         return _fail("FileNotFoundError", f"{exc.filename}: no such file")
-    except OSError as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:  # DomainError is a ValueError
         return _fail(type(exc).__name__, str(exc))
     except KeyError as exc:
         return _fail("KeyError", f"missing field {exc} in input JSON")

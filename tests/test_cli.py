@@ -372,6 +372,33 @@ def test_decrypt_rejects_mismatched_files(pipeline, tmp_path, capsys):
     assert "ell_prime" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("target", ["secret", "seeds"])
+@pytest.mark.parametrize("ell_prime", [3.0, True])
+def test_decrypt_refuses_an_ell_prime_that_is_not_an_integer(
+    pipeline, tmp_path, capsys, target, ell_prime
+):
+    # 3.0 == 3 and True == 1 in Python, so only a type check tells them apart
+    _, challenge = pipeline
+    files = {"seeds": tmp_path / "seeds.json", "secret": tmp_path / "secret.json"}
+    files["secret"].write_text(
+        run_cli(
+            capsys,
+            "encrypt", "--challenge", str(challenge), "--ell-prime", "3",
+            "--seeds-out", str(files["seeds"]), "--seed", "1",
+        )[1]
+    )
+    mangled = json.loads(files[target].read_text())
+    mangled["ell_prime"] = ell_prime
+    files[target].write_text(json.dumps(mangled))
+    code, out, err = run_cli(
+        capsys, "decrypt", "--secret", str(files["secret"]), "--seeds", str(files["seeds"]),
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "kind": "ValueError", "message": f"ell_prime must be of type int, got {ell_prime!r}",
+    }
+
+
 def _symbols(values, width=1):
     """Fixed-width big-endian symbols, as docs/wire-format.md lays them out."""
     return b"".join(v.to_bytes(width, "big") for v in values)
@@ -639,6 +666,97 @@ def test_bench_command_writes_csv(tmp_path, capsys):
     rows = list(csv.reader(io.StringIO(out.read_text())))
     assert rows[0][0] == "schema_version"
     assert len(rows) == 1 + 4  # four timed operations at one grid point
+
+
+# ---------------------------------------------------------------------------
+# one writer for every output
+
+# output flags that name one place: the same path twice, two spellings of
+# one path, a symlink to another output, or a second output to stdout
+CLASHING_OUTPUTS = {
+    "same_path": ("encrypt", ["--seeds-out", "k", "--out-bin", "k"]),
+    "dot_slash": ("encrypt", ["--seeds-out", "./k", "--seeds-bin-out", "k"]),
+    "symlink": ("encrypt", ["--seeds-out", "k", "--out-bin", "link"]),
+    "seeds_out_stdout": ("encrypt", ["--seeds-out", "-"]),
+    "out_bin_stdout": ("encrypt", ["--seeds-out", "s.json", "--out-bin", "-"]),
+    "seeds_bin_out_stdout": ("encrypt", ["--seeds-out", "s.json", "--seeds-bin-out", "-"]),
+    "challenge_out_bin_stdout": ("challenge", ["--out-bin", "-"]),
+}
+
+
+@pytest.mark.parametrize("case", list(CLASHING_OUTPUTS))
+def test_outputs_in_one_place_are_refused_before_any_write(
+    pipeline, tmp_path, capsys, monkeypatch, case
+):
+    identity, challenge = pipeline
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "link").symlink_to("k")  # dangling until k is written
+    monkeypatch.chdir(out_dir)
+    command, flags = CLASHING_OUTPUTS[case]
+    inputs = {
+        "encrypt": ["--challenge", str(challenge), "--ell-prime", "3"],
+        "challenge": ["--identity", str(identity)],
+    }[command]
+    code, out, err = run_cli(capsys, command, *inputs, *flags, "--seed", "1")
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "DomainError"
+    assert error["message"].startswith("two outputs go to ")
+    assert sorted(os.listdir(out_dir)) == ["link"]
+
+
+def test_encrypt_refuses_an_empty_seeds_path(pipeline, tmp_path, capsys, monkeypatch):
+    # the seeds are the one output encrypt cannot leave out: without them
+    # the secret challenges can never be decrypted
+    _, challenge = pipeline
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    monkeypatch.chdir(out_dir)
+    code, out, err = run_cli(
+        capsys,
+        "encrypt", "--challenge", str(challenge), "--ell-prime", "3", "--seeds-out", "",
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["kind"] == "DomainError"
+    assert os.listdir(out_dir) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["leakage-exact", "--q", "3", "--sweep", "--workers", "1"],
+     ["bench", "--q", "25", "--ells", "1", "--k-multipliers", "2", "--reps", "30"]],
+    ids=["leakage_exact_sweep", "bench"],
+)
+def test_csv_out_dash_writes_stdout(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--out", "-")
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(out)))
+    default_rows = list(csv.reader(io.StringIO(run_cli(capsys, *argv)[1])))
+    assert rows[0] == default_rows[0]
+    assert len(rows) == len(default_rows) > 1
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen-identity", "--q", "7", "--ell", "1", "--k", "2", "--seed", "1"],
+     ["leakage-exact", "--q", "3", "--sweep", "--out", "grid.csv"],
+     ["capacity-check", "--n-seq", "2"]],
+    ids=["gen_identity", "leakage_exact_sweep", "capacity_check"],
+)
+def test_subcommands_return_their_outputs_and_write_nothing(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    args = cli.build_parser().parse_args(argv)
+    outputs = args.func(args)
+    assert capsys.readouterr() == ("", "")
+    assert os.listdir(tmp_path) == []
+    assert all(isinstance(data, (str, bytes)) for _, data in outputs)
+    cli._write_outputs(outputs)
+    paths = [path for path, _ in outputs]
+    assert capsys.readouterr().out == dict(outputs).get("-", "")
+    assert sorted(os.listdir(tmp_path)) == sorted(p for p in paths if p != "-")
 
 
 # ---------------------------------------------------------------------------
