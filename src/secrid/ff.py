@@ -17,9 +17,10 @@ run millions, ask for them up front.
 The tables are built by stepping x -> x * g through lookups over digit
 chunks of about m/2 digits, about 2 * p^(m/2) schoolbook products in all
 (see Field._times), so the build is linear in q; no temporary table holds
-more than q entries, and none outlives the build.  The schoolbook
-multiply is the table-free path, above the limit and until the tables pay,
-and the oracle the tables are checked against.
+more than q entries, and none outlives the build.  One schoolbook
+multiply mod f, _mulmod, and one square and multiply, _powmod, serve the
+table-free path (above the limit and until the tables pay), the oracle the
+tables are checked against, the generator search and the modulus search.
 
 The reducing polynomial is not a free choice here: for every (p, m) we use
 the monic irreducible of degree m with the smallest canonical integer, found
@@ -94,31 +95,14 @@ def prime_power(q: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over GF(p): little-endian coefficient lists, no trailing zeros
+# polynomials over GF(p): little-endian coefficient lists without trailing
+# zeros for the gcd, and residues mod a monic f as canonical integers
 
 
 def _trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _poly_add(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        out[i] = ((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-    return _trim(out)
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
 
 
 def _poly_rem(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
@@ -136,55 +120,78 @@ def _poly_rem(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
 
 
 def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """A gcd of a and b, not made monic: its callers read only its degree."""
     a, b = list(a), list(b)
     while b:
         a, b = b, _poly_rem(a, b, p)
-    if a:
-        inv_lead = pow(a[-1], p - 2, p)
-        a = [(c * inv_lead) % p for c in a]
     return a
 
 
-def _poly_powmod(base: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
-    """base**e modulo f, by square and multiply."""
-    result = [1]
-    base = _poly_rem(base, f, p)
-    while e:
-        if e & 1:
-            result = _poly_rem(_poly_mul(result, base, p), f, p)
-        base = _poly_rem(_poly_mul(base, base, p), f, p)
-        e >>= 1
+def _mulmod(a: int, b: int, f: Sequence[int], p: int) -> int:
+    """a * b modulo the monic f over GF(p), on canonical integers below
+    p^m, m = deg f: the one table-free multiply of the field and of the
+    modulus search.  A product mod p when m = 1, a carry-less multiply
+    with shift-subtract reduction when p = 2, and otherwise a digit
+    convolution reduced by f from the top."""
+    m = len(f) - 1
+    if m == 1:
+        return (a * b) % p
+    if p == 2:
+        out = 0
+        while b:
+            if b & 1:
+                out ^= a
+            a <<= 1
+            b >>= 1
+        f_int = 0
+        for i, c in enumerate(f):
+            f_int |= c << i
+        for i in range(2 * m - 2, m - 1, -1):
+            if (out >> i) & 1:
+                out ^= f_int << (i - m)
+        return out
+    da = _int_digits(a, p, m)
+    db = _int_digits(b, p, m)
+    conv = [0] * (2 * m - 1)
+    for i, ai in enumerate(da):
+        if ai:
+            for j, bj in enumerate(db):
+                conv[i + j] += ai * bj
+    for i in range(2 * m - 2, m - 1, -1):
+        c = conv[i] % p
+        if c:
+            shift = i - m
+            for j in range(m + 1):
+                conv[shift + j] -= c * f[j]
+    value = 0
+    for i in range(m - 1, -1, -1):
+        value = value * p + conv[i] % p
+    return value
+
+
+def _powmod(a: int, e: int, f: Sequence[int], p: int) -> int:
+    """a^e modulo the monic f over GF(p), by square and multiply from the
+    top bit of e, which is a itself, down to the last, with no spare square."""
+    result = a if e else 1
+    for bit in bin(e)[3:]:
+        result = _mulmod(result, result, f, p)
+        if bit == "1":
+            result = _mulmod(result, a, f, p)
     return result
 
 
-def is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Rabin's criterion: x^(p^m) == x mod f and gcd(x^(p^(m/r)) - x, f) = 1
-    for every prime r dividing m."""
-    f = _trim(list(f))
-    m = len(f) - 1
-    if m < 1:
-        return False
-    if m == 1:
-        return True
-    h = _poly_powmod([0, 1], p ** m, f, p)
-    if _trim(_poly_add(h, [0, p - 1], p)) != []:  # h - x must vanish
-        return False
-    for r in factorize(m):
-        g = _poly_powmod([0, 1], p ** (m // r), f, p)
-        g_minus_x = _poly_add(g, [0, p - 1], p)
-        if len(_poly_gcd(g_minus_x, f, p)) != 1:
-            return False
-    return True
-
-
 def _has_factor_up_to(f: Sequence[int], p: int, degree: int) -> bool:
-    """Whether f has an irreducible factor of degree d <= degree: the
-    distinct-degree test gcd(x^(p^d) - x, f) != 1, with x^(p^d) mod f
-    raised to the p-th power from d - 1.  d = 1 asks for a root in GF(p)."""
-    h = [0, 1]
+    """Whether the monic f has an irreducible factor of degree d <= degree:
+    the distinct-degree test gcd(x^(p^d) - x, f) != 1, with x^(p^d) mod f
+    raised to the p-th power from d - 1.  The canonical integer of x is p.
+    d = 1 asks for a root in GF(p)."""
+    m = len(f) - 1
+    h = p
     for _ in range(degree):
-        h = _poly_powmod(h, p, f, p)
-        if len(_poly_gcd(_poly_add(h, [0, p - 1], p), f, p)) != 1:
+        h = _powmod(h, p, f, p)
+        h_minus_x = list(_int_digits(h, p, m))
+        h_minus_x[1] = (h_minus_x[1] - 1) % p
+        if len(_poly_gcd(_trim(h_minus_x), f, p)) != 1:
             return True
     return False
 
@@ -426,18 +433,9 @@ class Field:
             return 1  # trivial group, 1 generates it
         cofactors = [(self.q - 1) // r for r in factorize(self.q - 1)]
         for g in range(2, self.q):
-            if all(self._pow_schoolbook(g, c) != 1 for c in cofactors):
+            if all(_powmod(g, c, self._modulus, self.p) != 1 for c in cofactors):
                 return g
         raise AssertionError("multiplicative group of a finite field is cyclic")
-
-    def _pow_schoolbook(self, a: int, e: int) -> int:
-        result = 1
-        while e:
-            if e & 1:
-                result = self._mul_core(result, a)
-            a = self._mul_core(a, a)
-            e >>= 1
-        return result
 
     def _add_digits(self, a: int, b: int) -> int:
         p, m = self.p, self.m
@@ -451,46 +449,7 @@ class Field:
         return value
 
     def _mul_core(self, a: int, b: int) -> int:
-        p, m = self.p, self.m
-        if m == 1:
-            return (a * b) % p
-        if p == 2:
-            return self._mul_gf2(a, b)
-        da = _int_digits(a, p, m)
-        db = _int_digits(b, p, m)
-        conv = [0] * (2 * m - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    conv[i + j] += ai * bj
-        f = self._modulus
-        for i in range(2 * m - 2, m - 1, -1):
-            c = conv[i] % p
-            if c:
-                shift = i - m
-                for j in range(m + 1):
-                    conv[shift + j] -= c * f[j]
-        value = 0
-        for i in range(m - 1, -1, -1):
-            value = value * p + conv[i] % p
-        return value
-
-    def _mul_gf2(self, a: int, b: int) -> int:
-        # carry-less multiply, then shift-subtract the field polynomial
-        m = self.m
-        out = 0
-        while b:
-            if b & 1:
-                out ^= a
-            a <<= 1
-            b >>= 1
-        f_int = 0
-        for i, c in enumerate(self._modulus):
-            f_int |= c << i
-        for i in range(2 * m - 2, m - 1, -1):
-            if (out >> i) & 1:
-                out ^= f_int << (i - m)
-        return out
+        return _mulmod(a, b, self._modulus, self.p)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -539,7 +498,7 @@ class Field:
         self.fast_ops(2 * e.bit_length())
         tables = self._tables
         if tables is None:
-            return self._pow_schoolbook(a, e)
+            return _powmod(a, e, self._modulus, self.p)
         exp, log, _ = tables
         return exp[(log[a] * e) % (self.q - 1)]
 

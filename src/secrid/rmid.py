@@ -195,18 +195,19 @@ class MultiChallenge:
 
 def identity_from_bytes(data: bytes, params: IdCodeParams) -> Identity:
     """Interpret bytes as one big-endian integer and expand it base q,
-    most significant digit first, zero-padded to the coefficient count."""
+    most significant digit first, zero-padded to the coefficient count n.
+    A value left over after n digits is refused (q^n is never computed)."""
     value = int.from_bytes(data, "big")
     q = params.field.q
     n = params.coeff_count
-    if value >= q ** n:
+    digits = [0] * n
+    for i in range(n - 1, -1, -1):
+        value, digits[i] = divmod(value, q)
+    if value:
         raise ValueError(
             f"payload needs more than {n} base-{q} digits; "
             f"identity space holds only q^{n}"
         )
-    digits = [0] * n
-    for i in range(n - 1, -1, -1):
-        value, digits[i] = divmod(value, q)
     return Identity(params, tuple(digits))
 
 

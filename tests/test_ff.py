@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from secrid.ff import (
     TABLE_LIMIT, TABLE_PAYBACK, Field, _int_digits, field_for, find_irreducible,
-    is_irreducible, is_prime, prime_power,
+    is_prime, prime_power,
 )
 
-from util import CountingSource, dot
+from util import CountingSource, dot, is_irreducible
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (3, 2), (2, 4), (3, 4)]
 BIG_FIELDS = [(2, 16), (3, 10)]
@@ -56,6 +56,22 @@ def test_frozen_big_field_polynomials():
     # canonical field (and every wire format built on it) changed
     assert find_irreducible(3, 10) == (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1)
     assert find_irreducible(2, 16) == (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)
+    # fields beyond the 2^12 of the Rabin scan below, up to the 2^32 cap;
+    # every coefficient not listed is 0
+    sparse = {
+        (2, 20): {0: 1, 3: 1},
+        (2, 32): {0: 1, 2: 1, 3: 1, 7: 1},
+        (3, 13): {0: 1, 1: 2},
+        (3, 20): {0: 1, 1: 2, 3: 1},
+        (5, 13): {0: 2, 1: 3, 2: 1},
+        (7, 11): {0: 3, 1: 1},
+        (251, 4): {0: 4, 1: 1},
+        (65521, 2): {0: 17},
+        (4294967291, 1): {},
+    }
+    for (p, m), low in sparse.items():
+        expected = tuple(low.get(i, 0) for i in range(m)) + (1,)
+        assert find_irreducible(p, m) == expected, (p, m)
 
 
 def test_find_irreducible_equals_a_plain_rabin_scan():

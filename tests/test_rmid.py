@@ -330,6 +330,22 @@ def test_identity_from_bytes_rejects_oversized_payload():
         identity_from_bytes(bytes([4]), params)
 
 
+def test_identity_from_bytes_never_raises_q_to_the_coefficient_count():
+    # q^n has millions of digits at the coefficient counts gen-identity
+    # accepts, so bounding the payload by it cost seconds per call
+    class NoPow(int):
+        def __pow__(self, other, mod=None):
+            raise AssertionError("q ** n computed")
+
+    field = Field(3, 2)
+    field.q = NoPow(9)
+    params = IdCodeParams(field, 2, 2)  # 6 coefficients, 9^6 identities
+    identity = identity_from_bytes((9 ** 6 - 1).to_bytes(3, "big"), params)
+    assert identity.coeffs == (8,) * 6
+    with pytest.raises(ValueError, match="more than 6 base-9 digits"):
+        identity_from_bytes((9 ** 6).to_bytes(3, "big"), params)
+
+
 def test_identity_json_roundtrip():
     field = field_for(5, 2)
     params = IdCodeParams(field, 2, 2, 3)

@@ -1,8 +1,8 @@
 """Deterministic stand-ins for random.Random used by the sampling tests,
 table-free and table-built fields, a checked dot product, the tag of the two-layer Reed-Solomon baseline,
 whose error quote is all the library needs, a per-monomial tag, a
-per-point sweep for the identification error, and the closed forms and
-the byte inverse that only the tests call."""
+per-point sweep for the identification error, Rabin's irreducibility
+test, and the closed forms and the byte inverse that only the tests call."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from secrid.ff import Field, field_for
+from secrid.ff import Field, _int_digits, _poly_gcd, _powmod, _trim, factorize, field_for
 from secrid.rmid import IdCodeParams, Identity, monomial_exponents
 from secrid.rsid import RsIdParams, epsilon_2rs, min_challenges_for
 
@@ -159,6 +159,31 @@ def id_error_by_sweep(id_i: Identity, id_j: Identity) -> Fraction:
     points = product(range(q), repeat=params.ell)
     hits = sum(1 for r in points if tag_by_monomials(diff, r) == 0)
     return Fraction(hits, q ** params.ell)
+
+
+# ---------------------------------------------------------------------------
+# Rabin's irreducibility test (oracle for secrid.ff.find_irreducible, whose
+# distinct-degree search must pick the first candidate this test passes)
+
+
+def is_irreducible(f: Sequence[int], p: int) -> bool:
+    """Rabin's criterion: x^(p^m) == x mod f and gcd(x^(p^(m/r)) - x, f) = 1
+    for every prime r dividing m, for a monic f.  The canonical integer of
+    x is p."""
+    f = _trim(list(f))
+    m = len(f) - 1
+    if m < 1:
+        return False
+    if m == 1:
+        return True
+    if _powmod(p, p ** m, f, p) != p:
+        return False
+    for r in factorize(m):
+        g_minus_x = list(_int_digits(_powmod(p, p ** (m // r), f, p), p, m))
+        g_minus_x[1] = (g_minus_x[1] - 1) % p
+        if len(_poly_gcd(_trim(g_minus_x), f, p)) != 1:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
