@@ -164,6 +164,12 @@ def _read_records(path: str, key: str, record_cls, field: Field | None = None):
     return header, field, records
 
 
+def _record_file(key: str, records, **header) -> str:
+    """The text of a challenge, secret-challenge or seeds file, as
+    _read_records reads it back: the header fields and the key's records."""
+    return _dumps({**header, key: [r.to_json_dict() for r in records]})
+
+
 def _field_from_args(args) -> Field:
     if args.q is None:
         if args.p is None:
@@ -223,14 +229,11 @@ def cmd_gen_identity(args) -> list:
 def cmd_challenge(args) -> list:
     identity = Identity.from_json_dict(_read_json(args.identity))
     mc = generate_multi(identity, random.Random(args.seed))
-    field = identity.params.field
-    out = {
-        "q": field.q,
-        "ell": identity.params.ell,
-        "n": identity.params.n_challenges,
-        **mc.to_json_dict(),
-    }
-    return [(args.out_bin, args.out_bin and mc.to_bytes(field)), ("-", _dumps(out))]
+    params = identity.params
+    text = _record_file(
+        "challenges", mc.challenges, q=params.field.q, ell=params.ell, n=params.n_challenges
+    )
+    return [(args.out_bin, args.out_bin and mc.to_bytes(params.field)), ("-", text)]
 
 
 def cmd_verify(args) -> list:
@@ -271,23 +274,14 @@ def cmd_encrypt(args) -> list:
     rng = random.Random(args.seed)
     seeds = [sample_seed(params, rng) for _ in challenges]
     secrets = encrypt_tags(params, MultiChallenge(challenges), seeds, rng)
-    seeds_obj = {
-        "q": field.q,
-        "ell_prime": ell_prime,
-        "seeds": [s.to_json_dict() for s in seeds],
-    }
-    out = {
-        "q": field.q,
-        "ell": header.get("ell", len(challenges[0].r)),
-        "ell_prime": ell_prime,
-        "secret_challenges": [sc.to_json_dict() for sc in secrets],
-    }
+    ell = header.get("ell", len(challenges[0].r))
+    text = _record_file("secret_challenges", secrets, q=field.q, ell=ell, ell_prime=ell_prime)
     # an output that was not asked for is not built
     return [
-        (args.seeds_out, _dumps(seeds_obj)),
+        (args.seeds_out, _record_file("seeds", seeds, q=field.q, ell_prime=ell_prime)),
         (args.seeds_bin_out, args.seeds_bin_out and b"".join(s.to_bytes(field) for s in seeds)),
         (args.out_bin, args.out_bin and b"".join(sc.to_bytes(field) for sc in secrets)),
-        ("-", _dumps(out)),
+        ("-", text),
     ]
 
 
@@ -303,14 +297,9 @@ def cmd_decrypt(args) -> list:
     if not secrets:
         raise DomainError("secret challenge file holds no challenges")
     params = SecrecyParams(field, seeds_obj["ell_prime"])
-    mc = decrypt_tags(params, seeds, secrets)
-    out = {
-        "q": field.q,
-        "ell": secret_obj.get("ell"),
-        "n": len(mc.challenges),
-        **mc.to_json_dict(),
-    }
-    return [("-", _dumps(out))]
+    challenges = decrypt_tags(params, seeds, secrets).challenges
+    ell = secret_obj.get("ell")
+    return [("-", _record_file("challenges", challenges, q=field.q, ell=ell, n=len(challenges)))]
 
 
 def cmd_params(args) -> list:
@@ -413,12 +402,13 @@ def cmd_bench(args) -> list:
     # the reference field, unless a flag or config key names one
     named = (args.q, args.p, args.m) != (None, None, None)
     q = _field_from_args(args).q if named else 59049
+    kappas = str(args.kappa) if args.kappas is None else args.kappas
     records = []
-    for kappa_text in (args.kappas or str(args.kappa)).split(","):
+    for kappa in [float(v) for v in kappas.split(",")]:  # all parsed before any grid runs
         records.extend(
             run_grid(
                 q=q,
-                kappa=float(kappa_text),
+                kappa=kappa,
                 reps=args.reps,
                 budget_policy=args.budget_policy,
                 max_coeffs=args.max_coeffs,

@@ -97,13 +97,16 @@ def substitution_plan(ell: int, k: int) -> tuple:
     down to 0, the Horner order.  Folding entry d at one value of its first
     variable costs a multiply-add per input coefficient, C(ell - d + k, k)."""
     plan = []
-    for nvars in range(ell, 0, -1):
-        index = {e: i for i, e in enumerate(monomial_exponents(nvars, k))}
-        tails = monomial_exponents(nvars - 1, k) if nvars > 1 else [()]
+    for n in range(ell, 0, -1):
+        # x^e * t, deg t = j, e + j = d: the degrees <= d end at C(n + d, n),
+        # and the last C(n + j - 1, n - 1) of them, one per tail of degree
+        # <= j, start at x^e times the first degree-j tail; t's rank r follows
         groups = []
-        for tail in tails:
-            group = [index[(e,) + tail] for e in range(k - sum(tail), -1, -1)]
-            groups.append((group[0], tuple(group[1:])))
+        for j in range(k + 1):
+            below = math.comb(n + j - 1, n - 1)
+            top, *rest = (math.comb(n + d, n) - below for d in range(k, j - 1, -1))
+            for r in range(math.comb(n + j - 2, j) if n > 1 else int(j == 0)):
+                groups.append((top + r, tuple(i + r for i in rest)))
         plan.append(tuple(groups))
     return tuple(plan)
 

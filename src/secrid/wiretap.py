@@ -353,7 +353,9 @@ def min_cipher_length(q: int, kappa: float, epsilon: float) -> MinLength:
     floor of 2.  Diverges as kappa -> 1, hence the domain error there."""
     if q < 2:
         raise ValueError(f"field size must be >= 2, got {q}")
-    if not 0.0 <= kappa < 1.0:
+    if not kappa >= 0.0:  # negative or NaN
+        raise ValueError(f"kappa must be a fraction in [0, 1), got {kappa}")
+    if kappa >= 1.0:
         raise ValueError(
             f"kappa={kappa}: no finite ciphertext length once the observer "
             "captures a full symbol fraction"

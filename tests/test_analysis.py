@@ -81,6 +81,20 @@ def test_channel_validation():
     assert ChannelModel.erasure(3, Fraction(1, 2)).n_outputs == 4
 
 
+@pytest.mark.parametrize(
+    "q,rows,message",
+    [(2, [[1, 0], [1]], "ragged transition matrix"),
+     (2, [[Fraction(3, 2), Fraction(-1, 2)], [0, 1]], "negative transition probability"),
+     (3, [[1, 0], [0, 1]], "need 3 rows, got 2")],
+    ids=["ragged", "negative", "short"],
+)
+def test_channel_rejects_malformed_matrices(q, rows, message):
+    matrix = tuple(tuple(Fraction(v) for v in row) for row in rows)
+    with pytest.raises(ValueError) as exc:
+        ChannelModel("bad", q, matrix)
+    assert str(exc.value) == message
+
+
 def test_product_channel_d2_factorizes():
     for base in (
         ChannelModel.symmetric(2, Fraction(1, 4)),
@@ -294,6 +308,14 @@ def test_exact_id_error_requires_matching_params():
     p2 = IdCodeParams(field_for(5, 1), 1, 3)
     with pytest.raises(ValueError):
         exact_id_error(Identity(p1, (0, 0, 1)), Identity(p2, (0, 0, 1, 0)))
+
+
+def test_exact_id_error_refuses_a_point_space_too_large_to_enumerate():
+    params = IdCodeParams(field_for(3, 10), 2, 1)
+    identity = Identity(params, (0, 0, 0))
+    with pytest.raises(ValueError) as exc:
+        exact_id_error(identity, identity)
+    assert str(exc.value) == "q^ell = 3486784401 too large to enumerate"
 
 
 @st.composite

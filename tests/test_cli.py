@@ -55,6 +55,14 @@ def test_gen_identity_from_hex_bytes(capsys):
     assert obj["coeffs"] == [0, 10, 10]
 
 
+def test_gen_identity_reads_its_payload_from_a_file(tmp_path, capsys):
+    payload = tmp_path / "payload.bin"
+    payload.write_bytes(bytes.fromhex("0104"))
+    args = ("gen-identity", "--q", "25", "--ell", "1", "--k", "2")
+    from_file = run_json(capsys, *args, "--data-file", str(payload))
+    assert from_file == run_json(capsys, *args, "--data-hex", "0104")
+
+
 def test_gen_identity_accepts_p_m_spelling(capsys):
     obj = run_json(
         capsys, "gen-identity", "--p", "5", "--m", "2", "--ell", "1", "--k", "2",
@@ -605,6 +613,29 @@ def test_bench_csv_names_the_field_given_as_p_and_m(capsys):
     assert {row["q"] for row in rows} == {"25"}
 
 
+@pytest.mark.parametrize("kappas", ["", "0.2,x", "0.2,,0.4"])
+def test_bench_parses_every_kappa_before_any_grid_runs(capsys, monkeypatch, kappas):
+    # an empty --kappas used to bench the --kappa default, and a bad value
+    # used to fail only after the grids before it had run
+    def no_grid(**kwargs):
+        raise AssertionError(f"bench ran its grid at kappa = {kwargs['kappa']}")
+
+    monkeypatch.setattr("secrid.bench.run_grid", no_grid)
+    code, out, err = run_cli(capsys, "bench", "--kappas", kappas)
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "ValueError"
+    assert error["message"].startswith("could not convert string to float")
+
+
+def test_bench_runs_one_grid_per_kappa_in_order(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr("secrid.bench.run_grid", lambda **kw: seen.append(kw["kappa"]) or [])
+    assert run_cli(capsys, "bench", "--kappas", "0.4,0.2")[0] == 0
+    assert run_cli(capsys, "bench", "--kappa", "0.3")[0] == 0
+    assert seen == [0.4, 0.2, 0.3]
+
+
 def test_bench_rejects_a_degree_without_a_characteristic(capsys, monkeypatch):
     def no_grid(**kwargs):
         raise AssertionError(f"bench ran its grid at q = {kwargs['q']}")
@@ -800,6 +831,73 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["params", "--q", "25", "--ell", "1", "--k", "1", "--budget-policy", "nope"])
     assert exc.value.code == 2
+
+
+# an error path of each kind that no other test reaches: argv (with {name}
+# standing for a file the test writes), the error kind and its message
+ERROR_PATHS = {
+    "gen_identity_without_ell": (
+        ["gen-identity", "--q", "25", "--k", "2"],
+        "DomainError", "missing --ell (flag or config key)",
+    ),
+    "leakage_bound_without_ell_prime": (
+        ["leakage-bound", "--q", "5", "--d2-bits", "0"],
+        "DomainError", "missing --ell-prime (flag or config key)",
+    ),
+    "leakage_bound_without_a_budget": (
+        ["leakage-bound", "--q", "5", "--ell-prime", "3"],
+        "DomainError", "give --d2-bits or --kappa",
+    ),
+    "data_file_missing": (
+        ["gen-identity", "--q", "25", "--ell", "1", "--k", "2", "--data-file", "{missing}"],
+        "FileNotFoundError", "{missing}: no such file",
+    ),
+    "decrypt_across_fields": (
+        ["decrypt", "--secret", "{secret}", "--seeds", "{seeds_49}"],
+        "DomainError", "secret challenges and seeds disagree on q",
+    ),
+    "verify_across_fields": (
+        ["verify", "--identity", "{identity_49}", "--challenge", "{challenge}"],
+        "DomainError", "challenge was issued over GF(25), identity lives in GF(49)",
+    ),
+    "params_negative_kappa": (
+        ["params", "--q", "59049", "--ell", "2", "--k", "20", "--kappa", "-0.5"],
+        "ValueError", "kappa must be a fraction in [0, 1), got -0.5",
+    ),
+    "params_nan_kappa": (
+        ["params", "--q", "59049", "--ell", "2", "--k", "20", "--kappa", "nan"],
+        "ValueError", "kappa must be a fraction in [0, 1), got nan",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ERROR_PATHS))
+def test_error_paths_exit_one_with_their_message(pipeline, tmp_path, capsys, case):
+    identity, challenge = pipeline
+    files = {
+        "challenge": challenge,
+        "missing": tmp_path / "missing.bin",
+        "secret": tmp_path / "secret.json",
+        "seeds_49": tmp_path / "seeds.json",
+        "identity_49": tmp_path / "id_49.json",
+    }
+    files["secret"].write_text(
+        run_cli(
+            capsys,
+            "encrypt", "--challenge", str(challenge), "--ell-prime", "3",
+            "--seeds-out", str(files["seeds_49"]), "--seed", "1",
+        )[1]
+    )
+    seeds = json.loads(files["seeds_49"].read_text())
+    files["seeds_49"].write_text(json.dumps({**seeds, "q": 49}))
+    files["identity_49"].write_text(
+        run_cli(capsys, "gen-identity", "--q", "49", "--ell", "2", "--k", "3", "--seed", "1")[1]
+    )
+    names = {name: str(path) for name, path in files.items()}
+    argv, kind, message = ERROR_PATHS[case]
+    code, out, err = run_cli(capsys, *(arg.format(**names) for arg in argv))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {"kind": kind, "message": message.format(**names)}
 
 
 def test_domain_errors_exit_one_with_json(capsys):

@@ -122,6 +122,21 @@ def test_size_cap_admits_2_to_the_32():
     assert prime_power(2 ** 32) == (2, 32)
 
 
+@pytest.mark.parametrize(
+    "p,m,message",
+    [(4, 2, "characteristic must be prime, got 4"),
+     (1, 3, "characteristic must be prime, got 1"),
+     (5, 0, "extension degree must be >= 1, got 0"),
+     (5, -1, "extension degree must be >= 1, got -1")],
+)
+def test_find_irreducible_rejects_a_composite_characteristic_or_a_degree_below_one(
+    p, m, message
+):
+    with pytest.raises(ValueError) as exc:
+        find_irreducible(p, m)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("p,m", [(5.0, 1), (5, 2.0), (True, 1), ("5", 1)])
 def test_rejects_non_integer_field_parameters(p, m):
     field_for(5, 1), field_for(5, 2)  # a cached field must not answer for them

@@ -23,6 +23,7 @@ from secrid.rmid import (
     generate_multi,
     identity_from_bytes,
     monomial_exponents,
+    substitution_plan,
     verify,
     verify_multi,
 )
@@ -31,6 +32,7 @@ from util import (
     ScriptedSource,
     error_bound,
     identity_to_bytes,
+    substitution_plan_by_lookup,
     table_built,
     table_free,
     tag_by_monomials,
@@ -67,6 +69,16 @@ def test_coeff_count_is_binomial(ell, k):
     params = IdCodeParams(field_for(5, 1), ell, k)
     assert params.coeff_count == math.comb(ell + k, ell)
     assert len(monomial_exponents(ell, k)) == params.coeff_count
+
+
+# every ell <= 4 with k <= 8, then long groups (large k) and many levels
+PLAN_GEOMETRIES = [(ell, k) for ell in range(1, 5) for k in range(9)]
+PLAN_GEOMETRIES += [(3, 90), (2, 100), (4, 40), (6, 10)]
+
+
+@pytest.mark.parametrize("ell,k", PLAN_GEOMETRIES)
+def test_substitution_plan_matches_the_lookup_oracle(ell, k):
+    assert substitution_plan(ell, k) == substitution_plan_by_lookup(ell, k)
 
 
 # ---------------------------------------------------------------------------

@@ -200,8 +200,10 @@ BAD_SEEDS = [
     Seed((True, 1, 0), 3, 1),
     Seed((2, 1, 0), 5, 1),  # s0 = q
     Seed((2, 1, 0), 3.0, 1),
+    Seed((2, 1, 0), 3, 3),  # pivot past the last coordinate
+    Seed((2, 1, 0), 3, -1),
 ]
-BAD_SEED_IDS = ["s_q", "s_true", "s0_q", "s0_float"]
+BAD_SEED_IDS = ["s_q", "s_true", "s0_q", "s0_float", "pivot_3", "pivot_minus_one"]
 
 
 @pytest.mark.parametrize(
@@ -368,6 +370,25 @@ def test_min_cipher_length_floor_and_domain():
         min_cipher_length(59049, 0.2, 1.5)
     with pytest.raises(ValueError):
         min_cipher_length(1, 0.2, 0.5)
+
+
+@pytest.mark.parametrize(
+    "kappa,message",
+    [(-0.5, "kappa must be a fraction in [0, 1), got -0.5"),
+     (float("-inf"), "kappa must be a fraction in [0, 1), got -inf"),
+     (float("nan"), "kappa must be a fraction in [0, 1), got nan"),
+     (1.0, "kappa=1.0: no finite ciphertext length once the observer captures a "
+           "full symbol fraction"),
+     (float("inf"), "kappa=inf: no finite ciphertext length once the observer captures a "
+                    "full symbol fraction")],
+    ids=["minus_half", "minus_inf", "nan", "one", "inf"],
+)
+def test_min_cipher_length_says_why_it_refuses_a_kappa(kappa, message):
+    # only kappa >= 1 leaves no finite length; a negative or NaN kappa is
+    # not a captured fraction at all
+    with pytest.raises(ValueError) as exc:
+        min_cipher_length(59049, kappa, 0.5)
+    assert str(exc.value) == message
 
 
 def test_min_cipher_length_monotone_in_kappa():

@@ -1,8 +1,9 @@
 """Deterministic stand-ins for random.Random used by the sampling tests,
-table-free and table-built fields, a checked dot product, the tag of the two-layer Reed-Solomon baseline,
-whose error quote is all the library needs, a per-monomial tag, a
-per-point sweep for the identification error, Rabin's irreducibility
-test, and the closed forms and the byte inverse that only the tests call."""
+table-free and table-built fields, a checked dot product, the tag of the
+two-layer Reed-Solomon baseline, whose error quote is all the library needs,
+a per-monomial tag, the Horner plan by dict lookup, a per-point sweep for
+the identification error, Rabin's irreducibility test, and the closed forms
+and the byte inverse that only the tests call."""
 
 from __future__ import annotations
 
@@ -131,9 +132,11 @@ def rs_tag(params: RsIdParams, outer_coeffs: Sequence[int], r1: int, r2: int) ->
 
 
 # ---------------------------------------------------------------------------
-# Reed-Muller tag term by term, and the identification error by evaluating
-# the difference tag at every point (oracles for secrid.rmid.evaluate_tag and
-# secrid.analysis.exact_id_error, independent of their shared Horner plan)
+# Reed-Muller tag term by term, the Horner plan by lookup, and the
+# identification error by evaluating the difference tag at every point
+# (oracles for secrid.rmid.evaluate_tag, secrid.rmid.substitution_plan and
+# secrid.analysis.exact_id_error; the first and last are independent of the
+# plan that both functions share)
 
 
 def tag_by_monomials(identity: Identity, r: Sequence[int]) -> int:
@@ -147,6 +150,21 @@ def tag_by_monomials(identity: Identity, r: Sequence[int]) -> int:
             term = field.mul(term, field.pow(rj, e))
         acc = field.add(acc, term)
     return acc
+
+
+def substitution_plan_by_lookup(ell: int, k: int) -> tuple:
+    """secrid.rmid.substitution_plan found by looking every monomial up in a
+    dict of its level's layout, instead of counting where it sits."""
+    plan = []
+    for nvars in range(ell, 0, -1):
+        index = {e: i for i, e in enumerate(monomial_exponents(nvars, k))}
+        tails = monomial_exponents(nvars - 1, k) if nvars > 1 else [()]
+        groups = []
+        for tail in tails:
+            group = [index[(e,) + tail] for e in range(k - sum(tail), -1, -1)]
+            groups.append((group[0], tuple(group[1:])))
+        plan.append(tuple(groups))
+    return tuple(plan)
 
 
 def id_error_by_sweep(id_i: Identity, id_j: Identity) -> Fraction:
