@@ -6,8 +6,8 @@ a given per-symbol observation channel (an integer dynamic program over the
 seed directions), exact collision-entropy budgets, and exact identification
 error fractions (a depth-first zero count of the difference polynomial, one
 variable substituted at a time through rmid.substitution_plan, the Horner
-plan evaluate_tag folds by, ~sum_j q^j C(ell - j + 1 + k, k) multiply-adds
-instead of C(ell + k, k) at each of q^ell points).
+plan evaluate_tag folds by, ~sum_j q^j C(ell - j + 1 + k, k) lookups in a
+q x q multiply-add table instead of C(ell + k, k) at each of q^ell points).
 Distributions are kept as exact integers or rationals end to end; floats
 appear only in reported logarithms.
 
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .ff import TABLE_LIMIT
 from .rmid import Identity, substitution_plan
 from .wiretap import SecrecyParams, leakage_bound, leakage_bound_squared
 
@@ -287,9 +288,11 @@ def exact_id_error(id_i: Identity, id_j: Identity) -> Fraction:
     degree <= k in the variables left, and the count recurses on that.  A
     polynomial that vanishes identically holds q^(variables left) zeros
     without descending.  That is at most sum over j = 1..ell of
-    q^j * C(ell - j + 1 + k, k) multiply-adds instead of C(ell + k, k) per
-    point, e.g. 25k instead of 302k at q = 7, ell = 4, k = 5, in memory of
-    ell coefficient vectors."""
+    q^j * C(ell - j + 1 + k, k) Horner steps instead of C(ell + k, k)
+    multiply-adds per point, e.g. 25k instead of 302k at q = 7, ell = 4,
+    k = 5, in memory of ell coefficient vectors.  Each step is one lookup,
+    steps[a][acc][c] = a * acc + c, in tables of q^2 entries built once per
+    call, so q is limited to 1024 (q^2 <= ff.TABLE_LIMIT)."""
     if id_i.params != id_j.params:
         raise ValueError("identities use different code parameters")
     params = id_i.params
@@ -297,21 +300,24 @@ def exact_id_error(id_i: Identity, id_j: Identity) -> Fraction:
     q = field.q
     if q ** params.ell > 10_000_000:
         raise ValueError(f"q^ell = {q ** params.ell} too large to enumerate")
+    if q * q > TABLE_LIMIT:
+        raise ValueError(f"q^2 = {q * q} too large for the Horner step tables")
     add, mul = field.fast_ops()
     plan = substitution_plan(params.ell, params.k)
     last = len(plan) - 1
+    sums = [[add(y, c) for c in range(q)] for y in range(q)]
+    # steps[a][x] = sums[a * x]: rows shared, not copied
+    steps = [[sums[mul(a, x)] for x in range(q)] for a in range(q)]
 
     def zeros(poly: list[int], depth: int) -> int:
         vanished = q ** (last - depth)  # points left below this variable
         hits = 0
-        for a in range(q):
-            # on the fast_ops pair: of the goldens' fields only GF(9) has Zech
-            # logs, and a log copy, ~28% faster there, would be a third log loop
+        for step in steps:  # one value a of this variable
             folded = []
             for top, rest in plan[depth]:
                 acc = poly[top]
                 for i in rest:
-                    acc = add(mul(acc, a), poly[i])
+                    acc = step[acc][poly[i]]
                 folded.append(acc)
             if not any(folded):
                 hits += vanished

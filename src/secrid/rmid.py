@@ -181,14 +181,6 @@ class Challenge:
 class MultiChallenge:
     challenges: tuple[Challenge, ...]
 
-    def to_json_dict(self) -> dict:
-        return {"challenges": [c.to_json_dict() for c in self.challenges]}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "MultiChallenge":
-        records = json_field(obj, "challenges", list)
-        return cls(tuple(Challenge.from_json_dict(c) for c in records))
-
     def to_bytes(self, field: Field) -> bytes:
         return b"".join(c.to_bytes(field) for c in self.challenges)
 

@@ -318,15 +318,31 @@ def test_exact_id_error_refuses_a_point_space_too_large_to_enumerate():
     assert str(exc.value) == "q^ell = 3486784401 too large to enumerate"
 
 
+def test_exact_id_error_counts_over_the_largest_field_its_tables_allow():
+    params = IdCodeParams(field_for(2, 10), 1, 3)
+    id_i = Identity(params, (7, 1, 1, 0))
+    id_j = Identity(params, (7, 0, 0, 0))  # difference r^2 + r: zeros 0 and 1
+    assert exact_id_error(id_i, id_j) == id_error_by_sweep(id_i, id_j) == Fraction(2, 1024)
+
+
+def test_exact_id_error_refuses_a_field_too_large_for_its_step_tables():
+    field = Field(2, 11)
+    identity = Identity(IdCodeParams(field, 1, 1), (0, 0))
+    with pytest.raises(ValueError) as exc:
+        exact_id_error(identity, identity)
+    assert str(exc.value) == "q^2 = 4194304 too large for the Horner step tables"
+    assert field._tables is None  # refused before anything was built
+
+
 @st.composite
 def id_error_pairs(draw):
     """Identity pairs over prime, XOR-add and Zech-add fields.  Half the
     draws force a shape: equal identities (error 1), a nonzero constant
     difference (error 0), or x_v - c, whose substitution x_v = c vanishes
     identically, so whole subgrids are counted at once."""
-    p, m = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2)]))
+    p, m = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4)]))
     field = field_for(p, m)
-    ell = draw(st.integers(min_value=1, max_value=4 if field.q <= 5 else 3))
+    ell = draw(st.integers(min_value=1, max_value=4 if field.q <= 5 else 3 if field.q <= 9 else 2))
     k = draw(st.integers(min_value=0, max_value=min(field.q - 1, 3)))
     params = IdCodeParams(field, ell, k)
     coeffs = st.lists(

