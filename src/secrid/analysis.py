@@ -28,7 +28,7 @@ from .ff import TABLE_LIMIT
 from .rmid import Identity, substitution_plan
 from .wiretap import SecrecyParams, leakage_bound, leakage_bound_squared
 
-# cost guard of exact_leakage: directions * |Z|^ell' * ell' * q^2 steps
+# cost guard of exact_leakage: the most steps leakage_steps allows
 STATE_SPACE_LIMIT = 100_000_000
 
 
@@ -176,6 +176,20 @@ LEAKAGE_CSV_HEADER = [
 ]
 
 
+def leakage_steps(params: SecrecyParams, n_outputs: int) -> int:
+    """Integer steps exact_leakage takes through a channel of n_outputs
+    outputs, directions * |Z|^ell' * ell' * q^2; more than
+    STATE_SPACE_LIMIT are refused."""
+    q = params.field.q
+    lp = params.ell_prime
+    steps = params.direction_count * n_outputs ** lp * lp * q * q
+    if steps > STATE_SPACE_LIMIT:
+        raise ValueError(
+            f"directions * |Z|^ell' * ell' * q^2 = {steps} too large for exact leakage"
+        )
+    return steps
+
+
 def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport:
     """Measure both leakage statistics of the hyperplane cipher exactly, then
     cross-check them against the closed-form bounds at the channel's true
@@ -198,11 +212,7 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
         raise ValueError(f"channel alphabet {channel.q} does not match q={q}")
     lp = params.ell_prime
     n_out = channel.n_outputs
-    cost = params.direction_count * n_out ** lp * lp * q * q
-    if cost > STATE_SPACE_LIMIT:
-        raise ValueError(
-            f"directions * |Z|^ell' * ell' * q^2 = {cost} too large for exact leakage"
-        )
+    leakage_steps(params, n_out)
 
     mul = field.fast_ops()[1]
     scale = math.lcm(*(v.denominator for row in channel.matrix for v in row))

@@ -5,11 +5,15 @@ scales with the coefficient count), tag encryption, tag decryption, and
 verification.  Cheap operations are batched so every sample spans at least
 ~0.2 ms of wall clock; reported numbers are always seconds per single
 operation.  Trends and ratios are the product here, not absolute numbers.
+
+The grid is the paper's: ell in ELLS, k = multiplier * ell for each
+multiplier in K_MULTIPLIERS, and no point above MAX_COEFFS coefficients.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import random
 import statistics
 import time
@@ -25,6 +29,10 @@ MIN_REPS = 30
 _MIN_SAMPLE_SECONDS = 2e-4
 
 BENCH_SCHEMA_VERSION = 1
+
+ELLS = (2, 3, 4, 5, 6)
+K_MULTIPLIERS = (10, 20, 30, 40, 50)
+MAX_COEFFS = 600_000
 
 
 @dataclass(frozen=True)
@@ -130,42 +138,28 @@ def run_bench(report: PlanReport, reps: int = 50, rng: random.Random | None = No
     return records
 
 
-def default_grid(
-    q: int = 59049,
-    ells: Sequence[int] = (2, 3, 4, 5, 6),
-    k_multipliers: Sequence[int] = (10, 20, 30, 40, 50),
-    max_coeffs: int = 600_000,
-) -> list[tuple[int, int]]:
+def default_grid(q: int = 59049) -> list[tuple[int, int]]:
     """(ell, k) grid with k = multiplier * ell, dropping points whose
-    coefficient count exceeds max_coeffs.  The upper corner of the full
+    coefficient count exceeds MAX_COEFFS.  The upper corner of the full
     grid runs to ~10^12 coefficients, far past what any implementation can
     hold, so a cap is part of the harness contract."""
-    import math
-
     grid = []
-    for ell in ells:
-        for mult in k_multipliers:
+    for ell in ELLS:
+        for mult in K_MULTIPLIERS:
             k = mult * ell
             if k >= q:
                 continue
-            if math.comb(ell + k, ell) <= max_coeffs:
+            if math.comb(ell + k, ell) <= MAX_COEFFS:
                 grid.append((ell, k))
     return grid
 
 
 def run_grid(
-    q: int = 59049,
-    kappa: float = 0.2,
-    reps: int = 50,
-    budget_policy: str = "paper",
-    max_coeffs: int = 600_000,
-    seed: int = 0,
-    ells: Sequence[int] = (2, 3, 4, 5, 6),
-    k_multipliers: Sequence[int] = (10, 20, 30, 40, 50),
+    q: int = 59049, kappa: float = 0.2, reps: int = 50, budget_policy: str = "paper", seed: int = 0
 ) -> list[BenchRecord]:
     rng = random.Random(seed)
     records = []
-    for ell, k in default_grid(q, ells, k_multipliers, max_coeffs):
+    for ell, k in default_grid(q):
         report = plan(q, ell, k, kappa, budget_policy)
         records.extend(run_bench(report, reps, rng))
     return records

@@ -349,20 +349,24 @@ def _sweep_point(point: tuple[int, int, str, str]) -> list:
     return exact_leakage(params, _channel(kind, q, delta_text)).to_csv_row()
 
 
-def _pool_size(workers: int, n_points: int) -> int:
-    """Processes a sweep runs in: at most workers, its point count and the
-    CPU count; 1 means the sweep runs in this process."""
-    return min(workers, n_points, os.cpu_count() or 1)
+# exact-leakage steps above which a sweep gains from a process pool; on a
+# 2-core x86 machine two processes tied one on q = 7's default sweep
+# (1.2e7 steps) and were 1.4-1.9x faster on q = 8's (2.9e7)
+POOL_STEPS = 20_000_000
+
+
+def _pool_size(steps: int, n_points: int) -> int:
+    """Processes a sweep of n_points points and steps exact-leakage steps
+    runs in: above POOL_STEPS one per point, up to the CPU count; else 1."""
+    return min(n_points, os.cpu_count() or 1) if steps > POOL_STEPS else 1
 
 
 def cmd_leakage_exact(args) -> list:
     import csv
 
-    from .analysis import LEAKAGE_CSV_HEADER, exact_leakage
+    from .analysis import LEAKAGE_CSV_HEADER, exact_leakage, leakage_steps
     from .wiretap import SecrecyParams
 
-    if args.workers < 1:
-        raise DomainError(f"--workers must be at least 1, got {args.workers}")
     field = _field_from_args(args)
     if not args.sweep:
         params = SecrecyParams(field, args.ell_prime)
@@ -371,7 +375,10 @@ def cmd_leakage_exact(args) -> list:
     deltas = args.deltas.split(",")
     ell_primes = [int(v) for v in args.ell_primes.split(",")]
     points = [(field.q, lp, args.channel, d) for lp in ell_primes for d in deltas]
-    size = _pool_size(args.workers, len(points))
+    # every point is sized, and one too large refused, before any runs
+    outputs = [_channel(args.channel, field.q, d).n_outputs for d in deltas]
+    steps = sum(leakage_steps(SecrecyParams(field, lp), n) for lp in ell_primes for n in outputs)
+    size = _pool_size(steps, len(points))
     if size > 1:
         from multiprocessing import get_context
 
@@ -402,20 +409,11 @@ def cmd_bench(args) -> list:
     # the reference field, unless a flag or config key names one
     named = (args.q, args.p, args.m) != (None, None, None)
     q = _field_from_args(args).q if named else 59049
-    kappas = str(args.kappa) if args.kappas is None else args.kappas
     records = []
-    for kappa in [float(v) for v in kappas.split(",")]:  # all parsed before any grid runs
-        records.extend(
-            run_grid(
-                q=q,
-                kappa=kappa,
-                reps=args.reps,
-                budget_policy=args.budget_policy,
-                max_coeffs=args.max_coeffs,
-                seed=args.seed,
-                ells=tuple(int(v) for v in args.ells.split(",")),
-                k_multipliers=tuple(int(v) for v in args.k_multipliers.split(",")),
-            )
+    # a config's kappa is a float; all are parsed before any grid runs
+    for kappa in [float(v) for v in str(args.kappa).split(",")]:
+        records += run_grid(
+            q=q, kappa=kappa, reps=args.reps, budget_policy=args.budget_policy, seed=args.seed
         )
     text = io.StringIO()
     write_csv(records, text)
@@ -434,22 +432,18 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_args(seed: int | None) -> argparse.ArgumentParser:
-        # bench gets its own: children share a parent's actions and defaults
-        parent = argparse.ArgumentParser(add_help=False)
-        parent.add_argument("--config", help="KEY = VALUE defaults file")
-        parent.add_argument("--seed", type=int, default=seed,
-                            help="RNG seed; same seed, same bytes")
-        return parent
-
-    common = common_args(None)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="KEY = VALUE defaults file")
+    # bench adds its own --seed: children share a parent's actions and defaults
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="RNG seed; same seed, same bytes")
 
     fieldargs = argparse.ArgumentParser(add_help=False)
     fieldargs.add_argument("--q", type=int, default=None, help="field size (prime power)")
     fieldargs.add_argument("--p", type=int, default=None, help="characteristic")
     fieldargs.add_argument("--m", type=int, default=None, help="extension degree")
 
-    s = sub.add_parser("gen-identity", parents=[common, fieldargs],
+    s = sub.add_parser("gen-identity", parents=[common, seeded, fieldargs],
                        help="mint an identity from bytes or at random")
     s.add_argument("--ell", type=int, default=None)
     s.add_argument("--k", type=int, default=None)
@@ -459,7 +453,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     src.add_argument("--data-file", help="payload bytes from a file")
     s.set_defaults(func=cmd_gen_identity)
 
-    s = sub.add_parser("challenge", parents=[common], help="draw a fresh multi-challenge")
+    s = sub.add_parser("challenge", parents=[common, seeded], help="draw a fresh multi-challenge")
     s.add_argument("--identity", required=True, help="identity JSON (- for stdin)")
     s.add_argument("--out-bin", help="also write the fixed-width binary form")
     s.set_defaults(func=cmd_challenge)
@@ -469,7 +463,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     s.add_argument("--challenge", required=True)
     s.set_defaults(func=cmd_verify)
 
-    s = sub.add_parser("encrypt", parents=[common], help="hide the tags of a multi-challenge")
+    s = sub.add_parser("encrypt", parents=[common, seeded],
+                       help="hide the tags of a multi-challenge")
     s.add_argument("--challenge", required=True)
     s.add_argument("--ell-prime", type=int, default=None)
     s.add_argument("--kappa", type=float, default=None)
@@ -510,8 +505,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     s.add_argument("--sweep", action="store_true", help="emit a CSV grid instead")
     s.add_argument("--deltas", default="0,1/8,1/4,1/2", help="comma list for --sweep")
     s.add_argument("--ell-primes", default="2,3", help="comma list for --sweep")
-    s.add_argument("--workers", type=int, default=1,
-                   help="sweep processes, capped at the sweep points and the CPU count")
     s.add_argument("--out", help="CSV path, - for stdout (the default)")
     s.set_defaults(func=cmd_leakage_exact)
 
@@ -521,13 +514,10 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     s.add_argument("--sweep-to", type=int, default=None)
     s.set_defaults(func=cmd_capacity_check)
 
-    s = sub.add_parser("bench", parents=[common_args(0), fieldargs], help="latency grid to CSV")
-    s.add_argument("--kappa", type=float, default=0.2)
-    s.add_argument("--kappas", help="comma list of kappa values")
+    s = sub.add_parser("bench", parents=[common, fieldargs], help="latency grid to CSV")
+    s.add_argument("--seed", type=int, default=0, help="RNG seed; same seed, same bytes")
+    s.add_argument("--kappa", default="0.2", help="comma list of kappa values")
     s.add_argument("--reps", type=int, default=50)
-    s.add_argument("--max-coeffs", type=int, default=600_000)
-    s.add_argument("--ells", default="2,3,4,5,6")
-    s.add_argument("--k-multipliers", default="10,20,30,40,50")
     s.add_argument("--budget-policy", choices=BUDGET_POLICIES, default="paper")
     s.add_argument("--out", help="CSV path, - for stdout (the default)")
     s.set_defaults(func=cmd_bench)

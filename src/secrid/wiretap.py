@@ -279,36 +279,30 @@ def leakage_bound(params: SecrecyParams, d2_bits: float) -> LeakageBounds:
         raise ValueError(
             f"d2_bits={d2_bits} outside [0, ell_prime * log2 q]"
         )
+    num, den = _tight_terms(q, lp)
     if d2_bits <= 512.0:
-        pow2 = 2.0 ** d2_bits
-        tight_sq, simplified_sq = leakage_bound_squared(q, lp, Fraction(pow2))
-        return LeakageBounds(
-            d2_bits=d2_bits,
-            tight=min(2.0, math.sqrt(float(tight_sq))),
-            simplified=min(2.0, math.sqrt(float(simplified_sq))),
-        )
-    # 2^d2 would overflow a float; at this size 2^d2 - 1 is 2^d2 to within
-    # 2^-512, so both bounds are evaluated in exponent space instead
-    factor4, _ = leakage_bound_squared(q, lp, Fraction(2))  # = 4 * tight factor
-    log2_tight_sq = d2_bits + _log2_fraction(factor4)
-    log2_simplified_sq = 2.0 + d2_bits - (lp - 1) * params.field.log2_q
-    return LeakageBounds(
-        d2_bits=d2_bits,
-        tight=_clamped_root_pow2(log2_tight_sq),
-        simplified=_clamped_root_pow2(log2_simplified_sq),
-    )
-
-
-def _log2_fraction(fr: Fraction) -> float:
-    """log2 of a positive rational whose terms may exceed float range."""
-    num, den = fr.numerator, fr.denominator
-    shift = num.bit_length() - den.bit_length()
-    if shift > 0:
-        scaled = num / (den << shift)
-    elif shift < 0:
-        scaled = (num << -shift) / den
+        top, bottom = (2.0 ** d2_bits).as_integer_ratio()  # 2^d2, exactly
+        # each square of leakage_bound_squared as int / int, rounded once
+        # as float() of its Fraction is, without the Fraction's gcd
+        tight_sq = 4 * num * (top - bottom) / (den * bottom)
+        simplified_sq = 4 * top / (bottom * q ** (lp - 1))
+        tight = min(2.0, math.sqrt(tight_sq))
+        simplified = min(2.0, math.sqrt(simplified_sq))
     else:
-        scaled = num / den
+        # 2^d2 would overflow a float; at this size 2^d2 - 1 is 2^d2 to
+        # within 2^-512, so both bounds are evaluated in exponent space
+        tight = _clamped_root_pow2(d2_bits + _log2_ratio(4 * num, den))
+        simplified = _clamped_root_pow2(2.0 + d2_bits - (lp - 1) * params.field.log2_q)
+    return LeakageBounds(d2_bits=d2_bits, tight=tight, simplified=simplified)
+
+
+def _log2_ratio(num: int, den: int) -> float:
+    """log2 of num / den > 0 for terms that may exceed float range."""
+    shift = num.bit_length() - den.bit_length()
+    if shift >= 0:
+        scaled = num / (den << shift)
+    else:
+        scaled = (num << -shift) / den
     return shift + math.log2(scaled)
 
 
@@ -318,18 +312,28 @@ def _clamped_root_pow2(log2_sq: float) -> float:
     return 2.0 if half >= 1.0 else 2.0 ** half
 
 
+def _tight_terms(q: int, ell_prime: int) -> tuple[int, int]:
+    """Numerator and denominator, in lowest terms, of the tight bound's
+    factor (q^ell' - q^(ell'-1) + q^(ell'-2) - 1) / ((q^ell' - 1) q^(ell'-1)).
+    The numerator falls short of q^ell' - 1 by q^(ell'-2) (q - 1), and is
+    -1 mod q for ell' > 2 and q (q - 1) for ell' = 2, so the terms' gcd is
+    its gcd with q (q - 1); no gcd of two terms of megabits is taken."""
+    if ell_prime < 2:
+        raise ValueError("bounds assume ell_prime >= 2")
+    low = q ** (ell_prime - 2)
+    mid = low * q
+    top = mid * q
+    num = top - mid + low - 1
+    g = math.gcd(num, q * (q - 1))
+    return num // g, (top - 1) * mid // g
+
+
 def leakage_bound_squared(
     q: int, ell_prime: int, pow2_d2: Fraction
 ) -> tuple[Fraction, Fraction]:
     """Squares of both bounds as exact rationals in 2^d2, so exact leakage
     statistics can be compared without touching floats."""
-    if ell_prime < 2:
-        raise ValueError("bounds assume ell_prime >= 2")
-    qlp = q ** ell_prime
-    tight_factor = Fraction(
-        qlp - q ** (ell_prime - 1) + q ** (ell_prime - 2) - 1,
-        (qlp - 1) * q ** (ell_prime - 1),
-    )
+    tight_factor = Fraction(*_tight_terms(q, ell_prime))
     tight_sq = 4 * tight_factor * (pow2_d2 - 1)
     simplified_sq = 4 * pow2_d2 / q ** (ell_prime - 1)
     return tight_sq, simplified_sq

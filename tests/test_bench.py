@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from secrid import bench
 from secrid.bench import (
     BENCH_CSV_HEADER,
     BENCH_SCHEMA_VERSION,
+    MAX_COEFFS,
     MIN_REPS,
     BenchRecord,
     default_grid,
@@ -22,9 +24,10 @@ def small_plan():
 
 
 def test_grid_respects_coefficient_cap():
-    grid = default_grid(q=59049, max_coeffs=600_000)
+    grid = default_grid(q=59049)
     import math
 
+    assert MAX_COEFFS == 600_000
     assert all(math.comb(ell + k, ell) <= 600_000 for ell, k in grid)
     assert (2, 20) in grid
     assert (3, 90) in grid
@@ -34,8 +37,8 @@ def test_grid_respects_coefficient_cap():
 
 
 def test_grid_drops_k_at_or_above_q():
-    grid = default_grid(q=25, ells=(2,), k_multipliers=(10, 20), max_coeffs=10 ** 9)
-    assert grid == [(2, 20)]  # k = 40 >= q = 25 goes away
+    grid = default_grid(q=25)
+    assert grid == [(2, 20)]  # k = 40 >= q = 25 goes away, and every ell >= 3
 
 
 def test_run_bench_produces_all_operations():
@@ -71,7 +74,7 @@ def test_bench_record_validation():
 
 
 def test_csv_shape_and_schema_column():
-    records = run_grid(q=25, kappa=0.2, reps=MIN_REPS, ells=(1,), k_multipliers=(2,))
+    records = run_grid(q=25, kappa=0.2, reps=MIN_REPS)
     buf = io.StringIO()
     write_csv(records, buf)
     rows = list(csv.reader(io.StringIO(buf.getvalue())))
@@ -87,5 +90,6 @@ def test_csv_shape_and_schema_column():
         assert len(row) == len(BENCH_CSV_HEADER)
 
 
-def test_run_grid_empty_when_cap_kills_everything():
-    assert run_grid(q=25, reps=MIN_REPS, ells=(2,), k_multipliers=(20,), max_coeffs=10) == []
+def test_run_grid_empty_when_cap_kills_everything(monkeypatch):
+    monkeypatch.setattr(bench, "MAX_COEFFS", 10)
+    assert run_grid(q=25, reps=MIN_REPS) == []

@@ -1,15 +1,20 @@
+import argparse
+import ast
 import contextlib
 import copy
 import csv
 import functools
 import hashlib
+import inspect
 import io
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -510,15 +515,28 @@ def test_leakage_exact_single_point(capsys):
     assert obj["exact_max_tv"] <= obj["bound_tight"] + 1e-9
 
 
-def test_leakage_exact_sweep_is_worker_invariant(tmp_path, capsys):
+def test_leakage_exact_sweep_is_worker_invariant(tmp_path, capsys, monkeypatch):
     common = (
         "leakage-exact", "--q", "2", "--sweep", "--channel", "symmetric",
         "--ell-primes", "2,3", "--deltas", "0,1/4,1/2",
     )
     one = tmp_path / "one.csv"
     two = tmp_path / "two.csv"
-    assert main([*common, "--workers", "1", "--out", str(one)]) == 0
-    assert main([*common, "--workers", "3", "--out", str(two)]) == 0
+    real_get_context = multiprocessing.get_context
+    methods = []
+
+    def get_context(method):
+        methods.append(method)
+        return real_get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    assert main([*common, "--out", str(one)]) == 0
+    assert methods == []  # far below POOL_STEPS: run in this process
+    # a pool of two processes, however small the sweep
+    monkeypatch.setattr(cli, "POOL_STEPS", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert main([*common, "--out", str(two)]) == 0
+    assert methods == ["spawn"]
     capsys.readouterr()
     assert one.read_text() == two.read_text()
     rows = list(csv.reader(io.StringIO(one.read_text())))
@@ -529,27 +547,31 @@ def test_leakage_exact_sweep_is_worker_invariant(tmp_path, capsys):
 
 def test_pool_size_never_exceeds_points_or_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert _pool_size(10 ** 6, 6) == 4
-    assert _pool_size(10 ** 6, 3) == 3
-    assert _pool_size(2, 6) == 2
-    assert _pool_size(1, 6) == 1
+    above = cli.POOL_STEPS + 1
+    assert _pool_size(above, 6) == 4
+    assert _pool_size(above, 3) == 3
+    assert _pool_size(cli.POOL_STEPS, 6) == 1
+    assert _pool_size(0, 6) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _pool_size(8, 6) == 1
+    assert _pool_size(above, 6) == 1
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-@pytest.mark.parametrize("sweep", [False, True])
-def test_leakage_exact_rejects_non_positive_workers(tmp_path, capsys, workers, sweep):
-    out = tmp_path / "leak.csv"
-    argv = ["leakage-exact", "--q", "2", "--workers", workers, "--out", str(out)]
-    code, stdout, err = run_cli(capsys, *argv, *(["--sweep"] if sweep else []))
-    assert code == 1
-    assert stdout == ""
-    assert json.loads(err)["error"] == {
-        "kind": "DomainError",
-        "message": f"--workers must be at least 1, got {workers}",
-    }
-    assert not out.exists()
+def test_small_sweeps_start_no_process(capsys, monkeypatch):
+    def no_pool(method):
+        raise AssertionError(f"a {method} pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    argv, digest = REPORT_SHA256["leakage_sweep"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # a point above the limit is refused before any point runs
+    monkeypatch.setattr(cli, "_sweep_point", lambda point: pytest.fail(f"{point} ran"))
+    code, out, err = run_cli(capsys, "leakage-exact", "--q", "9", "--sweep", "--ell-primes", "2,4")
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "ValueError"
+    assert error["message"].endswith(" too large for exact leakage")
 
 
 def test_capacity_check_single_and_sweep(capsys):
@@ -604,8 +626,7 @@ def test_bench_resolves_its_field_from_any_field_flag(
 def test_bench_csv_names_the_field_given_as_p_and_m(capsys):
     code, out, err = run_cli(
         capsys,
-        "bench", "--p", "5", "--m", "2", "--ells", "1", "--k-multipliers", "2",
-        "--reps", "30", "--seed", "0",
+        "bench", "--p", "5", "--m", "2", "--reps", "30", "--seed", "0",
     )
     assert code == 0, err
     rows = list(csv.DictReader(io.StringIO(out)))
@@ -615,25 +636,28 @@ def test_bench_csv_names_the_field_given_as_p_and_m(capsys):
 
 @pytest.mark.parametrize("kappas", ["", "0.2,x", "0.2,,0.4"])
 def test_bench_parses_every_kappa_before_any_grid_runs(capsys, monkeypatch, kappas):
-    # an empty --kappas used to bench the --kappa default, and a bad value
+    # an empty kappa list used to bench the default kappa, and a bad value
     # used to fail only after the grids before it had run
     def no_grid(**kwargs):
         raise AssertionError(f"bench ran its grid at kappa = {kwargs['kappa']}")
 
     monkeypatch.setattr("secrid.bench.run_grid", no_grid)
-    code, out, err = run_cli(capsys, "bench", "--kappas", kappas)
+    code, out, err = run_cli(capsys, "bench", "--kappa", kappas)
     assert (code, out) == (1, "")
     error = json.loads(err)["error"]
     assert error["kind"] == "ValueError"
     assert error["message"].startswith("could not convert string to float")
 
 
-def test_bench_runs_one_grid_per_kappa_in_order(capsys, monkeypatch):
+def test_bench_runs_one_grid_per_kappa_in_order(tmp_path, capsys, monkeypatch):
     seen = []
     monkeypatch.setattr("secrid.bench.run_grid", lambda **kw: seen.append(kw["kappa"]) or [])
-    assert run_cli(capsys, "bench", "--kappas", "0.4,0.2")[0] == 0
+    assert run_cli(capsys, "bench", "--kappa", "0.4,0.2")[0] == 0
     assert run_cli(capsys, "bench", "--kappa", "0.3")[0] == 0
-    assert seen == [0.4, 0.2, 0.3]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kappa = 0.25\n")  # a config's kappa is one float
+    assert run_cli(capsys, "bench", "--config", str(cfg))[0] == 0
+    assert seen == [0.4, 0.2, 0.3, 0.25]
 
 
 def test_bench_rejects_a_degree_without_a_characteristic(capsys, monkeypatch):
@@ -672,7 +696,7 @@ def _disk_full_after_first_row(monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [["leakage-exact", "--q", "3", "--sweep"],
-     ["bench", "--q", "25", "--ells", "1", "--k-multipliers", "2", "--reps", "30"]],
+     ["bench", "--q", "25", "--reps", "30"]],
     ids=["leakage_exact_sweep", "bench"],
 )
 def test_a_failed_csv_write_leaves_the_old_output_alone(tmp_path, capsys, monkeypatch, argv):
@@ -690,8 +714,7 @@ def test_bench_command_writes_csv(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     code, _, _ = run_cli(
         capsys,
-        "bench", "--q", "25", "--ells", "1", "--k-multipliers", "2",
-        "--reps", "30", "--kappa", "0.2", "--out", str(out), "--seed", "0",
+        "bench", "--q", "25", "--reps", "30", "--kappa", "0.2", "--out", str(out), "--seed", "0",
     )
     assert code == 0
     rows = list(csv.reader(io.StringIO(out.read_text())))
@@ -755,8 +778,8 @@ def test_encrypt_refuses_an_empty_seeds_path(pipeline, tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize(
     "argv",
-    [["leakage-exact", "--q", "3", "--sweep", "--workers", "1"],
-     ["bench", "--q", "25", "--ells", "1", "--k-multipliers", "2", "--reps", "30"]],
+    [["leakage-exact", "--q", "3", "--sweep"],
+     ["bench", "--q", "25", "--reps", "30"]],
     ids=["leakage_exact_sweep", "bench"],
 )
 def test_csv_out_dash_writes_stdout(tmp_path, capsys, monkeypatch, argv):
@@ -819,6 +842,33 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run_cli(capsys, "gen-identity", "--config", str(cfg))
     assert code == 1
     assert "unknown key" in json.loads(err)["error"]["message"]
+
+
+def _args_read(func) -> set[str]:
+    """The args attributes func reads: each args.<name>, each string passed
+    with args to a helper of the cli module, and what that helper reads."""
+    read = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(func)))):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and any(getattr(a, "id", None) == "args" for a in node.args):
+            helper = vars(cli).get(getattr(node.func, "id", None))
+            if inspect.isfunction(helper) and helper.__module__ == cli.__name__:
+                read |= {a.value for a in node.args if isinstance(a, ast.Constant)}
+                read |= _args_read(helper)
+    return read
+
+
+def test_every_option_is_read_by_its_subcommand():
+    # an option its subcommand never reads is a value the user sets for nothing
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = {}
+    for name, parser in sub.choices.items():
+        options = {a.dest for a in parser._actions if a.option_strings} - {"help", "config"}
+        missing = options - _args_read(parser.get_default("func"))
+        if missing:
+            unread[name] = sorted(missing)
+    assert unread == {}
 
 
 def test_usage_errors_exit_two():
@@ -1007,8 +1057,8 @@ def test_python_dash_m_secrid_runs():
 
 
 def test_cli_import_leaves_sweep_and_bench_modules_out():
-    # only `leakage-exact --workers` and `bench` need them; every cold CLI
-    # call would pay their import otherwise
+    # only a `leakage-exact --sweep` above POOL_STEPS and `bench` need
+    # them; every cold CLI call would pay their import otherwise
     probe = "import sys, secrid.cli; print(sorted({'multiprocessing', 'secrid.bench'} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", probe],

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from secrid.wiretap import (
     Seed,
     SecrecyParams,
     SecretChallenge,
+    _tight_terms,
     decrypt,
     decrypt_tags,
     encrypt,
@@ -316,6 +318,63 @@ def test_leakage_bound_squared_exact_values():
     # tight: 4 * (9 - 3 + 1 - 1)/((9 - 1) * 3) * (2 - 1) = 4 * 6/24 = 1
     assert tight_sq == 1
     assert simplified_sq == Fraction(8, 3)
+
+
+# (q, ell', d2 bits, tight, simplified), both bounds as float.hex, on each
+# side of the d2 = 512 switch to exponent space; the d2 > 512 points are
+# kappa_d2_bits(params, kappa) of the kappa given as a string
+BOUND_BITS = [
+    (3, 4, 1.5, "0x1.d52d992a4dcb5p-2", "0x1.4b6dd62fe4baap-1"),
+    (25, 3, 5.0, "0x1.bf44830a01337p-2", "0x1.cf68d4fff04ddp-2"),
+    (59049, 40, 300.0, "0x1.e88766f271bccp-159", "0x1.e888760b742b4p-159"),
+    (7, 200, 500.0, "0x1.7d15557676e73p-29", "0x1.96cd7a40cc03ep-29"),
+    (65536, 33, 512.0, "0x1.ffff0000c0006p+0", "0x1.0000000000000p+1"),
+    (2, 600, "0.99", "0x1.3988e1409216fp-2", "0x1.6a09e667f3bcdp-2"),
+    (3, 400, "0.99", "0x1.5b98cb56e5c72p-2", "0x1.8a2345cc04333p-2"),
+    (5, 300, "0.95", "0x1.89a3e7bd810e2p-16", "0x1.ad7f29abcaf84p-16"),
+    (9, 200, "0.97", "0x1.0007f096a7a4fp-7", "0x1.0db20a88f469dp-7"),
+    (16, 200, "0.98", "0x1.f0c60a033a715p-6", "0x1.0000000000000p-5"),
+    (25, 120, "0.97", "0x1.e95b340ddff88p-6", "0x1.f3080da384c6ep-6"),
+    (59049, 40, "0.9", "0x1.2b5234fcb2c54p-23", "0x1.2b52db169e977p-23"),
+    (59049, 1000, "0.99", "0x1.9934234d2ebb4p-71", "0x1.9935066127754p-71"),
+    (65536, 300, "0.995", "0x1.ffff0000bfc31p-4", "0x1.0000000000000p-3"),
+    (2 ** 31 - 1, 30, "0.96", "0x1.ddb6800ffc715p-3", "0x1.ddb68011da221p-3"),
+    (7, 3000, "0.999", "0x1.1212fc7e98e3dp-2", "0x1.2492492491e83p-2"),
+]
+
+
+@pytest.mark.parametrize("q,lp,budget,tight,simplified", BOUND_BITS)
+def test_leakage_bound_bits_are_pinned(q, lp, budget, tight, simplified):
+    params = params_for(q, lp)
+    d2 = budget if isinstance(budget, float) else kappa_d2_bits(params, float(budget))
+    bounds = leakage_bound(params, d2)
+    assert (bounds.tight.hex(), bounds.simplified.hex()) == (tight, simplified)
+    assert 0 < bounds.tight < 2
+    if d2 <= 512:  # the float path agrees with the exact squares
+        squares = leakage_bound_squared(q, lp, Fraction(2.0 ** d2))
+        assert [bounds.tight, bounds.simplified] == [min(2.0, math.sqrt(sq)) for sq in squares]
+
+
+@pytest.mark.parametrize("budget", ["0.2", 0.0, 100.0])
+def test_leakage_bound_at_a_huge_ell_prime_is_fast(budget):
+    # the tight factor's terms have ~3 megabits here; a Fraction of them
+    # spent seconds on their gcd
+    params = params_for(59049, 100_000)
+    d2 = budget if isinstance(budget, float) else kappa_d2_bits(params, float(budget))
+    start = time.perf_counter()
+    bounds = leakage_bound(params, d2)
+    assert time.perf_counter() - start < 1.0
+    assert (bounds.tight, bounds.simplified) == (0.0, 0.0)  # both underflow
+
+
+def test_tight_terms_are_in_lowest_terms():
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 59049):
+        for lp in range(2, 9):
+            qlp = q ** lp
+            num = qlp - q ** (lp - 1) + q ** (lp - 2) - 1
+            den = (qlp - 1) * q ** (lp - 1)
+            g = math.gcd(num, den)
+            assert _tight_terms(q, lp) == (num // g, den // g)
 
 
 def test_tight_bound_never_exceeds_simplified():
