@@ -3,8 +3,9 @@
 Everything here exists to check the closed-form accounting exactly at toy
 scale: exact total variation between conditional seed-observation laws for
 a given per-symbol observation channel (an integer dynamic program over the
-seed directions), exact collision-entropy budgets, and exact identification
-error fractions (a depth-first zero count of the difference polynomial, one
+seed directions, level by level, each distinct convolved f once with its
+count), exact collision-entropy budgets, and exact identification error
+fractions (a depth-first zero count of the difference polynomial, one
 variable substituted at a time through rmid.substitution_plan, the Horner
 plan evaluate_tag folds by, ~sum_j q^j C(ell - j + 1 + k, k) lookups in a
 q x q multiply-add table instead of C(ell + k, k) at each of q^ell points).
@@ -20,6 +21,7 @@ the channel reaches, so it is always finite.
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -117,14 +119,20 @@ class ChannelModel:
         return cls(kind, len(rows), rows)
 
 
+def _scaled(channel: ChannelModel) -> tuple[int, list[list[int]]]:
+    """The channel's rows scaled to ints by the common denominator."""
+    scale = math.lcm(*(v.denominator for row in channel.matrix for v in row))
+    return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in channel.matrix]
+
+
 def conditional_d2_pow(channel: ChannelModel) -> Fraction:
     """2^(D2(W || P_X W | P_X)) exactly at uniform input P_X: with output
-    law py(z) = sum_x W(z | x) / q, it is sum_(x,z) W(z | x)^2 / (q py(z))."""
-    py = [sum(col) for col in zip(*channel.matrix)]  # q times the output law
-    return sum(
-        (w * w / py[z] for row in channel.matrix for z, w in enumerate(row) if w),
-        Fraction(0),
-    )
+    law py(z) = sum_x W(z | x) / q, it is sum_(x,z) W(z | x)^2 / (q py(z)),
+    summed over the integer-scaled columns into one Fraction."""
+    scale, w = _scaled(channel)
+    cols = [(sum(col), sum(v * v for v in col)) for col in zip(*w) if any(col)]
+    common = math.lcm(*(py for py, _ in cols))
+    return Fraction(sum(sq * (common // py) for py, sq in cols), scale * common)
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +185,22 @@ LEAKAGE_CSV_HEADER = [
 
 
 def leakage_steps(params: SecrecyParams, n_outputs: int) -> int:
-    """Integer steps exact_leakage takes through a channel of n_outputs
-    outputs, directions * |Z|^ell' * ell' * q^2; more than
-    STATE_SPACE_LIMIT are refused."""
+    """Integer steps exact_leakage takes at most through a channel of
+    n_outputs outputs, directions * |Z|^ell' * ell' * q^2; more than
+    STATE_SPACE_LIMIT are refused, by bit length first, so a huge ell' is
+    refused without forming its power."""
     q = params.field.q
     lp = params.ell_prime
-    steps = params.direction_count * n_outputs ** lp * lp * q * q
-    if steps > STATE_SPACE_LIMIT:
-        raise ValueError(
-            f"directions * |Z|^ell' * ell' * q^2 = {steps} too large for exact leakage"
-        )
-    return steps
+    # directions >= q^(ell' - 1), so steps >= 2^bits
+    bits = (lp + 1) * (q.bit_length() - 1) + lp * (n_outputs.bit_length() - 1)
+    if bits < STATE_SPACE_LIMIT.bit_length():
+        steps = params.direction_count * n_outputs ** lp * lp * q * q
+        if steps <= STATE_SPACE_LIMIT:
+            return steps
+        bits = steps.bit_length() - 1
+    raise ValueError(
+        f"directions * |Z|^ell' * ell' * q^2 >= 2^{bits} too large for exact leakage"
+    )
 
 
 def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport:
@@ -199,13 +212,19 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
     and message m give P(s, s0, z | m) = f(m - s0) / (|S| q^(ell'-1)).  Over
     s0 each message sees every value of f once, so the max TV is
     sum_(s,z,t) |q f(t) - sum f| / q for every message, and messages d apart
-    differ by sum_(s,z,t) |f(t) - f(t + d)|, both over |S| q^(ell'-1).
-    f is a convolution over GF(q), one step per coordinate with s_i != 0; a
-    coordinate with s_i = 0 only scales f, by weights that sum to q over its
-    z_i.  The order of the steps does not matter, so a depth-first walk over
-    the pivot's 1 followed by k - 1 nonzero entries, and their observations,
-    covers every (s, z), each walk of k steps standing for C(ell', k)
-    directions.  Channel rows are scaled to ints by a common denominator."""
+    differ by sum_(s,z,t) |f(t) - f(t + d)|, both over |S| q^(ell'-1); d and
+    -d give the same sum.  f is a convolution over GF(q), one step per
+    coordinate with s_i != 0; a coordinate with s_i = 0 only scales f, by
+    weights that sum to q over its z_i.  The step of multiplier a and output
+    z convolves with the kernel h(a x) = W(z | x); equal kernels merge, with
+    a count.  Steps commute, so f after the pivot's 1 and k - 1 nonzero
+    entries (C(ell', k) directions each) depends only on the multiset of
+    steps: the walk goes level by level in k, each distinct f once with how
+    many walks reach it.  A constant added to f adds a constant to every f
+    below it and changes no sum, so each step drops low = min h:
+    g(t) = sum_u (h(u) - low) f(t - u), one term on a symmetric channel,
+    whose steps merge to q kernels.  Rows are scaled to ints by a common
+    denominator."""
     field = params.field
     q = field.q
     if channel.q != q:
@@ -214,36 +233,40 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
     n_out = channel.n_outputs
     leakage_steps(params, n_out)
 
-    mul = field.fast_ops()[1]
-    scale = math.lcm(*(v.denominator for row in channel.matrix for v in row))
-    w = [[int(v * scale) for v in row] for row in channel.matrix]
-    back = [[field.sub(t, u) for t in range(q)] for u in range(q)]
-    # a step for multiplier a and output z: f(t) -> sum_x W(z | x) f(t - a x)
-    steps = [
-        terms
-        for a in range(1, q)
-        for z in range(n_out)
-        if (terms := [(back[mul(a, x)], w[x][z]) for x in range(q) if w[x][z]])
-    ]
+    add, mul = field.fast_ops()
+    scale, w = _scaled(channel)
+    # back[u][t] = t - u, with -u = (p - 1) u
+    back = [[add(t, mul(field.p - 1, u)) for t in range(q)] for u in range(q)]
+    # kernels h(u) = W(z | x) at u = a x, by the x that solve a x = u
+    solve = [sorted(range(q), key=lambda x, a=a: mul(a, x)) for a in range(1, q)]
+    kernels = Counter(tuple(col[x] for x in xs) for xs in solve for col in zip(*w))
+    steps = []  # (terms (t -> t - u, h(u) - low), how many (a, z) share h)
+    for h, count in kernels.items():
+        low = min(h)
+        if terms := [(back[u], v - low) for u, v in enumerate(h) if v > low]:
+            steps.append((terms, count))  # a constant h leaves nothing to sum
+    half = [d for d in range(1, q) if d <= back[d][0]]  # d <= -d
     # sums by walk length k; pair_sums[k][d] for messages d apart
     max_sums = [0] * (lp + 1)
     pair_sums = [[0] * q for _ in range(lp + 1)]
 
-    def visit(f: list[int], k: int) -> None:
-        total = sum(f)
-        max_sums[k] += sum(abs(q * v - total) for v in f)
+    level = Counter(zip(*w))  # the pivot's step from t = 0: f = W(z | .)
+    for k in range(1, lp + 1):
         pair = pair_sums[k]
-        for d in range(1, q):
-            pair[d] += sum(abs(v - f[i]) for v, i in zip(f, back[d]))
-        if k < lp:
-            for (idx, wz), *rest in steps:
-                g = [wz * f[i] for i in idx]
-                for idx, wz in rest:
-                    g = [v + wz * f[i] for v, i in zip(g, idx)]
-                visit(g, k + 1)
-
-    for z in range(n_out):
-        visit([w[x][z] for x in range(q)], 1)  # the pivot's step from t = 0
+        below = defaultdict(int)
+        for f, walks in level.items():
+            total = sum(f)
+            max_sums[k] += walks * sum(abs(q * v - total) for v in f)
+            for d in half:
+                pair[d] += walks * sum(abs(v - f[i]) for v, i in zip(f, back[d]))
+            if k == lp:
+                continue
+            for ((idx, wt), *rest), count in steps:
+                g = [wt * f[i] for i in idx]
+                for idx, wt in rest:
+                    g = [v + wt * f[i] for v, i in zip(g, idx)]
+                below[tuple(g)] += walks * count
+        level = below
 
     def weighted(sums: list[int]) -> int:
         return sum(math.comb(lp, k) * (q * scale) ** (lp - k) * v for k, v in enumerate(sums))
@@ -297,12 +320,14 @@ def exact_id_error(id_i: Identity, id_j: Identity) -> Fraction:
     variable, Horner in a folds the coefficients into a polynomial of total
     degree <= k in the variables left, and the count recurses on that.  A
     polynomial that vanishes identically holds q^(variables left) zeros
-    without descending.  That is at most sum over j = 1..ell of
-    q^j * C(ell - j + 1 + k, k) Horner steps instead of C(ell + k, k)
-    multiply-adds per point, e.g. 25k instead of 302k at q = 7, ell = 4,
-    k = 5, in memory of ell coefficient vectors.  Each step is one lookup,
-    steps[a][acc][c] = a * acc + c, in tables of q^2 entries built once per
-    call, so q is limited to 1024 (q^2 <= ff.TABLE_LIMIT)."""
+    without descending; at the last variable the fold is univariate and
+    its roots are counted as they come.  That is at most sum over
+    j = 1..ell of q^j * C(ell - j + 1 + k, k) Horner steps instead of
+    C(ell + k, k) multiply-adds per point, e.g. 25k instead of 302k at
+    q = 7, ell = 4, k = 5, in memory of ell coefficient vectors.  Each step
+    is one lookup, steps[a][acc][c] = a * acc + c, in tables of q^2 entries
+    built once per call, so q is limited to 1024 (q^2 <= ff.TABLE_LIMIT);
+    the difference a - b is steps[-1][b][a] from the same tables."""
     if id_i.params != id_j.params:
         raise ValueError("identities use different code parameters")
     params = id_i.params
@@ -320,6 +345,17 @@ def exact_id_error(id_i: Identity, id_j: Identity) -> Fraction:
     steps = [[sums[mul(a, x)] for x in range(q)] for a in range(q)]
 
     def zeros(poly: list[int], depth: int) -> int:
+        if depth == last:  # one univariate group: count its roots
+            ((top, rest),) = plan[last]
+            head, tail = poly[top], [poly[i] for i in rest]
+            hits = 0
+            for step in steps:
+                acc = head
+                for c in tail:
+                    acc = step[acc][c]
+                if not acc:
+                    hits += 1
+            return hits
         vanished = q ** (last - depth)  # points left below this variable
         hits = 0
         for step in steps:  # one value a of this variable
@@ -329,11 +365,9 @@ def exact_id_error(id_i: Identity, id_j: Identity) -> Fraction:
                 for i in rest:
                     acc = step[acc][poly[i]]
                 folded.append(acc)
-            if not any(folded):
-                hits += vanished
-            elif depth < last:
-                hits += zeros(folded, depth + 1)
+            hits += zeros(folded, depth + 1) if any(folded) else vanished
         return hits
 
-    diff = [field.sub(a, b) for a, b in zip(id_i.coeffs, id_j.coeffs)]
+    minus = steps[field.p - 1]  # minus[b][a] = -b + a; p - 1 is -1
+    diff = [minus[b][a] for a, b in zip(id_i.coeffs, id_j.coeffs)]
     return Fraction(zeros(diff, 0), q ** params.ell)

@@ -306,8 +306,12 @@ def cmd_params(args) -> list:
     from .planner import plan
 
     _require(args, "ell", "k")
+    field = _field_from_args(args)
+    # identity_bits = count * log2 q: from here on float(count) overflows
+    if IdCodeParams(field, args.ell, args.k).coeff_count >= 2 ** 1024 - 2 ** 970:
+        raise DomainError("C(ell + k, ell) coefficients round past 2^1024, the float range")
     report = plan(
-        q=_field_from_args(args).q,
+        q=field.q,
         ell=args.ell,
         k=args.k,
         kappa=args.kappa,
@@ -340,25 +344,11 @@ def cmd_leakage_bound(args) -> list:
     return [("-", _dumps(out))]
 
 
-def _sweep_point(point: tuple[int, int, str, str]) -> list:
+def _sweep_point(point: tuple) -> list:
     from .analysis import exact_leakage
-    from .wiretap import SecrecyParams
 
-    q, ell_prime, kind, delta_text = point
-    params = SecrecyParams(Field.from_q(q), ell_prime)
-    return exact_leakage(params, _channel(kind, q, delta_text)).to_csv_row()
-
-
-# exact-leakage steps above which a sweep gains from a process pool; on a
-# 2-core x86 machine two processes tied one on q = 7's default sweep
-# (1.2e7 steps) and were 1.4-1.9x faster on q = 8's (2.9e7)
-POOL_STEPS = 20_000_000
-
-
-def _pool_size(steps: int, n_points: int) -> int:
-    """Processes a sweep of n_points points and steps exact-leakage steps
-    runs in: above POOL_STEPS one per point, up to the CPU count; else 1."""
-    return min(n_points, os.cpu_count() or 1) if steps > POOL_STEPS else 1
+    params, channel = point
+    return exact_leakage(params, channel).to_csv_row()
 
 
 def cmd_leakage_exact(args) -> list:
@@ -368,24 +358,19 @@ def cmd_leakage_exact(args) -> list:
     from .wiretap import SecrecyParams
 
     field = _field_from_args(args)
+    # every point is sized, and one too large refused, before any channel
+    # is built: at a large q the q x q matrix is itself the cost
+    n_out = field.q + (args.channel == "erasure")  # the erasure mark
     if not args.sweep:
         params = SecrecyParams(field, args.ell_prime)
+        leakage_steps(params, n_out)
         report = exact_leakage(params, _channel(args.channel, field.q, args.delta))
         return [("-", _dumps(report.to_json_dict()))]
-    deltas = args.deltas.split(",")
-    ell_primes = [int(v) for v in args.ell_primes.split(",")]
-    points = [(field.q, lp, args.channel, d) for lp in ell_primes for d in deltas]
-    # every point is sized, and one too large refused, before any runs
-    outputs = [_channel(args.channel, field.q, d).n_outputs for d in deltas]
-    steps = sum(leakage_steps(SecrecyParams(field, lp), n) for lp in ell_primes for n in outputs)
-    size = _pool_size(steps, len(points))
-    if size > 1:
-        from multiprocessing import get_context
-
-        with get_context("spawn").Pool(size) as pool:
-            rows = pool.map(_sweep_point, points)  # map keeps input order
-    else:
-        rows = [_sweep_point(pt) for pt in points]
+    sized = [SecrecyParams(field, int(v)) for v in args.ell_primes.split(",")]
+    for params in sized:
+        leakage_steps(params, n_out)
+    channels = [_channel(args.channel, field.q, d) for d in args.deltas.split(",")]
+    rows = [_sweep_point((params, channel)) for params in sized for channel in channels]
     text = io.StringIO()
     csv.writer(text).writerows([LEAKAGE_CSV_HEADER, *rows])
     return [(args.out or "-", text.getvalue())]

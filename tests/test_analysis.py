@@ -16,7 +16,7 @@ from secrid.ff import Field, field_for
 from secrid.rmid import IdCodeParams, Identity, monomial_exponents
 from secrid.wiretap import SecrecyParams, enumerate_seeds, hyperplane
 
-from util import id_error_by_sweep
+from util import id_error_by_sweep, leakage_by_walk
 
 
 def params_for(q, ell_prime):
@@ -263,10 +263,66 @@ def test_exact_leakage_under_non_trivial_bound(q, lp):
     assert float(report.exact_pairwise_tv) <= report.bound_tight
 
 
+def walk_channel(kind, q, delta):
+    """An observation channel by name; "parity" has two outputs, the parity
+    of the symbol's integer form flipped with probability delta."""
+    if kind == "parity":
+        rows = [[1 - delta, delta] if x % 2 == 0 else [delta, 1 - delta] for x in range(q)]
+        return ChannelModel.from_matrix("parity", rows)
+    if kind in ("identity", "uniform"):
+        return getattr(ChannelModel, kind)(q)
+    return getattr(ChannelModel, kind)(q, delta)
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "erasure", "identity", "uniform", "parity"])
+@pytest.mark.parametrize("q, lp", [(7, 2), (8, 3), (9, 2), (5, 3), (4, 4)])
+def test_exact_leakage_matches_the_depth_first_walk(q, lp, kind):
+    # points too large for the product-channel oracle: every ordered
+    # sequence of unmerged steps against distinct f vectors with counts
+    params = params_for(q, lp)
+    channel = walk_channel(kind, q, Fraction(1, 3))
+    report = exact_leakage(params, channel)
+    assert (report.exact_max_tv, report.exact_pairwise_tv) == leakage_by_walk(params, channel)
+
+
+@pytest.mark.parametrize(
+    "q, lp, kind, max_tv, pair_tv, d2_pow",
+    [
+        (5, 2, "symmetric", "387/320", "387/256", "970225/65536"),
+        (3, 3, "symmetric", "673/768", "673/512", "26198073/2097152"),
+        (4, 3, "parity", "93/448", "93/224", "15625/4096"),
+        (9, 2, "parity", "104/405", "16/45", "49729/20449"),
+    ],
+)
+def test_exact_leakage_at_the_benchmark_points(q, lp, kind, max_tv, pair_tv, d2_pow):
+    # the four leakage goldens of the oracles benchmark, at delta = 1/8
+    params = params_for(q, lp)
+    channel = walk_channel(kind, q, Fraction(1, 8))
+    report = exact_leakage(params, channel)
+    expected = (Fraction(max_tv), Fraction(pair_tv))
+    assert (report.exact_max_tv, report.exact_pairwise_tv) == expected
+    assert leakage_by_walk(params, channel) == expected
+    assert report.d2_pow == Fraction(d2_pow)
+
+
 def test_exact_leakage_rejects_huge_state_space():
     # 820 directions * 9^4 observations * 4 * 9^2 = 1.7e9 steps passes 10^8
     with pytest.raises(ValueError):
         exact_leakage(params_for(9, 4), ChannelModel.identity(9))
+
+
+def test_leakage_steps_counts_and_refuses_by_size():
+    from secrid.analysis import STATE_SPACE_LIMIT, leakage_steps
+
+    assert STATE_SPACE_LIMIT == 100_000_000
+    assert leakage_steps(params_for(2, 10), 2) == 1023 * 2 ** 10 * 10 * 4
+    assert leakage_steps(params_for(9, 3), 9) == 91 * 9 ** 3 * 3 * 81
+    # 2047 * 2^11 * 11 * 4 = 1.8e8: a small count, refused once formed
+    with pytest.raises(ValueError, match=r"^directions .* >= 2\^27 too large"):
+        leakage_steps(params_for(2, 11), 2)
+    # bounded below by bit lengths; 2^(10^9) is never formed
+    with pytest.raises(ValueError, match=r">= 2\^2000000001 too large"):
+        leakage_steps(params_for(2, 10 ** 9), 2)
 
 
 def test_leakage_report_row_matches_header():

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import secrid
 from secrid import cli, rmid
-from secrid.cli import _pool_size, main
+from secrid.cli import main
 from secrid.ff import Field
 
 
@@ -504,6 +504,39 @@ def test_params_rejects_non_finite_epsilon(capsys, epsilon):
     assert "(0, 2]" in error["message"]
 
 
+def test_params_refuses_a_code_past_the_float_range(capsys):
+    # C(2000, 1000) * log2 q has no float; the count is refused before it
+    code, out, err = run_cli(
+        capsys, "params", "--q", "4294967291", "--ell", "1000", "--k", "1000",
+    )
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "DomainError"
+    assert "2^1024" in error["message"]
+
+
+@pytest.mark.parametrize("sweep", [(), ("--sweep",)], ids=["point", "sweep"])
+def test_leakage_exact_refuses_a_large_field_before_building_its_channel(capsys, monkeypatch, sweep):
+    # the size needs only the output count; a 509 x 509 matrix is not built
+    monkeypatch.setattr(cli, "_channel", lambda *a: pytest.fail(f"channel {a} built"))
+    code, out, err = run_cli(capsys, "leakage-exact", "--q", "509", *sweep)
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "ValueError"
+    assert error["message"].endswith(" too large for exact leakage")
+
+
+def test_leakage_exact_refuses_a_huge_ell_prime_by_its_size(capsys):
+    # 3^1000000 steps has ~477k digits, past str()'s 4300-digit limit
+    code, out, err = run_cli(capsys, "leakage-exact", "--q", "3", "--ell-prime", "1000000")
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "ValueError"
+    assert error["message"] == (
+        "directions * |Z|^ell' * ell' * q^2 >= 2^2000001 too large for exact leakage"
+    )
+
+
 def test_leakage_exact_single_point(capsys):
     obj = run_json(
         capsys,
@@ -515,45 +548,19 @@ def test_leakage_exact_single_point(capsys):
     assert obj["exact_max_tv"] <= obj["bound_tight"] + 1e-9
 
 
-def test_leakage_exact_sweep_is_worker_invariant(tmp_path, capsys, monkeypatch):
-    common = (
+def test_leakage_exact_sweep_writes_one_row_per_point(tmp_path, capsys):
+    out = tmp_path / "one.csv"
+    assert main([
         "leakage-exact", "--q", "2", "--sweep", "--channel", "symmetric",
-        "--ell-primes", "2,3", "--deltas", "0,1/4,1/2",
-    )
-    one = tmp_path / "one.csv"
-    two = tmp_path / "two.csv"
-    real_get_context = multiprocessing.get_context
-    methods = []
-
-    def get_context(method):
-        methods.append(method)
-        return real_get_context(method)
-
-    monkeypatch.setattr(multiprocessing, "get_context", get_context)
-    assert main([*common, "--out", str(one)]) == 0
-    assert methods == []  # far below POOL_STEPS: run in this process
-    # a pool of two processes, however small the sweep
-    monkeypatch.setattr(cli, "POOL_STEPS", 0)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert main([*common, "--out", str(two)]) == 0
-    assert methods == ["spawn"]
+        "--ell-primes", "2,3", "--deltas", "0,1/4,1/2", "--out", str(out),
+    ]) == 0
     capsys.readouterr()
-    assert one.read_text() == two.read_text()
-    rows = list(csv.reader(io.StringIO(one.read_text())))
+    rows = list(csv.reader(io.StringIO(out.read_text())))
     assert rows[0] == ["q", "ell_prime", "delta", "kappa_true", "exact_max_tv",
                       "bound_tight", "bound_simplified"]
-    assert len(rows) == 1 + 6
-
-
-def test_pool_size_never_exceeds_points_or_cpus(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    above = cli.POOL_STEPS + 1
-    assert _pool_size(above, 6) == 4
-    assert _pool_size(above, 3) == 3
-    assert _pool_size(cli.POOL_STEPS, 6) == 1
-    assert _pool_size(0, 6) == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _pool_size(above, 6) == 1
+    assert [row[1:3] for row in rows[1:]] == [
+        [lp, delta] for lp in ("2", "3") for delta in ("0.0", "0.25", "0.5")
+    ]
 
 
 def test_small_sweeps_start_no_process(capsys, monkeypatch):
@@ -1057,8 +1064,8 @@ def test_python_dash_m_secrid_runs():
 
 
 def test_cli_import_leaves_sweep_and_bench_modules_out():
-    # only a `leakage-exact --sweep` above POOL_STEPS and `bench` need
-    # them; every cold CLI call would pay their import otherwise
+    # only `bench` needs secrid.bench, and no subcommand multiprocessing;
+    # every cold CLI call would pay their import otherwise
     probe = "import sys, secrid.cli; print(sorted({'multiprocessing', 'secrid.bench'} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", probe],

@@ -2,18 +2,22 @@
 table-free and table-built fields, a checked dot product, the tag of the
 two-layer Reed-Solomon baseline, whose error quote is all the library needs,
 a per-monomial tag, the Horner plan by dict lookup, a per-point sweep for
-the identification error, Rabin's irreducibility test, and the closed forms
-and the byte inverse that only the tests call."""
+the identification error, exact leakage by a depth-first walk, Rabin's
+irreducibility test, and the closed forms and the byte inverse that only the
+tests call."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
+from secrid.analysis import ChannelModel
 from secrid.ff import Field, _int_digits, _poly_gcd, _powmod, _trim, factorize, field_for
 from secrid.rmid import IdCodeParams, Identity, monomial_exponents
 from secrid.rsid import RsIdParams, epsilon_2rs, min_challenges_for
+from secrid.wiretap import SecrecyParams
 
 
 def table_free(p: int, m: int) -> Field:
@@ -177,6 +181,59 @@ def id_error_by_sweep(id_i: Identity, id_j: Identity) -> Fraction:
     points = product(range(q), repeat=params.ell)
     hits = sum(1 for r in points if tag_by_monomials(diff, r) == 0)
     return Fraction(hits, q ** params.ell)
+
+
+# ---------------------------------------------------------------------------
+# exact leakage by a depth-first walk over every ordered sequence of steps
+# (oracle for secrid.analysis.exact_leakage, which merges equal steps and
+# walks each distinct f vector once)
+
+
+def leakage_by_walk(params: SecrecyParams, channel: ChannelModel) -> tuple[Fraction, Fraction]:
+    """(max TV, pairwise TV) of the hyperplane cipher: f(t) -> sum_x W(z | x)
+    f(t - a x) for every multiplier a and output z, in every order, from the
+    pivot's step, with the pair sum taken for every d."""
+    field = params.field
+    q = field.q
+    lp = params.ell_prime
+    n_out = channel.n_outputs
+    mul = field.fast_ops()[1]
+    scale = math.lcm(*(v.denominator for row in channel.matrix for v in row))
+    w = [[int(v * scale) for v in row] for row in channel.matrix]
+    back = [[field.sub(t, u) for t in range(q)] for u in range(q)]
+    steps = [
+        terms
+        for a in range(1, q)
+        for z in range(n_out)
+        if (terms := [(back[mul(a, x)], w[x][z]) for x in range(q) if w[x][z]])
+    ]
+    max_sums = [0] * (lp + 1)
+    pair_sums = [[0] * q for _ in range(lp + 1)]
+
+    def visit(f: list[int], k: int) -> None:
+        total = sum(f)
+        max_sums[k] += sum(abs(q * v - total) for v in f)
+        pair = pair_sums[k]
+        for d in range(1, q):
+            pair[d] += sum(abs(v - f[i]) for v, i in zip(f, back[d]))
+        if k < lp:
+            for (idx, wz), *rest in steps:
+                g = [wz * f[i] for i in idx]
+                for idx, wz in rest:
+                    g = [v + wz * f[i] for v, i in zip(g, idx)]
+                visit(g, k + 1)
+
+    for z in range(n_out):
+        visit([w[x][z] for x in range(q)], 1)
+
+    def weighted(sums: list[int]) -> int:
+        return sum(math.comb(lp, k) * (q * scale) ** (lp - k) * v for k, v in enumerate(sums))
+
+    norm = params.seed_space_size * q ** (lp - 1) * scale ** lp
+    return (
+        Fraction(weighted(max_sums), q * norm),
+        Fraction(max(weighted(col) for col in zip(*pair_sums)), norm),
+    )
 
 
 # ---------------------------------------------------------------------------
