@@ -34,16 +34,6 @@ from .wiretap import SecrecyParams, leakage_bound, leakage_bound_squared
 STATE_SPACE_LIMIT = 100_000_000
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)  # exact binary expansion
-    raise TypeError(f"cannot interpret {type(x).__name__} as an exact probability")
-
-
 # ---------------------------------------------------------------------------
 # channels
 
@@ -75,22 +65,17 @@ class ChannelModel:
 
     @classmethod
     def identity(cls, q: int) -> "ChannelModel":
-        one, zero = Fraction(1), Fraction(0)
-        rows = tuple(
-            tuple(one if z == x else zero for z in range(q)) for x in range(q)
-        )
-        return cls("identity", q, rows)
+        return cls("identity", q, cls.symmetric(q, 0).matrix)
 
     @classmethod
     def uniform(cls, q: int) -> "ChannelModel":
-        u = Fraction(1, q)
-        return cls("uniform", q, tuple(tuple(u for _ in range(q)) for _ in range(q)))
+        return cls("uniform", q, cls.symmetric(q, Fraction(q - 1, q)).matrix)
 
     @classmethod
     def symmetric(cls, q: int, delta) -> "ChannelModel":
         """Stays put with probability 1 - delta, otherwise uniform over the
         q - 1 other symbols; delta = (q-1)/q is the uniform channel."""
-        d = _as_fraction(delta)
+        d = Fraction(delta)
         if not 0 <= d <= 1:
             raise ValueError(f"flip probability must be in [0, 1], got {delta}")
         if q < 2:
@@ -104,7 +89,7 @@ class ChannelModel:
     @classmethod
     def erasure(cls, q: int, delta) -> "ChannelModel":
         """Output q is the erasure mark, hit with probability delta."""
-        d = _as_fraction(delta)
+        d = Fraction(delta)
         if not 0 <= d <= 1:
             raise ValueError(f"erasure probability must be in [0, 1], got {delta}")
         rows = tuple(
@@ -115,7 +100,7 @@ class ChannelModel:
 
     @classmethod
     def from_matrix(cls, kind: str, matrix: Sequence[Sequence]) -> "ChannelModel":
-        rows = tuple(tuple(_as_fraction(v) for v in row) for row in matrix)
+        rows = tuple(tuple(Fraction(v) for v in row) for row in matrix)
         return cls(kind, len(rows), rows)
 
 

@@ -101,10 +101,8 @@ def run_bench(report: PlanReport, reps: int = 50, rng: random.Random | None = No
     field.fast_ops()  # steady-state latency: build the tables before timing
     params = IdCodeParams(field, report.ell, report.k, report.n_challenges)
     secrecy = SecrecyParams(field, report.ell_prime)
-    # identity content does not affect timing; draw coefficients directly
-    identity = Identity(
-        params, tuple(rng.randrange(field.q) for _ in range(params.coeff_count))
-    )
+    # identity content does not affect timing
+    identity = Identity(params, field.sample_vector(rng, params.coeff_count))
     seeds = [sample_seed(secrecy, rng) for _ in range(report.n_challenges)]
     mc = generate_multi(identity, rng)
     secrets = encrypt_tags(secrecy, mc, seeds, rng)

@@ -184,14 +184,12 @@ def _field_from_args(args) -> Field:
 def _channel(kind: str, q: int, delta_text: str):
     """Observation channel by name; delta_text ("1/8", "0.125") is ignored
     by the parameter-free identity and uniform channels."""
-    from fractions import Fraction
-
     from .analysis import ChannelModel
 
     if kind in ("identity", "uniform"):
         return getattr(ChannelModel, kind)(q)
     if kind in ("symmetric", "erasure"):
-        return getattr(ChannelModel, kind)(q, Fraction(delta_text))
+        return getattr(ChannelModel, kind)(q, delta_text)
     raise DomainError(f"unknown channel kind {kind!r}")
 
 
@@ -210,10 +208,9 @@ def cmd_gen_identity(args) -> list:
     _require(args, "ell", "k")
     field = _field_from_args(args)
     params = IdCodeParams(field, args.ell, args.k, args.n)
-    # every coefficient is held in memory; 2^24 is ~28x what the bench mints.
-    # C(n, i) rises up to i = min(ell, k), so a huge count fails at a small i
-    n = params.ell + params.k
-    if any(math.comb(n, i) > 1 << 24 for i in range(min(params.ell, params.k) + 1)):
+    # every coefficient is held in memory; 2^24 is ~28x what the bench mints
+    if params.coeff_count_above(1 << 24):
+        n = params.ell + params.k
         raise DomainError(f"C({n}, {params.ell}) coefficients are above the limit 2^24")
     if args.data_hex is not None:
         identity = identity_from_bytes(bytes.fromhex(args.data_hex), params)
@@ -307,9 +304,12 @@ def cmd_params(args) -> list:
 
     _require(args, "ell", "k")
     field = _field_from_args(args)
-    # identity_bits = count * log2 q: from here on float(count) overflows
-    if IdCodeParams(field, args.ell, args.k).coeff_count >= 2 ** 1024 - 2 ** 970:
-        raise DomainError("C(ell + k, ell) coefficients round past 2^1024, the float range")
+    params = IdCodeParams(field, args.ell, args.k)
+    # identity_bits = count * log2 q is a float: float(count) overflows from
+    # 2^1024 - 2^970 on, and the product may overflow below that
+    limit = 2 ** 1024 - 2 ** 970 - 1
+    if params.coeff_count_above(limit) or math.isinf(params.coeff_count * field.log2_q):
+        raise DomainError("C(ell + k, ell) * log2 q is past 2^1024, the float range")
     report = plan(
         q=field.q,
         ell=args.ell,
@@ -344,13 +344,6 @@ def cmd_leakage_bound(args) -> list:
     return [("-", _dumps(out))]
 
 
-def _sweep_point(point: tuple) -> list:
-    from .analysis import exact_leakage
-
-    params, channel = point
-    return exact_leakage(params, channel).to_csv_row()
-
-
 def cmd_leakage_exact(args) -> list:
     import csv
 
@@ -358,34 +351,32 @@ def cmd_leakage_exact(args) -> list:
     from .wiretap import SecrecyParams
 
     field = _field_from_args(args)
+    # a point is a sweep of one
+    if args.sweep:
+        ell_primes, deltas = args.ell_primes.split(","), args.deltas.split(",")
+    else:
+        ell_primes, deltas = [args.ell_prime], [args.delta]
+    points = [SecrecyParams(field, int(v)) for v in ell_primes]
     # every point is sized, and one too large refused, before any channel
     # is built: at a large q the q x q matrix is itself the cost
     n_out = field.q + (args.channel == "erasure")  # the erasure mark
+    for params in points:
+        leakage_steps(params, n_out)
+    channels = [_channel(args.channel, field.q, d) for d in deltas]
+    reports = [exact_leakage(params, channel) for params in points for channel in channels]
     if not args.sweep:
-        params = SecrecyParams(field, args.ell_prime)
-        leakage_steps(params, n_out)
-        report = exact_leakage(params, _channel(args.channel, field.q, args.delta))
-        return [("-", _dumps(report.to_json_dict()))]
-    sized = [SecrecyParams(field, int(v)) for v in args.ell_primes.split(",")]
-    for params in sized:
-        leakage_steps(params, n_out)
-    channels = [_channel(args.channel, field.q, d) for d in args.deltas.split(",")]
-    rows = [_sweep_point((params, channel)) for params in sized for channel in channels]
+        return [(args.out or "-", _dumps(reports[0].to_json_dict()))]
     text = io.StringIO()
-    csv.writer(text).writerows([LEAKAGE_CSV_HEADER, *rows])
+    csv.writer(text).writerows([LEAKAGE_CSV_HEADER, *(r.to_csv_row() for r in reports)])
     return [(args.out or "-", text.getvalue())]
 
 
 def cmd_capacity_check(args) -> list:
-    if args.sweep_to is None:
-        return [("-", _dumps(capacity_diagnostics(args.n_seq).to_json_dict()))]
-    if args.sweep_to < args.n_seq:
-        raise DomainError(f"--sweep-to {args.sweep_to} is below --n-seq {args.n_seq}")
-    reports = [
-        capacity_diagnostics(n).to_json_dict()
-        for n in range(args.n_seq, args.sweep_to + 1)
-    ]
-    return [("-", _dumps(reports))]
+    last = args.n_seq if args.sweep_to is None else args.sweep_to
+    if last < args.n_seq:
+        raise DomainError(f"--sweep-to {last} is below --n-seq {args.n_seq}")
+    reports = [capacity_diagnostics(n).to_json_dict() for n in range(args.n_seq, last + 1)]
+    return [("-", _dumps(reports[0] if args.sweep_to is None else reports))]
 
 
 def cmd_bench(args) -> list:
@@ -490,7 +481,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     s.add_argument("--sweep", action="store_true", help="emit a CSV grid instead")
     s.add_argument("--deltas", default="0,1/8,1/4,1/2", help="comma list for --sweep")
     s.add_argument("--ell-primes", default="2,3", help="comma list for --sweep")
-    s.add_argument("--out", help="CSV path, - for stdout (the default)")
+    s.add_argument("--out", help="output path, - for stdout (the default)")
     s.set_defaults(func=cmd_leakage_exact)
 
     s = sub.add_parser("capacity-check", parents=[common],

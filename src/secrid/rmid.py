@@ -87,6 +87,13 @@ class IdCodeParams:
     def coeff_count(self) -> int:
         return math.comb(self.ell + self.k, self.ell)
 
+    def coeff_count_above(self, limit: int) -> bool:
+        """coeff_count > limit, without forming a huge count: C(ell + k, i)
+        rises up to i = min(ell, k), where it is the count, so a count far
+        above the limit is caught at a small i."""
+        n = self.ell + self.k
+        return any(math.comb(n, i) > limit for i in range(min(self.ell, self.k) + 1))
+
 @lru_cache(maxsize=4)
 def substitution_plan(ell: int, k: int) -> tuple:
     """Horner plan of the graded-lex layout, shared by every IdCodeParams of
@@ -117,10 +124,10 @@ class Identity:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.coeffs) != self.params.coeff_count:
+        ell, k, n = self.params.ell, self.params.k, len(self.coeffs)
+        if self.params.coeff_count_above(n) or self.params.coeff_count != n:
             raise ValueError(
-                f"identity needs {self.params.coeff_count} coefficients, "
-                f"got {len(self.coeffs)}"
+                f"identity of ell={ell}, k={k} needs C({ell + k}, {ell}) coefficients, got {n}"
             )
         check = self.params.field._check
         for c in self.coeffs:
@@ -191,13 +198,16 @@ class MultiChallenge:
 def identity_from_bytes(data: bytes, params: IdCodeParams) -> Identity:
     """Interpret bytes as one big-endian integer and expand it base q,
     most significant digit first, zero-padded to the coefficient count n.
-    A value left over after n digits is refused (q^n is never computed)."""
+    A value left over after n digits is refused (q^n is never computed);
+    one of more than n * q.bit_length() bits is at least q^n, so it is
+    refused before the expansion."""
     value = int.from_bytes(data, "big")
     q = params.field.q
     n = params.coeff_count
     digits = [0] * n
-    for i in range(n - 1, -1, -1):
-        value, digits[i] = divmod(value, q)
+    if value.bit_length() <= n * q.bit_length():
+        for i in range(n - 1, -1, -1):
+            value, digits[i] = divmod(value, q)
     if value:
         raise ValueError(
             f"payload needs more than {n} base-{q} digits; "

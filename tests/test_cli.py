@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import secrid
-from secrid import cli, rmid
+from secrid import analysis, cli, rmid
 from secrid.cli import main
 from secrid.ff import Field
 
@@ -515,6 +516,42 @@ def test_params_refuses_a_code_past_the_float_range(capsys):
     assert "2^1024" in error["message"]
 
 
+HUGE_IDENTITY = {"q_params": {"p": 4294967291, "m": 1}, "ell": 10 ** 6, "k": 10 ** 6,
+                 "n": 1, "coeffs": [1]}
+
+
+@pytest.mark.parametrize(
+    "argv,kind,words",
+    [
+        (["challenge", "--identity", "{identity}"], "ValueError", "ell=1000000, k=1000000 needs"),
+        (["verify", "--identity", "{identity}", "--challenge", "{identity}"],
+         "ValueError", "ell=1000000, k=1000000 needs"),
+        (["params", "--q", "4294967291", "--ell", "1000000", "--k", "1000000"],
+         "DomainError", "the float range"),
+        (["params", "--q", "4294967291", "--ell", "514", "--k", "514"],
+         "DomainError", "the float range"),
+        (["gen-identity", "--q", "59049", "--ell", "2", "--k", "100", "--data-file", "{payload}"],
+         "ValueError", "identity space holds only q^5151"),
+    ],
+    ids=["identity_file_challenge", "identity_file_verify", "params_ell_k_10_6",
+         "params_bits_past_float", "payload_1mb"],
+)
+def test_oversized_inputs_are_refused_before_the_work(tmp_path, capsys, argv, kind, words):
+    # each took from 10 s to minutes, or printed Infinity, before its refusal
+    identity = tmp_path / "identity.json"
+    identity.write_text(json.dumps(HUGE_IDENTITY))
+    payload = tmp_path / "payload.bin"
+    payload.write_bytes(b"\xff" * (1 << 20))
+    argv = [a.format(identity=identity, payload=payload) for a in argv]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == kind
+    assert words in error["message"]
+
+
 @pytest.mark.parametrize("sweep", [(), ("--sweep",)], ids=["point", "sweep"])
 def test_leakage_exact_refuses_a_large_field_before_building_its_channel(capsys, monkeypatch, sweep):
     # the size needs only the output count; a 509 x 509 matrix is not built
@@ -548,6 +585,15 @@ def test_leakage_exact_single_point(capsys):
     assert obj["exact_max_tv"] <= obj["bound_tight"] + 1e-9
 
 
+def test_leakage_exact_point_writes_its_json_to_out(tmp_path, capsys):
+    argv = ["leakage-exact", "--q", "3", "--delta", "1/8"]
+    code, printed, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    out = tmp_path / "pt.json"
+    assert run_cli(capsys, *argv, "--out", str(out)) == (0, "", "")
+    assert out.read_text() == printed
+
+
 def test_leakage_exact_sweep_writes_one_row_per_point(tmp_path, capsys):
     out = tmp_path / "one.csv"
     assert main([
@@ -573,7 +619,7 @@ def test_small_sweeps_start_no_process(capsys, monkeypatch):
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     # a point above the limit is refused before any point runs
-    monkeypatch.setattr(cli, "_sweep_point", lambda point: pytest.fail(f"{point} ran"))
+    monkeypatch.setattr(analysis, "exact_leakage", lambda *point: pytest.fail(f"{point} ran"))
     code, out, err = run_cli(capsys, "leakage-exact", "--q", "9", "--sweep", "--ell-primes", "2,4")
     assert (code, out) == (1, "")
     error = json.loads(err)["error"]

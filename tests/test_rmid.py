@@ -71,6 +71,23 @@ def test_coeff_count_is_binomial(ell, k):
     assert len(monomial_exponents(ell, k)) == params.coeff_count
 
 
+@pytest.mark.parametrize("ell,k", [(1, 6), (2, 4), (3, 3), (6, 2), (4, 0)])
+def test_coeff_count_above_compares_the_count_with_the_limit(ell, k):
+    params = IdCodeParams(field_for(7, 1), ell, k)
+    for limit in range(params.coeff_count + 2):
+        assert params.coeff_count_above(limit) == (params.coeff_count > limit)
+
+
+def test_identity_of_the_wrong_length_names_its_geometry():
+    # a count of millions of digits is neither formed nor printed
+    params = IdCodeParams(field_for(4294967291, 1), 10 ** 6, 10 ** 6)
+    huge = r"^identity of ell=1000000, k=1000000 needs C\(2000000, 1000000\) coefficients"
+    with pytest.raises(ValueError, match=huge):
+        Identity(params, (1,))
+    with pytest.raises(ValueError, match=r"^identity of ell=2, k=1 needs C\(3, 2\) .*, got 4$"):
+        Identity(IdCodeParams(field_for(7, 1), 2, 1), (0,) * 4)
+
+
 # every ell <= 4 with k <= 8, then long groups (large k) and many levels
 PLAN_GEOMETRIES = [(ell, k) for ell in range(1, 5) for k in range(9)]
 PLAN_GEOMETRIES += [(3, 90), (2, 100), (4, 40), (6, 10)]
@@ -356,6 +373,15 @@ def test_identity_from_bytes_never_raises_q_to_the_coefficient_count():
     assert identity.coeffs == (8,) * 6
     with pytest.raises(ValueError, match="more than 6 base-9 digits"):
         identity_from_bytes((9 ** 6).to_bytes(3, "big"), params)
+
+
+@pytest.mark.parametrize("value", [9 ** 6, 2 ** 24 - 1, 2 ** 24, 2 ** 4000])
+def test_identity_from_bytes_refuses_by_bit_length_with_the_same_message(value):
+    # 6 digits of 4 bits: a value of 25 bits or more is refused unexpanded,
+    # one of 24 bits at or above 9^6 after the expansion, alike
+    params = IdCodeParams(field_for(3, 2), 2, 2)
+    with pytest.raises(ValueError, match=r"^payload needs more than 6 base-9 digits; "):
+        identity_from_bytes(value.to_bytes(-(-value.bit_length() // 8), "big"), params)
 
 
 def test_identity_json_roundtrip():
