@@ -212,6 +212,7 @@ def cmd_gen_identity(args) -> list:
     if params.coeff_count_above(1 << 24):
         n = params.ell + params.k
         raise DomainError(f"C({n}, {params.ell}) coefficients are above the limit 2^24")
+    params.check_round()
     if args.data_hex is not None:
         identity = identity_from_bytes(bytes.fromhex(args.data_hex), params)
     elif args.data_file is not None:
@@ -265,6 +266,8 @@ def cmd_encrypt(args) -> list:
         ell_prime = min_cipher_length(field.q, args.kappa, args.epsilon).ell_prime
     else:
         raise DomainError("give --ell-prime, or --kappa with --epsilon")
+    if len(challenges) * ell_prime > 1 << 16:  # sample_seed forms q^ell', so refuse first
+        raise DomainError(f"{len(challenges)} x ell'={ell_prime} symbols are above the limit 2^16")
     if args.seeds_bin_out:
         check_binary_seed_length(ell_prime)
     params = SecrecyParams(field, ell_prime)

@@ -243,26 +243,42 @@ def _chunk_add_table(p: int, chunk: int) -> list[int]:
 class Field:
     """GF(p^m) acting on canonical integer representatives.
 
-    The heavy lookup tables are built lazily: by fast_ops() with no
-    argument, or once the work charged through fast_ops(work) and the
-    checked operations reaches q / TABLE_PAYBACK multiply-adds.  Until then
-    arithmetic runs on digits, so parameter-only work and short runs stay
-    cheap.  Once built the tables are never mutated; instances are safe to
-    share between threads (a lost race during the first build just rebuilds
-    identical tables, and a lost update of the work count only delays it).
+    Everything that depends only on p and m is set when the field is made,
+    the table-free pair among it.  Only the lookup tables wait: they are
+    built by fast_ops() with no argument, or once the work charged through
+    fast_ops(work) and the checked operations reaches q / TABLE_PAYBACK
+    multiply-adds, and never above TABLE_LIMIT.  Until then arithmetic runs
+    on digits, so parameter-only work and short runs stay cheap.  Once
+    built the tables are never mutated; instances are safe to share between
+    threads (a lost race during the first build just rebuilds identical
+    tables, and a lost update of the work count only delays it).
     """
 
     def __init__(self, p: int, m: int):
         self._modulus = find_irreducible(p, m)  # checks p and m first
         self.p = p
         self.m = m
-        self.q = p ** m
+        self.q = q = p ** m
+        self.log2_q = m * math.log2(p)
+        # width of one element on the wire: ceil(log2 q) bits
+        self.symbol_bits = max(1, (q - 1).bit_length())
+        self.symbol_bytes = (self.symbol_bits + 7) // 8
+        self._places = [p ** i for i in range(m)]  # digit place values, low first
         self.generator: int | None = None
-        # both set by fast_ops() once the pair is fixed; until then _work
-        # counts the multiply-adds charged to the table-free pair _digits
+        # the table-free (add, mul): xor, sum mod p or digit-wise sum, and
+        # the schoolbook multiply
+        if p == 2:
+            add = operator.xor
+        elif m == 1:
+            def add(a: int, b: int) -> int:
+                return (a + b) % p
+        else:
+            add = self._add_digits
+        self._digits = (add, self._mul_core)
+        # fast_ops() fixes the pair, and sets the tables, once they pay;
+        # until then _work counts the multiply-adds charged to _digits
         self._tables: tuple[list[int], list[int], list[int] | None] | None = None
-        self._ops: tuple[Callable[[int, int], int], Callable[[int, int], int]] | None = None
-        self._digits: tuple[Callable[[int, int], int], Callable[[int, int], int]] | None = None
+        self._ops = None if q <= TABLE_LIMIT else self._digits
         self._work = 0
 
     # -- construction ------------------------------------------------------
@@ -306,36 +322,16 @@ class Field:
         is added to the field's count, and while the count stays below
         q / TABLE_PAYBACK the table-free digit pair is returned: the tables
         would cost more to build than they save.  With no work, or once the
-        count reaches that, the pair is fixed for good, which builds the
-        tables when q <= TABLE_LIMIT; above that the pair is digit
-        arithmetic."""
-        if self._ops is not None:
-            return self._ops
-        if self.q <= TABLE_LIMIT:
+        count reaches that, the tables are built and the pair is fixed for
+        good.  A field above TABLE_LIMIT is made with the digit pair fixed."""
+        if self._ops is None:
             if work is not None:
                 self._work += work
                 if self._work * TABLE_PAYBACK < self.q:
-                    return self._digit_ops()
+                    return self._digits
             self._tables = self._build_tables()
             self._ops = self._table_ops(*self._tables)
-        else:
-            self._ops = self._digit_ops()
         return self._ops
-
-    def _digit_ops(self) -> tuple[Callable[[int, int], int], Callable[[int, int], int]]:
-        """The table-free (add, mul): xor, sum mod p or digit-wise sum, and
-        the schoolbook multiply.  Built once per field."""
-        if self._digits is None:
-            p = self.p
-            if p == 2:
-                add = operator.xor
-            elif self.m == 1:
-                def add(a: int, b: int) -> int:
-                    return (a + b) % p
-            else:
-                add = self._add_digits
-            self._digits = (add, self._mul_core)
-        return self._digits
 
     def _table_ops(
         self, exp: list[int], log: list[int], zech: list[int] | None
@@ -350,7 +346,7 @@ class Field:
             return exp[log[a] + log[b]]
 
         if zech is None:
-            return self._digit_ops()[0], mul
+            return self._digits[0], mul
 
         def add(a: int, b: int) -> int:
             if a == 0:
@@ -438,14 +434,12 @@ class Field:
         raise AssertionError("multiplicative group of a finite field is cyclic")
 
     def _add_digits(self, a: int, b: int) -> int:
-        p, m = self.p, self.m
+        p = self.p
         value = 0
-        scale = 1
-        for _ in range(m):
+        for place in self._places:
             a, da = divmod(a, p)
             b, db = divmod(b, p)
-            value += ((da + db) % p) * scale
-            scale *= p
+            value += (da + db) % p * place
         return value
 
     def _mul_core(self, a: int, b: int) -> int:
@@ -522,7 +516,7 @@ class Field:
         if p == 2:
             return tuple([bits(m) for _ in range(length)])
         k = p.bit_length()
-        places = [p ** i for i in range(m)]
+        places = self._places
         out = []
         for _ in range(length):
             value = 0
@@ -536,22 +530,9 @@ class Field:
 
     # -- serialization -----------------------------------------------------
 
-    @property
-    def symbol_bits(self) -> int:
-        """Width of one element on the wire: ceil(log2 q) bits."""
-        return max(1, (self.q - 1).bit_length())
-
-    @property
-    def symbol_bytes(self) -> int:
-        return (self.symbol_bits + 7) // 8
-
     def encode_symbols(self, values: Sequence[int]) -> bytes:
         nbytes = self.symbol_bytes
         return b"".join(self._check(v).to_bytes(nbytes, "big") for v in values)
-
-    @property
-    def log2_q(self) -> float:
-        return self.m * math.log2(self.p)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: m = 2.0 must not hit m = 2

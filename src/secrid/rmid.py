@@ -88,11 +88,22 @@ class IdCodeParams:
         return math.comb(self.ell + self.k, self.ell)
 
     def coeff_count_above(self, limit: int) -> bool:
-        """coeff_count > limit, without forming a huge count: C(ell + k, i)
-        rises up to i = min(ell, k), where it is the count, so a count far
-        above the limit is caught at a small i."""
-        n = self.ell + self.k
-        return any(math.comb(n, i) > limit for i in range(min(self.ell, self.k) + 1))
+        """coeff_count > limit, without forming a huge count: with
+        r = min(ell, k) the count is C(ell + k, r) >= 2^r, as ell + k >= 2r,
+        so an r of limit's bit length or more is already above it."""
+        r = min(self.ell, self.k)
+        return r >= limit.bit_length() or math.comb(self.ell + self.k, r) > limit
+
+    def check_round(self) -> None:
+        """Refuse a challenge round of more than 2^16 point coordinates
+        (n * ell) or 2^25 coefficient terms (n * coeff_count), without
+        forming a huge count: n = 2 stays within the 2^24-coefficient mint cap."""
+        n = self.n_challenges
+        if n * self.ell > 1 << 16 or self.coeff_count_above((1 << 25) // n):
+            raise ValueError(
+                f"a round of n={n} challenges at ell={self.ell}, k={self.k} is above"
+                " the limits of 2^16 point coordinates and 2^25 coefficient terms"
+            )
 
 @lru_cache(maxsize=4)
 def substitution_plan(ell: int, k: int) -> tuple:
@@ -129,6 +140,7 @@ class Identity:
             raise ValueError(
                 f"identity of ell={ell}, k={k} needs C({ell + k}, {ell}) coefficients, got {n}"
             )
+        self.params.check_round()
         check = self.params.field._check
         for c in self.coeffs:
             check(c)

@@ -1,5 +1,7 @@
+import json
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -428,6 +430,21 @@ def id_error_pairs(draw):
 def test_exact_id_error_matches_per_point_sweep(pair):
     id_i, id_j = pair
     assert exact_id_error(id_i, id_j) == id_error_by_sweep(id_i, id_j)
+
+
+GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"
+
+
+def test_exact_id_error_at_the_full_benchmark_goldens():
+    # the 12 full-size id-error pairs of the oracles benchmark, over q = 7,
+    # the Zech field GF(9) and the XOR field GF(16); the file is only read
+    specs = json.loads(GOLDENS.read_text(encoding="utf-8"))["full"]["id_error"]
+    assert len(specs) == 12
+    assert {(spec["p"], spec["m"]) for spec in specs} == {(7, 1), (3, 2), (2, 4)}
+    for spec in specs:
+        params = IdCodeParams(field_for(spec["p"], spec["m"]), spec["ell"], spec["k"])
+        a, b = (Identity(params, tuple(spec[key])) for key in "ab")
+        assert exact_id_error(a, b) == Fraction(spec["error"])
 
 
 def test_exact_id_error_stays_under_degree_bound():

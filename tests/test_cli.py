@@ -518,6 +518,8 @@ def test_params_refuses_a_code_past_the_float_range(capsys):
 
 HUGE_IDENTITY = {"q_params": {"p": 4294967291, "m": 1}, "ell": 10 ** 6, "k": 10 ** 6,
                  "n": 1, "coeffs": [1]}
+LONG_POINT_IDENTITY = {"q_params": {"p": 5, "m": 1}, "ell": 10 ** 6, "k": 0, "n": 1,
+                       "coeffs": [1]}
 
 
 @pytest.mark.parametrize(
@@ -532,17 +534,43 @@ HUGE_IDENTITY = {"q_params": {"p": 4294967291, "m": 1}, "ell": 10 ** 6, "k": 10 
          "DomainError", "the float range"),
         (["gen-identity", "--q", "59049", "--ell", "2", "--k", "100", "--data-file", "{payload}"],
          "ValueError", "identity space holds only q^5151"),
+        (["gen-identity", "--q", "5", "--ell", "1", "--k", "1", "--n", "100000000"],
+         "ValueError", "a round of n=100000000 challenges at ell=1, k=1 is above the limits"),
+        (["challenge", "--identity", "{long_point}"],
+         "ValueError", "a round of n=1 challenges at ell=1000000, k=0 is above the limits"),
+        (["encrypt", "--challenge", "{challenge}", "--ell-prime", "1000000",
+          "--seeds-out", "{seeds}"],
+         "DomainError", "2 x ell'=1000000 symbols are above the limit 2^16"),
+        (["encrypt", "--challenge", "{challenge}", "--kappa", "0.9999999", "--epsilon", "1e-6",
+          "--seeds-out", "{seeds}"],
+         "DomainError", "2 x ell'=100147360 symbols are above the limit 2^16"),
     ],
     ids=["identity_file_challenge", "identity_file_verify", "params_ell_k_10_6",
-         "params_bits_past_float", "payload_1mb"],
+         "params_bits_past_float", "payload_1mb", "mint_n_10_8", "identity_file_point_10_6",
+         "encrypt_ell_prime_10_6", "encrypt_planned_ell_prime"],
 )
-def test_oversized_inputs_are_refused_before_the_work(tmp_path, capsys, argv, kind, words):
-    # each took from 10 s to minutes, or printed Infinity, before its refusal
+def test_oversized_inputs_are_refused_before_the_work(
+    pipeline, tmp_path, capsys, monkeypatch, argv, kind, words
+):
+    # each took from 3 s to minutes, printed Infinity, or minted at once
+    # what no round could use, before its refusal; none may draw
+    def drawn(*_):
+        raise AssertionError("drawn before the input's size was checked")
+
+    monkeypatch.setattr(Field, "sample_vector", drawn)
+    monkeypatch.setattr("secrid.wiretap.sample_seed", drawn)
     identity = tmp_path / "identity.json"
     identity.write_text(json.dumps(HUGE_IDENTITY))
+    long_point = tmp_path / "long_point.json"
+    long_point.write_text(json.dumps(LONG_POINT_IDENTITY, separators=(",", ":")))
     payload = tmp_path / "payload.bin"
     payload.write_bytes(b"\xff" * (1 << 20))
-    argv = [a.format(identity=identity, payload=payload) for a in argv]
+    seeds = tmp_path / "seeds.json"
+    argv = [
+        a.format(identity=identity, long_point=long_point, payload=payload,
+                 challenge=pipeline[1], seeds=seeds)
+        for a in argv
+    ]
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1
@@ -550,6 +578,7 @@ def test_oversized_inputs_are_refused_before_the_work(tmp_path, capsys, argv, ki
     error = json.loads(err)["error"]
     assert error["kind"] == kind
     assert words in error["message"]
+    assert not seeds.exists()
 
 
 @pytest.mark.parametrize("sweep", [(), ("--sweep",)], ids=["point", "sweep"])

@@ -23,7 +23,7 @@ from secrid.wiretap import SecrecyParams
 def table_free(p: int, m: int) -> Field:
     """A GF(p^m) fixed on its digit pair, so it never builds tables."""
     field = Field(p, m)
-    field._ops = field._digit_ops()
+    field._ops = field._digits
     return field
 
 
