@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .ff import TABLE_LIMIT
-from .rmid import Identity, substitution_plan
+from .rmid import Identity, Record, substitution_plan
 from .wiretap import SecrecyParams, leakage_bound, leakage_bound_squared
 
 # cost guard of exact_leakage: the most steps leakage_steps allows
@@ -37,27 +36,25 @@ STATE_SPACE_LIMIT = 100_000_000
 # ---------------------------------------------------------------------------
 # channels
 
-@dataclass(frozen=True)
-class ChannelModel:
+class ChannelModel(Record):
     """Per-symbol observation channel: rows are inputs 0..q-1, columns are
     outputs (an erasure channel has one extra output, the erasure mark)."""
 
-    kind: str
-    q: int
-    matrix: tuple[tuple[Fraction, ...], ...]
-    delta: Fraction | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.matrix) != self.q:
-            raise ValueError(f"need {self.q} rows, got {len(self.matrix)}")
-        width = len(self.matrix[0])
-        for row in self.matrix:
+    def __init__(
+        self, kind: str, q: int, matrix: tuple[tuple[Fraction, ...], ...],
+        delta: Fraction | None = None,
+    ) -> None:
+        self.__dict__.update(kind=kind, q=q, matrix=matrix, delta=delta)
+        if len(matrix) != q:
+            raise ValueError(f"need {q} rows, got {len(matrix)}")
+        width = len(matrix[0])
+        for row in matrix:
             if len(row) != width:
                 raise ValueError("ragged transition matrix")
             if any(v < 0 for v in row):
                 raise ValueError("negative transition probability")
             if sum(row) != 1:
-                raise ValueError(f"row of {self.kind} channel sums to {sum(row)}")
+                raise ValueError(f"row of {kind} channel sums to {sum(row)}")
 
     @property
     def n_outputs(self) -> int:
@@ -123,19 +120,18 @@ def conditional_d2_pow(channel: ChannelModel) -> Fraction:
 # ---------------------------------------------------------------------------
 # exact leakage of the hyperplane cipher
 
-@dataclass(frozen=True)
-class LeakageReport:
-    q: int
-    ell_prime: int
-    channel_kind: str
-    delta: Fraction | None
-    exact_max_tv: Fraction
-    exact_pairwise_tv: Fraction
-    d2_pow: Fraction
-    d2_bits: float
-    kappa_true: float
-    bound_tight: float
-    bound_simplified: float
+class LeakageReport(Record):
+    def __init__(
+        self, q: int, ell_prime: int, channel_kind: str, delta: Fraction | None,
+        exact_max_tv: Fraction, exact_pairwise_tv: Fraction, d2_pow: Fraction,
+        d2_bits: float, kappa_true: float, bound_tight: float, bound_simplified: float,
+    ) -> None:
+        self.__dict__.update(
+            q=q, ell_prime=ell_prime, channel_kind=channel_kind, delta=delta,
+            exact_max_tv=exact_max_tv, exact_pairwise_tv=exact_pairwise_tv,
+            d2_pow=d2_pow, d2_bits=d2_bits, kappa_true=kappa_true,
+            bound_tight=bound_tight, bound_simplified=bound_simplified,
+        )
 
     def to_json_dict(self) -> dict:
         return {

@@ -17,12 +17,11 @@ import math
 import random
 import statistics
 import time
-from dataclasses import astuple, dataclass, fields
 from typing import Callable, Sequence, TextIO
 
 from .ff import field_for
 from .planner import PlanReport, plan
-from .rmid import IdCodeParams, Identity, generate_multi, verify_multi
+from .rmid import IdCodeParams, Identity, Record, generate_multi, verify_multi
 from .wiretap import SecrecyParams, encrypt_tags, decrypt_tags, sample_seed
 
 MIN_REPS = 30
@@ -35,33 +34,28 @@ K_MULTIPLIERS = (10, 20, 30, 40, 50)
 MAX_COEFFS = 600_000
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    operation: str
-    q: int
-    ell: int
-    k: int
-    n_challenges: int
-    ell_prime: int
-    kappa: float
-    identity_bits: float
-    coeff_count: int
-    reps: int
-    mean_s: float
-    median_s: float
-    min_s: float
-
-    def __post_init__(self) -> None:
-        if self.reps < MIN_REPS:
-            raise ValueError(f"records need >= {MIN_REPS} repetitions, got {self.reps}")
-        if min(self.mean_s, self.median_s, self.min_s) <= 0:
+class BenchRecord(Record):
+    def __init__(
+        self, operation: str, q: int, ell: int, k: int, n_challenges: int,
+        ell_prime: int, kappa: float, identity_bits: float, coeff_count: int,
+        reps: int, mean_s: float, median_s: float, min_s: float,
+    ) -> None:
+        self.__dict__.update(
+            operation=operation, q=q, ell=ell, k=k, n_challenges=n_challenges,
+            ell_prime=ell_prime, kappa=kappa, identity_bits=identity_bits,
+            coeff_count=coeff_count, reps=reps, mean_s=mean_s, median_s=median_s,
+            min_s=min_s,
+        )
+        if reps < MIN_REPS:
+            raise ValueError(f"records need >= {MIN_REPS} repetitions, got {reps}")
+        if min(mean_s, median_s, min_s) <= 0:
             raise ValueError("non-positive timing; sample batching is broken")
 
     def to_csv_row(self) -> list:
-        return [BENCH_SCHEMA_VERSION, *astuple(self)]
+        return [BENCH_SCHEMA_VERSION, *self._values()]
 
 
-BENCH_CSV_HEADER = ["schema_version", *(f.name for f in fields(BenchRecord))]
+BENCH_CSV_HEADER = ["schema_version", *BenchRecord._fields]
 
 
 def _time_op(op: Callable[[], object], reps: int) -> list[float]:

@@ -9,41 +9,35 @@ so a run is reproducible from its JSON alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .ff import field_for, prime_power
-from .rmid import IdCodeParams, code_size_bits
+from .rmid import IdCodeParams, Record, code_size_bits
 from .rsid import epsilon_2rs, min_challenges_for
 from .wiretap import min_cipher_length, split_leakage_budget
 
 
-@dataclass(frozen=True)
-class PlanReport:
-    p: int
-    m: int
-    q: int
-    ell: int
-    k: int
-    coeff_count: int
-    identity_bits: float
-    symbol_bits: int
-    eps_2rs: Fraction
-    rs_k_in: int
-    rs_k_out: int
-    n_challenges: int
-    budget_policy: str
-    epsilon_total: float
-    per_challenge_epsilon: float
-    kappa: float
-    ell_prime: int
-    ell_prime_real: float
-    wire_plain_symbols: int
-    wire_secret_symbols: int
+class PlanReport(Record):
+    def __init__(
+        self, p: int, m: int, q: int, ell: int, k: int, coeff_count: int,
+        identity_bits: float, symbol_bits: int, eps_2rs: Fraction, rs_k_in: int,
+        rs_k_out: int, n_challenges: int, budget_policy: str, epsilon_total: float,
+        per_challenge_epsilon: float, kappa: float, ell_prime: int,
+        ell_prime_real: float, wire_plain_symbols: int, wire_secret_symbols: int,
+    ) -> None:
+        self.__dict__.update(
+            p=p, m=m, q=q, ell=ell, k=k, coeff_count=coeff_count,
+            identity_bits=identity_bits, symbol_bits=symbol_bits, eps_2rs=eps_2rs,
+            rs_k_in=rs_k_in, rs_k_out=rs_k_out, n_challenges=n_challenges,
+            budget_policy=budget_policy, epsilon_total=epsilon_total,
+            per_challenge_epsilon=per_challenge_epsilon, kappa=kappa,
+            ell_prime=ell_prime, ell_prime_real=ell_prime_real,
+            wire_plain_symbols=wire_plain_symbols, wire_secret_symbols=wire_secret_symbols,
+        )
 
     def to_json_dict(self) -> dict:
         return {
-            **{f.name: getattr(self, f.name) for f in fields(self)},
+            **dict(zip(self._fields, self._values())),
             "eps_2rs": float(self.eps_2rs),
             "eps_2rs_exact": str(self.eps_2rs),
             "wire_plain_bits": self.wire_plain_symbols * self.symbol_bits,

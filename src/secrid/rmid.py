@@ -7,13 +7,18 @@ with the tag p_i(r); the verifier accepts iff its own polynomial agrees.
 Distinct identities collide on at most a k/q fraction of points, and n
 independent challenges push the false-accept bound to (k/q)^n while the
 identity space stays doubly exponential in the challenge length.
+
+The records here and in the other layers (parameters, identities,
+challenges, seeds, reports) are immutable Records: each names its fields
+once, in its own __init__, and compares, hashes and prints as
+Name(field=value, ...) over them, with no class generated at import, so a
+cold CLI process loads nothing for them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .ff import Field, field_for, find_irreducible
@@ -50,6 +55,56 @@ def json_field(obj, key: str, kind: type):
     return value
 
 
+class Record:
+    """Base of the immutable records.  A subclass names its fields once, as
+    the parameters of its own __init__, which stores them with
+    self.__dict__.update(...) and then checks them.  Equality (within one
+    class only), the hash and the repr Name(field=value, ...) run over them;
+    assigning or deleting an attribute raises AttributeError."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class cached:
+    """functools.cached_property without its lock: the first read stores
+    the value in the instance __dict__, which then shadows this non-data
+    descriptor, so later reads never reach it."""
+
+    def __init__(self, func) -> None:
+        self.func = func
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.func.__name__] = self.func(obj)
+        return value
+
+
 def json_ints(obj, key: str) -> tuple[int, ...]:
     """obj[key] as a tuple, where obj[key] must be a list of integers."""
     values = json_field(obj, key, list)
@@ -59,31 +114,23 @@ def json_ints(obj, key: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-@dataclass(frozen=True)
-class IdCodeParams:
+class IdCodeParams(Record):
     """Code geometry: GF(q), ell variables, degree bound k, and how many
     independent challenges a verification round uses."""
 
-    field: Field
-    ell: int
-    k: int
-    n_challenges: int = 1
-
-    def __post_init__(self) -> None:
-        for name in ("ell", "k", "n_challenges"):
-            value = getattr(self, name)
+    def __init__(self, field: Field, ell: int, k: int, n_challenges: int = 1) -> None:
+        self.__dict__.update(field=field, ell=ell, k=k, n_challenges=n_challenges)
+        for name, value in (("ell", ell), ("k", k), ("n_challenges", n_challenges)):
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.ell < 1:
-            raise ValueError(f"need at least one variable, got ell={self.ell}")
-        if not 0 <= self.k < self.field.q:
-            raise ValueError(
-                f"degree bound k={self.k} must satisfy 0 <= k < q={self.field.q}"
-            )
-        if self.n_challenges < 1:
-            raise ValueError(f"n_challenges must be >= 1, got {self.n_challenges}")
+        if ell < 1:
+            raise ValueError(f"need at least one variable, got ell={ell}")
+        if not 0 <= k < field.q:
+            raise ValueError(f"degree bound k={k} must satisfy 0 <= k < q={field.q}")
+        if n_challenges < 1:
+            raise ValueError(f"n_challenges must be >= 1, got {n_challenges}")
 
-    @cached_property
+    @cached
     def coeff_count(self) -> int:
         return math.comb(self.ell + self.k, self.ell)
 
@@ -129,23 +176,20 @@ def substitution_plan(ell: int, k: int) -> tuple:
     return tuple(plan)
 
 
-@dataclass(frozen=True)
-class Identity:
-    params: IdCodeParams
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        ell, k, n = self.params.ell, self.params.k, len(self.coeffs)
-        if self.params.coeff_count_above(n) or self.params.coeff_count != n:
+class Identity(Record):
+    def __init__(self, params: IdCodeParams, coeffs: tuple[int, ...]) -> None:
+        self.__dict__.update(params=params, coeffs=coeffs)
+        ell, k, n = params.ell, params.k, len(coeffs)
+        if params.coeff_count_above(n) or params.coeff_count != n:
             raise ValueError(
                 f"identity of ell={ell}, k={k} needs C({ell + k}, {ell}) coefficients, got {n}"
             )
-        self.params.check_round()
-        check = self.params.field._check
-        for c in self.coeffs:
+        params.check_round()
+        check = params.field._check
+        for c in coeffs:
             check(c)
 
-    @cached_property
+    @cached
     def _logs(self) -> list[int]:
         """Coefficient logs (-1 for 0); pickle-safe: one generator per (p, m)."""
         return list(map(self.params.field._tables[1].__getitem__, self.coeffs))
@@ -178,10 +222,9 @@ class Identity:
         return cls(params, tuple(json_field(obj, "coeffs", list)))
 
 
-@dataclass(frozen=True)
-class Challenge:
-    r: tuple[int, ...]
-    tag: int
+class Challenge(Record):
+    def __init__(self, r: tuple[int, ...], tag: int) -> None:
+        self.__dict__.update(r=r, tag=tag)
 
     def to_json_dict(self) -> dict:
         return {"r": list(self.r), "tag": self.tag}
@@ -196,9 +239,9 @@ class Challenge:
         return field.encode_symbols(self.r + (self.tag,))
 
 
-@dataclass(frozen=True)
-class MultiChallenge:
-    challenges: tuple[Challenge, ...]
+class MultiChallenge(Record):
+    def __init__(self, challenges: tuple[Challenge, ...]) -> None:
+        self.__dict__.update(challenges=challenges)
 
     def to_bytes(self, field: Field) -> bytes:
         return b"".join(c.to_bytes(field) for c in self.challenges)
@@ -327,19 +370,20 @@ def code_size_bits(params: IdCodeParams) -> float:
     return params.coeff_count * params.field.log2_q
 
 
-@dataclass(frozen=True)
-class CapacityDiagnostics:
+class CapacityDiagnostics(Record):
     """Scaling ratios of the self-similar family q = 2^(n^2), k = 2^(n^2-n),
     ell = 2^n, computed purely in exponent arithmetic since q itself is
     astronomically large.  The loglog interval encloses loglog(I)/log(R)
     using (k/ell)^ell <= C(k+ell, ell) <= (e(k+ell)/ell)^ell."""
 
-    n_seq: int
-    ell: int
-    log_t_over_log_r: float
-    k_over_q: float
-    ratio_lower: float
-    ratio_upper: float
+    def __init__(
+        self, n_seq: int, ell: int, log_t_over_log_r: float, k_over_q: float,
+        ratio_lower: float, ratio_upper: float,
+    ) -> None:
+        self.__dict__.update(
+            n_seq=n_seq, ell=ell, log_t_over_log_r=log_t_over_log_r, k_over_q=k_over_q,
+            ratio_lower=ratio_lower, ratio_upper=ratio_upper,
+        )
 
     def to_json_dict(self) -> dict:
         return {

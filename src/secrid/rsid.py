@@ -16,37 +16,29 @@ as the oracle that checks the union bound exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ff import Field
-from .rmid import IdCodeParams
+from .rmid import IdCodeParams, Record
 
 # the widest inner code the comparison searches
 K_IN_MAX = 8
 
 
-@dataclass(frozen=True)
-class RsIdParams:
-    field: Field
-    k_in: int
-    k_out: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.k_in < self.field.q:
+class RsIdParams(Record):
+    def __init__(self, field: Field, k_in: int, k_out: int) -> None:
+        self.__dict__.update(field=field, k_in=k_in, k_out=k_out)
+        if not 1 <= k_in < field.q:
+            raise ValueError(f"inner coefficient count k_in={k_in} must be in [1, q)")
+        if not 1 <= k_out < field.q ** k_in:
             raise ValueError(
-                f"inner coefficient count k_in={self.k_in} must be in [1, q)"
-            )
-        if not 1 <= self.k_out < self.field.q ** self.k_in:
-            raise ValueError(
-                f"outer coefficient count k_out={self.k_out} must be in [1, q^k_in)"
+                f"outer coefficient count k_out={k_out} must be in [1, q^k_in)"
             )
 
 
-@dataclass(frozen=True)
-class RsErrorQuote:
-    params: RsIdParams
-    error: Fraction
+class RsErrorQuote(Record):
+    def __init__(self, params: RsIdParams, error: Fraction) -> None:
+        self.__dict__.update(params=params, error=error)
 
     @classmethod
     def quote(cls, params: RsIdParams) -> "RsErrorQuote":

@@ -17,36 +17,36 @@ seed-observation laws is at most the tight bound below, at most
 as a fraction kappa of the ciphertext entropy, d2 = kappa * ell_prime *
 log2 q, inverts into the minimum ciphertext length that meets a leakage
 target epsilon.
+
+The records (parameters, seeds, secret challenges, bounds) are rmid.Records.
+fractions is imported only inside leakage_bound_squared, the one function
+here that makes a Fraction, so encrypt and decrypt processes never load it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
 from .ff import Field
-from .rmid import BUDGET_POLICIES, Challenge, MultiChallenge, json_field, json_ints
+from .rmid import (
+    BUDGET_POLICIES, Challenge, MultiChallenge, Record, cached, json_field, json_ints,
+)
 
 
-@dataclass(frozen=True)
-class SecrecyParams:
+class SecrecyParams(Record):
     """Ciphertext geometry: GF(q) and the ciphertext length ell_prime."""
 
-    field: Field
-    ell_prime: int
+    def __init__(self, field: Field, ell_prime: int) -> None:
+        self.__dict__.update(field=field, ell_prime=ell_prime)
+        if type(ell_prime) is not int or ell_prime < 2:
+            raise ValueError(f"ciphertext length must be an integer >= 2, got {ell_prime!r}")
 
-    def __post_init__(self) -> None:
-        if type(self.ell_prime) is not int or self.ell_prime < 2:
-            raise ValueError(
-                f"ciphertext length must be an integer >= 2, got {self.ell_prime!r}"
-            )
-
-    @property
+    @cached
     def direction_count(self) -> int:
-        """Number of normalized direction vectors: (q^ell' - 1) / (q - 1)."""
+        """Number of normalized direction vectors: (q^ell' - 1) / (q - 1),
+        formed once per params: every seed drawn reads it."""
         q = self.field.q
         return (q ** self.ell_prime - 1) // (q - 1)
 
@@ -63,14 +63,12 @@ def check_binary_seed_length(ell_prime: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(Record):
     """s has s[pivot] == 1 and zeros above (pivot is a 0-based index here;
     serialized forms carry it 1-based)."""
 
-    s: tuple[int, ...]
-    s0: int
-    pivot: int
+    def __init__(self, s: tuple[int, ...], s0: int, pivot: int) -> None:
+        self.__dict__.update(s=s, s0=s0, pivot=pivot)
 
     def validate(self, params: SecrecyParams) -> "Seed":
         if len(self.s) != params.ell_prime:
@@ -104,12 +102,11 @@ class Seed:
         return bytes([self.pivot + 1]) + field.encode_symbols(self.s + (self.s0,))
 
 
-@dataclass(frozen=True)
-class SecretChallenge:
+class SecretChallenge(Record):
     """A challenge point in the clear plus the encrypted tag."""
 
-    r: tuple[int, ...]
-    x: tuple[int, ...]
+    def __init__(self, r: tuple[int, ...], x: tuple[int, ...]) -> None:
+        self.__dict__.update(r=r, x=x)
 
     def to_json_dict(self) -> dict:
         return {"r": list(self.r), "x": list(self.x)}
@@ -127,18 +124,20 @@ class SecretChallenge:
 
 def sample_seed(params: SecrecyParams, rng) -> Seed:
     """Uniform over the seed space.  The pivot (0-based j) is selected with
-    probability q^j / direction_count by one uniform draw against the
-    cumulative counts (q^(j+1) - 1)/(q - 1); coordinates below it and s0
-    are then uniform."""
+    probability q^j / direction_count by one uniform draw u against the
+    cumulative counts (q^(j+1) - 1)/(q - 1): j is the one with
+    q^j <= v = u (q - 1) + 1 < q^(j+1), floor(log_q v).  The estimate from
+    v's bit length b, (b - 1/2) / log2 q, is within 1/2 of log_q v, so its
+    floor is within one of j and one step corrects it.  Coordinates below
+    the pivot and s0 are then uniform."""
     field = params.field
     q = field.q
-    u = rng.randrange(params.direction_count)
-    pivot = 0
-    cumulative = 1  # (q^1 - 1)/(q - 1)
-    block = 1
-    while cumulative <= u:
-        block *= q
-        cumulative += block
+    v = rng.randrange(params.direction_count) * (q - 1) + 1
+    pivot = int((v.bit_length() - 0.5) / field.log2_q)
+    power = q ** pivot
+    if power > v:
+        pivot -= 1
+    elif power * q <= v:
         pivot += 1
     # the coordinates below the pivot, then s0, in one call
     drawn = field.sample_vector(rng, pivot + 1)
@@ -263,11 +262,9 @@ def decrypt_tags(
 # ---------------------------------------------------------------------------
 # leakage accounting
 
-@dataclass(frozen=True)
-class LeakageBounds:
-    d2_bits: float
-    tight: float
-    simplified: float
+class LeakageBounds(Record):
+    def __init__(self, d2_bits: float, tight: float, simplified: float) -> None:
+        self.__dict__.update(d2_bits=d2_bits, tight=tight, simplified=simplified)
 
 
 def leakage_bound(params: SecrecyParams, d2_bits: float) -> LeakageBounds:
@@ -333,6 +330,8 @@ def leakage_bound_squared(
 ) -> tuple[Fraction, Fraction]:
     """Squares of both bounds as exact rationals in 2^d2, so exact leakage
     statistics can be compared without touching floats."""
+    from fractions import Fraction  # its only user here: a round never loads it
+
     tight_factor = Fraction(*_tight_terms(q, ell_prime))
     tight_sq = 4 * tight_factor * (pow2_d2 - 1)
     simplified_sq = 4 * pow2_d2 / q ** (ell_prime - 1)
@@ -344,10 +343,9 @@ def kappa_d2_bits(params: SecrecyParams, kappa: float) -> float:
     return kappa * params.ell_prime * params.field.log2_q
 
 
-@dataclass(frozen=True)
-class MinLength:
-    ell_prime: int
-    real_bound: float
+class MinLength(Record):
+    def __init__(self, ell_prime: int, real_bound: float) -> None:
+        self.__dict__.update(ell_prime=ell_prime, real_bound=real_bound)
 
 
 def min_cipher_length(q: int, kappa: float, epsilon: float) -> MinLength:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secrid.analysis import ChannelModel
 from secrid.ff import TABLE_PAYBACK, Field, field_for
 from secrid.rmid import (
     Challenge,
@@ -27,6 +28,7 @@ from secrid.rmid import (
     verify,
     verify_multi,
 )
+from secrid.wiretap import SecrecyParams, SecretChallenge, Seed
 
 from util import (
     ScriptedSource,
@@ -44,6 +46,71 @@ def brute_force_exponents(ell, k):
     cube = itertools.product(range(k + 1), repeat=ell)
     kept = [e for e in cube if sum(e) <= k]
     return sorted(kept, key=lambda e: (sum(e), e))
+
+
+# ---------------------------------------------------------------------------
+# records
+
+def test_records_print_as_their_fields():
+    f = field_for(3, 2)
+    assert repr(Challenge((1, 2), 3)) == "Challenge(r=(1, 2), tag=3)"
+    assert repr(IdCodeParams(f, 2, 1)) == (
+        "IdCodeParams(field=Field(p=3, m=2, q=9), ell=2, k=1, n_challenges=1)"
+    )
+    assert repr(Identity(IdCodeParams(f, 1, 1), (0, 5))) == (
+        "Identity(params=IdCodeParams(field=Field(p=3, m=2, q=9), ell=1, k=1,"
+        " n_challenges=1), coeffs=(0, 5))"
+    )
+    assert repr(Seed((4, 1, 0), 2, 1)) == "Seed(s=(4, 1, 0), s0=2, pivot=1)"
+    assert repr(ChannelModel.erasure(2, "1/2")) == (
+        "ChannelModel(kind='erasure', q=2, matrix=((Fraction(1, 2), Fraction(0, 1),"
+        " Fraction(1, 2)), (Fraction(0, 1), Fraction(1, 2), Fraction(1, 2))),"
+        " delta=Fraction(1, 2))"
+    )
+
+
+def test_records_compare_and_hash_by_class_and_fields():
+    f = field_for(3, 2)
+    assert Challenge((1, 2), 3) == Challenge(r=(1, 2), tag=3)
+    assert hash(Challenge((1, 2), 3)) == hash(Challenge(r=(1, 2), tag=3))
+    assert len({IdCodeParams(f, 2, 1), IdCodeParams(f, 2, 1, 1)}) == 1
+    assert Challenge((1, 2), 4) != Challenge((1, 2), 3)
+    # equal field values, but a challenge is not a secret challenge
+    assert Challenge((1, 2), (3,)) != SecretChallenge((1, 2), (3,))
+    assert not Challenge((1, 2), (3,)) == SecretChallenge((1, 2), (3,))
+    assert Challenge((1, 2), 3) != ((1, 2), 3)
+
+
+def test_records_are_immutable():
+    challenge = Challenge((1, 2), 3)
+    with pytest.raises(AttributeError):
+        challenge.tag = 4
+    with pytest.raises(AttributeError):
+        challenge.extra = 4
+    with pytest.raises(AttributeError):
+        del challenge.r
+    assert challenge == Challenge((1, 2), 3)
+
+
+def test_records_take_keywords_and_defaults_and_refuse_unknown_keywords():
+    f = field_for(3, 2)
+    assert IdCodeParams(f, 2, 3).n_challenges == 1
+    assert IdCodeParams(field=f, k=3, ell=2, n_challenges=2) == IdCodeParams(f, 2, 3, 2)
+    assert ChannelModel("identity", 2, ChannelModel.identity(2).matrix).delta is None
+    with pytest.raises(TypeError):
+        IdCodeParams(f, 2, 3, n=2)
+    with pytest.raises(TypeError):
+        Challenge((1, 2), 3, 4)
+
+
+def test_records_survive_pickling():
+    f = field_for(3, 2)
+    identity = Identity(IdCodeParams(f, 1, 1, 2), (0, 5))
+    for record in (SecrecyParams(f, 3), ChannelModel.symmetric(3, "1/8"), identity):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and hash(copy) == hash(record) and repr(copy) == repr(record)
+        with pytest.raises(AttributeError):
+            copy.field = None
 
 
 # ---------------------------------------------------------------------------

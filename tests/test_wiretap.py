@@ -32,7 +32,7 @@ from secrid.wiretap import (
     split_leakage_budget,
 )
 
-from util import ScriptedSource, table_built, table_free
+from util import ScriptedSource, pivot_by_running_sum, table_built, table_free
 
 
 def params_for(q, ell_prime, **kw):
@@ -68,6 +68,20 @@ def test_pivot_probability_is_block_proportional():
         seed = sample_seed(params, ScriptedSource([u] + [0] * 3))
         counts[seed.pivot] += 1
     assert counts == [1, 2, 4]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 25, 59049, 65521, 4294967291])
+@pytest.mark.parametrize("ell_prime", [2, 3, 17, 300])
+def test_pivot_matches_the_running_sum_at_every_block_boundary(q, ell_prime):
+    # the first draw of each direction block, the last of the block before
+    # it, and the last draw of all
+    params = params_for(q, ell_prime)
+    m = params.field.m
+    starts = [(q ** j - 1) // (q - 1) for j in range(ell_prime)]
+    draws = {u for start in starts for u in (start, start - 1) if u >= 0}
+    for u in sorted(draws | {params.direction_count - 1}):
+        seed = sample_seed(params, ScriptedSource([u] + [0] * (ell_prime * m)))
+        assert seed.pivot == pivot_by_running_sum(q, u), u
 
 
 def test_sampler_is_exactly_uniform_over_seeds():

@@ -2,9 +2,9 @@
 table-free and table-built fields, a checked dot product, the tag of the
 two-layer Reed-Solomon baseline, whose error quote is all the library needs,
 a per-monomial tag, the Horner plan by dict lookup, a per-point sweep for
-the identification error, exact leakage by a depth-first walk, Rabin's
-irreducibility test, and the closed forms and the byte inverse that only the
-tests call."""
+the identification error, exact leakage by a depth-first walk, the seed
+pivot by a running sum of direction blocks, Rabin's irreducibility test,
+and the closed forms and the byte inverse that only the tests call."""
 
 from __future__ import annotations
 
@@ -234,6 +234,20 @@ def leakage_by_walk(params: SecrecyParams, channel: ChannelModel) -> tuple[Fract
         Fraction(weighted(max_sums), q * norm),
         Fraction(max(weighted(col) for col in zip(*pair_sums)), norm),
     )
+
+
+def pivot_by_running_sum(q: int, u: int) -> int:
+    """The 0-based seed pivot for the draw u: the j with
+    (q^j - 1)/(q - 1) <= u < (q^(j+1) - 1)/(q - 1), found by adding the
+    q^j direction blocks one at a time."""
+    pivot = 0
+    cumulative = 1  # (q^1 - 1)/(q - 1)
+    block = 1
+    while cumulative <= u:
+        block *= q
+        cumulative += block
+        pivot += 1
+    return pivot
 
 
 # ---------------------------------------------------------------------------
