@@ -188,9 +188,7 @@ def _channel(kind: str, q: int, delta_text: str):
 
     if kind in ("identity", "uniform"):
         return getattr(ChannelModel, kind)(q)
-    if kind in ("symmetric", "erasure"):
-        return getattr(ChannelModel, kind)(q, delta_text)
-    raise DomainError(f"unknown channel kind {kind!r}")
+    return getattr(ChannelModel, kind)(q, delta_text)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +400,8 @@ def cmd_bench(args) -> list:
 # ---------------------------------------------------------------------------
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser; config values replace the defaults of the flags they name."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser; each subparser is its own "parser" default, so main can add --config's."""
     parser = argparse.ArgumentParser(
         prog="secrid",
         description="identification codecs with information-theoretically secret tags",
@@ -502,15 +500,17 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_bench)
 
     for s in sub.choices.values():
-        s.set_defaults(**(config or {}))
+        s.set_defaults(parser=s)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.config:  # parse again, with the file's values as defaults
-            args = build_parser(_load_config(args.config)).parse_args(argv)
+            args.parser.set_defaults(**_load_config(args.config))
+            args = parser.parse_args(argv)
         _write_outputs(args.func(args))
         return 0
     except FileNotFoundError as exc:

@@ -126,19 +126,23 @@ def sample_seed(params: SecrecyParams, rng) -> Seed:
     """Uniform over the seed space.  The pivot (0-based j) is selected with
     probability q^j / direction_count by one uniform draw u against the
     cumulative counts (q^(j+1) - 1)/(q - 1): j is the one with
-    q^j <= v = u (q - 1) + 1 < q^(j+1), floor(log_q v).  The estimate from
-    v's bit length b, (b - 1/2) / log2 q, is within 1/2 of log_q v, so its
-    floor is within one of j and one step corrects it.  Coordinates below
-    the pivot and s0 are then uniform."""
+    q^j <= v = u (q - 1) + 1 < q^(j+1), floor(log_q v).  The top pivot (odds
+    about 1 - 1/q) is v q > q^ell' - 1; below it, the estimate from v's bit
+    length b, (b - 1/2) / log2 q, is within 1/2 of log_q v, so its floor is
+    within one of j and one step corrects it.  Coordinates below the pivot
+    and s0 are then uniform."""
     field = params.field
     q = field.q
     v = rng.randrange(params.direction_count) * (q - 1) + 1
-    pivot = int((v.bit_length() - 0.5) / field.log2_q)
-    power = q ** pivot
-    if power > v:
-        pivot -= 1
-    elif power * q <= v:
-        pivot += 1
+    if v * q > params.direction_count * (q - 1):
+        pivot = params.ell_prime - 1
+    else:
+        pivot = int((v.bit_length() - 0.5) / field.log2_q)
+        power = q ** pivot
+        if power > v:
+            pivot -= 1
+        elif power * q <= v:
+            pivot += 1
     # the coordinates below the pivot, then s0, in one call
     drawn = field.sample_vector(rng, pivot + 1)
     s = drawn[:pivot] + (1,) + (0,) * (params.ell_prime - pivot - 1)
@@ -161,21 +165,20 @@ def enumerate_seeds(params: SecrecyParams) -> Iterator[Seed]:
 
 def decrypt(params: SecrecyParams, seed: Seed, x: Sequence[int]) -> int:
     """m = s.x + s0, with the seed and every symbol of x validated here, once;
-    the sum runs unchecked up to the pivot (above it s is 0; s[pivot] = 1)."""
+    the affine sum then runs unchecked."""
     field = params.field
     if len(x) != params.ell_prime:
         raise ValueError(f"ciphertext has {len(x)} symbols, expected {params.ell_prime}")
     seed.validate(params)
     for v in x:
         field._check(v)
-    add, mul = field.fast_ops(seed.pivot + 1)
-    return add(_affine_sum(field, seed, x, add, mul), x[seed.pivot])
+    return _affine_sum(field, seed, x, *field.fast_ops(seed.pivot + 1))
 
 
 def _affine_sum(field: Field, seed: Seed, x: Sequence[int], add, mul) -> int:
-    """s0 + sum_(j<pivot) s_j x_j: on logs (-1 for 0), one Zech lookup per
-    term, if the field has a Zech table; else on the caller's fast_ops pair."""
-    terms = zip(seed.s[: seed.pivot], x)
+    """s.x + s0, summed through the pivot (s is 0 above it): on logs (-1 for
+    0), one Zech lookup per term, given a Zech table; else on add and mul."""
+    terms = zip(seed.s[: seed.pivot + 1], x)
     tables = field._tables
     if tables is None or tables[2] is None:
         acc = seed.s0
@@ -196,14 +199,15 @@ def _affine_sum(field: Field, seed: Seed, x: Sequence[int], add, mul) -> int:
     return exp[acc % qm1] if acc >= 0 else 0
 
 
-def _solve_pivot(field: Field, seed: Seed, message: int, x: list[int]) -> tuple[int, ...]:
-    """Fill x[pivot] with message - (s0 + sum_(j<pivot) s_j x_j), putting x
-    on the hyperplane; coordinates above the pivot have s_j = 0.  Runs
-    unchecked: the caller has validated seed, message and x."""
-    add, mul = field.fast_ops(seed.pivot + 1)
-    acc = _affine_sum(field, seed, x, add, mul)
+def _solve_pivot(field: Field, seed: Seed, message: int, free: Sequence[int]) -> tuple[int, ...]:
+    """The point of s.x + s0 = message with the free coordinates around the
+    pivot, whose slot is solved for after a sum taken with it at 0.  Runs
+    unchecked: the caller has validated seed, message and free."""
+    pivot = seed.pivot
+    x = [*free[:pivot], 0, *free[pivot:]]
+    add, mul = field.fast_ops(pivot + 1)
     # the canonical integer p - 1 is the constant -1
-    x[seed.pivot] = add(message, mul(acc, field.p - 1))
+    x[pivot] = add(message, mul(_affine_sum(field, seed, x, add, mul), field.p - 1))
     return tuple(x)
 
 
@@ -215,9 +219,7 @@ def encrypt(params: SecrecyParams, seed: Seed, message: int, rng) -> tuple[int, 
     field = params.field
     field._check(message)
     seed.validate(params)
-    free = field.sample_vector(rng, params.ell_prime - 1)
-    pivot = seed.pivot
-    return _solve_pivot(field, seed, message, [*free[:pivot], 0, *free[pivot:]])
+    return _solve_pivot(field, seed, message, field.sample_vector(rng, params.ell_prime - 1))
 
 
 def hyperplane(params: SecrecyParams, seed: Seed, message: int) -> Iterator[tuple[int, ...]]:
@@ -225,9 +227,8 @@ def hyperplane(params: SecrecyParams, seed: Seed, message: int) -> Iterator[tupl
     field = params.field
     field._check(message)
     seed.validate(params)
-    pivot = seed.pivot
     for free in product(range(field.q), repeat=params.ell_prime - 1):
-        yield _solve_pivot(field, seed, message, [*free[:pivot], 0, *free[pivot:]])
+        yield _solve_pivot(field, seed, message, free)
 
 
 def encrypt_tags(
@@ -269,27 +270,26 @@ class LeakageBounds(Record):
 
 def leakage_bound(params: SecrecyParams, d2_bits: float) -> LeakageBounds:
     """Both total-variation bounds for an observer holding d2_bits of
-    collision information, clamped at the trivial maximum 2."""
+    collision information, clamped at the trivial maximum 2.  A ciphertext
+    of more than 2^21 bits (ell' log2 q) is refused before q^ell' is formed."""
     q = params.field.q
     lp = params.ell_prime
-    if not 0 <= d2_bits <= lp * params.field.log2_q * (1 + 1e-12):  # NaN too
-        raise ValueError(
-            f"d2_bits={d2_bits} outside [0, ell_prime * log2 q]"
-        )
-    num, den = _tight_terms(q, lp)
+    bits = lp * params.field.log2_q
+    if bits > 1 << 21:
+        raise ValueError(f"ell'={lp} symbols over GF({q}) are above the limit of 2^21 bits")
+    if not 0 <= d2_bits <= bits * (1 + 1e-12):  # NaN too
+        raise ValueError(f"d2_bits={d2_bits} outside [0, ell_prime * log2 q]")
     if d2_bits <= 512.0:
-        top, bottom = (2.0 ** d2_bits).as_integer_ratio()  # 2^d2, exactly
-        # each square of leakage_bound_squared as int / int, rounded once
-        # as float() of its Fraction is, without the Fraction's gcd
-        tight_sq = 4 * num * (top - bottom) / (den * bottom)
-        simplified_sq = 4 * top / (bottom * q ** (lp - 1))
-        tight = min(2.0, math.sqrt(tight_sq))
-        simplified = min(2.0, math.sqrt(simplified_sq))
+        # at 2^d2 exactly, each square rounded once as float() of its Fraction is
+        (tn, td), (sn, sd) = _squares(q, lp, *(2.0 ** d2_bits).as_integer_ratio())
+        tight = min(2.0, math.sqrt(tn / td))
+        simplified = min(2.0, math.sqrt(sn / sd))
     else:
-        # 2^d2 would overflow a float; at this size 2^d2 - 1 is 2^d2 to
-        # within 2^-512, so both bounds are evaluated in exponent space
-        tight = _clamped_root_pow2(d2_bits + _log2_ratio(4 * num, den))
-        simplified = _clamped_root_pow2(2.0 + d2_bits - (lp - 1) * params.field.log2_q)
+        # 2^d2 would overflow a float; at this size 2^d2 - 1 is 2^d2 to within
+        # 2^-512, so both bounds are taken in exponent space (underflow is 0)
+        num, den = _tight_terms(q, lp)
+        tight = 2.0 ** min(1.0, (d2_bits + _log2_ratio(4 * num, den)) / 2.0)
+        simplified = 2.0 ** min(1.0, (2.0 + d2_bits - (lp - 1) * params.field.log2_q) / 2.0)
     return LeakageBounds(d2_bits=d2_bits, tight=tight, simplified=simplified)
 
 
@@ -301,12 +301,6 @@ def _log2_ratio(num: int, den: int) -> float:
     else:
         scaled = (num << -shift) / den
     return shift + math.log2(scaled)
-
-
-def _clamped_root_pow2(log2_sq: float) -> float:
-    """sqrt(2^log2_sq) capped at 2; underflow collapses to 0 harmlessly."""
-    half = log2_sq / 2.0
-    return 2.0 if half >= 1.0 else 2.0 ** half
 
 
 def _tight_terms(q: int, ell_prime: int) -> tuple[int, int]:
@@ -325,6 +319,13 @@ def _tight_terms(q: int, ell_prime: int) -> tuple[int, int]:
     return num // g, (top - 1) * mid // g
 
 
+def _squares(q: int, ell_prime: int, top: int, bottom: int) -> tuple[tuple[int, int], ...]:
+    """Both squared bounds at 2^d2 = top / bottom, as integer (numerator,
+    denominator) pairs: 4 (2^d2 - 1) times the tight factor, and 4 * 2^d2 / q^(ell'-1)."""
+    num, den = _tight_terms(q, ell_prime)
+    return (4 * num * (top - bottom), den * bottom), (4 * top, bottom * q ** (ell_prime - 1))
+
+
 def leakage_bound_squared(
     q: int, ell_prime: int, pow2_d2: Fraction
 ) -> tuple[Fraction, Fraction]:
@@ -332,10 +333,8 @@ def leakage_bound_squared(
     statistics can be compared without touching floats."""
     from fractions import Fraction  # its only user here: a round never loads it
 
-    tight_factor = Fraction(*_tight_terms(q, ell_prime))
-    tight_sq = 4 * tight_factor * (pow2_d2 - 1)
-    simplified_sq = 4 * pow2_d2 / q ** (ell_prime - 1)
-    return tight_sq, simplified_sq
+    tight, simplified = _squares(q, ell_prime, pow2_d2.numerator, pow2_d2.denominator)
+    return Fraction(*tight), Fraction(*simplified)
 
 
 def kappa_d2_bits(params: SecrecyParams, kappa: float) -> float:

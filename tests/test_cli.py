@@ -544,10 +544,15 @@ LONG_POINT_IDENTITY = {"q_params": {"p": 5, "m": 1}, "ell": 10 ** 6, "k": 0, "n"
         (["encrypt", "--challenge", "{challenge}", "--kappa", "0.9999999", "--epsilon", "1e-6",
           "--seeds-out", "{seeds}"],
          "DomainError", "2 x ell'=100147360 symbols are above the limit 2^16"),
+        (["leakage-bound", "--q", "4294967291", "--ell-prime", "1000000", "--kappa", "0.2"],
+         "ValueError", "ell'=1000000 symbols over GF(4294967291) are above the limit of 2^21"),
+        (["leakage-bound", "--q", "5", "--ell-prime", "10000000000", "--kappa", "0.2"],
+         "ValueError", "ell'=10000000000 symbols over GF(5) are above the limit of 2^21"),
     ],
     ids=["identity_file_challenge", "identity_file_verify", "params_ell_k_10_6",
          "params_bits_past_float", "payload_1mb", "mint_n_10_8", "identity_file_point_10_6",
-         "encrypt_ell_prime_10_6", "encrypt_planned_ell_prime"],
+         "encrypt_ell_prime_10_6", "encrypt_planned_ell_prime", "leakage_bound_ell_prime_10_6",
+         "leakage_bound_ell_prime_10_10"],
 )
 def test_oversized_inputs_are_refused_before_the_work(
     pipeline, tmp_path, capsys, monkeypatch, argv, kind, words
@@ -936,6 +941,19 @@ def test_config_sets_leakage_exact_ell_prime_and_the_flag_wins(tmp_path, capsys,
     cfg.write_text("q = 3\nell_prime = 3\n")
     obj = run_json(capsys, "leakage-exact", "--config", str(cfg), "--delta", "1/4", *flag)
     assert obj["ell_prime"] == ell_prime
+
+
+def test_config_is_parsed_by_the_one_parser_main_builds(tmp_path, capsys, monkeypatch):
+    # the file's values become defaults of the running subcommand's parser,
+    # which then parses argv again; no second parser is built
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("q = 59049\nell = 2\nk = 20\n")
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *a: calls.append(a) or build(*a))
+    from_config = run_json(capsys, "params", "--config", str(cfg))
+    assert len(calls) == 1
+    assert from_config == run_json(capsys, "params", "--q", "59049", "--ell", "2", "--k", "20")
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

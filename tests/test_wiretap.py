@@ -32,7 +32,7 @@ from secrid.wiretap import (
     split_leakage_budget,
 )
 
-from util import ScriptedSource, pivot_by_running_sum, table_built, table_free
+from util import ScriptedSource, dot, pivot_by_running_sum, table_built, table_free
 
 
 def params_for(q, ell_prime, **kw):
@@ -276,8 +276,10 @@ def test_log_domain_cipher_matches_the_table_free_pair(case):
     cipher = encrypt(built, seed, message, random.Random(stream))
     assert cipher == encrypt(plain, seed, message, random.Random(stream))
     assert decrypt(built, seed, cipher) == message == decrypt(plain, seed, cipher)
-    # x with zero symbols, and the pivot-0 seed, whose sum is s0 + x_0
-    assert decrypt(built, seed, x) == decrypt(plain, seed, x)
+    # x with zero symbols against the checked s.x + s0, and the pivot-0
+    # seed, whose sum is s0 + x_0
+    for params in (built, plain):
+        assert decrypt(params, seed, x) == params.field.add(dot(params.field, seed.s, x), seed.s0)
     first = Seed((1,) + (0,) * (ell_prime - 1), seed.s0, 0)
     assert decrypt(built, first, x) == plain.field.add(seed.s0, x[0])
 
