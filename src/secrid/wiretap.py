@@ -126,23 +126,19 @@ def sample_seed(params: SecrecyParams, rng) -> Seed:
     """Uniform over the seed space.  The pivot (0-based j) is selected with
     probability q^j / direction_count by one uniform draw u against the
     cumulative counts (q^(j+1) - 1)/(q - 1): j is the one with
-    q^j <= v = u (q - 1) + 1 < q^(j+1), floor(log_q v).  The top pivot (odds
-    about 1 - 1/q) is v q > q^ell' - 1; below it, the estimate from v's bit
-    length b, (b - 1/2) / log2 q, is within 1/2 of log_q v, so its floor is
-    within one of j and one step corrects it.  Coordinates below the pivot
-    and s0 are then uniform."""
+    q^j <= v = u (q - 1) + 1 < q^(j+1), floor(log_q v).  The estimate from
+    v's bit length b, (b - 1/2) / log2 q, is within 1/2 of log_q v, so its
+    floor is within one of j and one step corrects it.  Coordinates below
+    the pivot and s0 are then uniform."""
     field = params.field
     q = field.q
     v = rng.randrange(params.direction_count) * (q - 1) + 1
-    if v * q > params.direction_count * (q - 1):
-        pivot = params.ell_prime - 1
-    else:
-        pivot = int((v.bit_length() - 0.5) / field.log2_q)
-        power = q ** pivot
-        if power > v:
-            pivot -= 1
-        elif power * q <= v:
-            pivot += 1
+    pivot = int((v.bit_length() - 0.5) / field.log2_q)
+    power = q ** pivot
+    if power > v:
+        pivot -= 1
+    elif power * q <= v:
+        pivot += 1
     # the coordinates below the pivot, then s0, in one call
     drawn = field.sample_vector(rng, pivot + 1)
     s = drawn[:pivot] + (1,) + (0,) * (params.ell_prime - pivot - 1)
