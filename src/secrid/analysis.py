@@ -8,7 +8,9 @@ count), exact collision-entropy budgets, and exact identification error
 fractions (a depth-first zero count of the difference polynomial, one
 variable substituted at a time through rmid.substitution_plan, the Horner
 plan evaluate_tag folds by, ~sum_j q^j C(ell - j + 1 + k, k) lookups in a
-q x q multiply-add table instead of C(ell + k, k) at each of q^ell points).
+q x q multiply-add table instead of C(ell + k, k) at each of q^ell points;
+for q <= 16 the deeper levels run for all prefixes at once on byte
+vectors, one bytes.translate per Horner step).
 Distributions are kept as exact integers or rationals end to end; floats
 appear only in reported logarithms.
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from .ff import TABLE_LIMIT
@@ -293,7 +296,8 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
 
 def exact_id_error(id_i: Identity, id_j: Identity) -> Fraction:
     """Exact per-challenge acceptance fraction: how many points of GF(q)^ell
-    make id_j's tag match id_i's.  exact_id_error(x, x) = 1.
+    make id_j's tag match id_i's.  exact_id_error(x, x) = 1, returned before
+    any table is built.
 
     The tag is linear in the coefficients, so the tags agree exactly where
     the difference polynomial vanishes.  Its zeros are counted depth-first,
@@ -308,24 +312,38 @@ def exact_id_error(id_i: Identity, id_j: Identity) -> Fraction:
     q = 7, ell = 4, k = 5, in memory of ell coefficient vectors.  Each step
     is one lookup, steps[a][acc][c] = a * acc + c, in tables of q^2 entries
     built once per call, so q is limited to 1024 (q^2 <= ff.TABLE_LIMIT);
-    the difference a - b is steps[-1][b][a] from the same tables."""
-    if id_i.params != id_j.params:
-        raise ValueError("identities use different code parameters")
+    the difference a - b is steps[-1][b][a] from the same tables.
+
+    When q <= 16, the walk stops at the first level with at least
+    BYTE_PREFIXES prefixes (_byte_split), and _byte_zeros folds the levels
+    left for all of those prefixes at once, on byte vectors, in memory of
+    up to about 4 q^ell bytes.  With fewer prefixes at every level, or with pairs
+    (acc, c) that do not fit one byte, the walk goes to the end."""
     params = id_i.params
+    if id_j.params is not params and id_j.params != params:
+        raise ValueError("identities use different code parameters")
     field = params.field
     q = field.q
     if q ** params.ell > 10_000_000:
         raise ValueError(f"q^ell = {q ** params.ell} too large to enumerate")
     if q * q > TABLE_LIMIT:
         raise ValueError(f"q^2 = {q * q} too large for the Horner step tables")
+    if id_i.coeffs == id_j.coeffs:  # canonical, so the difference is 0
+        return Fraction(1)
     add, mul = field.fast_ops()
     plan = substitution_plan(params.ell, params.k)
     last = len(plan) - 1
     sums = [[add(y, c) for c in range(q)] for y in range(q)]
     # steps[a][x] = sums[a * x]: rows shared, not copied
     steps = [[sums[mul(a, x)] for x in range(q)] for a in range(q)]
+    # the depth at which the walk hands its polynomials to the byte path
+    split = _byte_split(q, params.ell)
+    prefixes = []
 
     def zeros(poly: list[int], depth: int) -> int:
+        if depth == split:
+            prefixes.append(poly)
+            return 0
         if depth == last:  # one univariate group: count its roots
             ((top, rest),) = plan[last]
             head, tail = poly[top], [poly[i] for i in rest]
@@ -351,4 +369,53 @@ def exact_id_error(id_i: Identity, id_j: Identity) -> Fraction:
 
     minus = steps[field.p - 1]  # minus[b][a] = -b + a; p - 1 is -1
     diff = [minus[b][a] for a, b in zip(id_i.coeffs, id_j.coeffs)]
-    return Fraction(zeros(diff, 0), q ** params.ell)
+    hits = zeros(diff, 0)
+    if prefixes:
+        hits += _byte_zeros(prefixes, plan[split:], steps)
+    return Fraction(hits, q ** params.ell)
+
+
+BYTE_PREFIXES = 64
+
+
+def _byte_split(q: int, ell: int) -> int:
+    """The depth from which exact_id_error counts on byte vectors: the first
+    level with BYTE_PREFIXES or more prefixes, q^d.  ell (no level) when a
+    pair (acc, c) does not fit one byte, q > 16, or no level is that long."""
+    if q > 16:
+        return ell
+    depth = 1
+    while q ** depth < BYTE_PREFIXES:
+        depth += 1
+    return min(depth, ell)
+
+
+def _byte_zeros(prefixes: list[list[int]], plan: tuple, steps: list) -> int:
+    """Zeros below the given prefixes, q <= 16: each coefficient becomes a
+    bytes vector over the prefixes, and one Horner step for all of them at
+    a = a value of the next variable is
+        (int(acc) * q + int(c)).to_bytes(n).translate(table[a]),
+    with table[a][acc * q + c] = a * acc + c.  acc * q + c < q^2 <= 256
+    carries into no other byte.  Each level joins its q folds into vectors
+    q times longer; the last holds one element per point."""
+    q = len(steps)
+    pad = bytes(256 - q * q)
+    sums = list(map(bytes, steps[1]))  # steps[1][y] = sums[y]: y + c over c
+    product = itemgetter(0)  # steps[a][x][0] = a * x + 0
+    tables = [b"".join(map(sums.__getitem__, map(product, step))) + pad for step in steps]
+    from_bytes = int.from_bytes
+    vectors = [bytes(column) for column in zip(*prefixes)]
+    for groups in plan:
+        n = len(vectors[0])
+        ints = [from_bytes(v, "big") for v in vectors]
+        folds = []
+        for table in tables:  # one value a of this variable
+            fold = []
+            for top, rest in groups:
+                acc = vectors[top]
+                for i in rest:
+                    acc = (from_bytes(acc, "big") * q + ints[i]).to_bytes(n, "big").translate(table)
+                fold.append(acc)
+            folds.append(fold)
+        vectors = [b"".join(column) for column in zip(*folds)]
+    return vectors[0].count(0)

@@ -159,8 +159,7 @@ def _read_records(path: str, key: str, record_cls, field: Field | None = None):
         ell = len(r) if ell is None else ell
         if len(r) != ell:
             raise ValueError(f"challenge point has {len(r)} coordinates, expected {ell!r}")
-        for x in r:
-            field._check(x)
+        field._check_all(r)
     return header, field, records
 
 

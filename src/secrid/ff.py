@@ -309,6 +309,13 @@ class Field:
             raise ValueError(f"{a!r} is not a canonical element of {self!r}")
         return a
 
+    def _check_all(self, values: Sequence[int]) -> None:
+        """_check each value in one loop, with no call per good value."""
+        q = self.q
+        for a in values:
+            if type(a) is not int or not 0 <= a < q:
+                self._check(a)  # raises with the per-value message
+
     # -- arithmetic core --------------------------------------------------
 
     def fast_ops(

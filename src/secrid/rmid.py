@@ -185,9 +185,7 @@ class Identity(Record):
                 f"identity of ell={ell}, k={k} needs C({ell + k}, {ell}) coefficients, got {n}"
             )
         params.check_round()
-        check = params.field._check
-        for c in coeffs:
-            check(c)
+        params.field._check_all(coeffs)
 
     @cached
     def _logs(self) -> list[int]:

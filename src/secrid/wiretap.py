@@ -82,8 +82,7 @@ class Seed(Record):
             raise ValueError("pivot coordinate must be 1")
         if any(c != 0 for c in self.s[self.pivot + 1 :]):
             raise ValueError("coordinates above the pivot must be 0")
-        for c in (*self.s, self.s0):
-            params.field._check(c)
+        params.field._check_all((*self.s, self.s0))
         return self
 
     def to_json_dict(self) -> dict:
@@ -166,8 +165,7 @@ def decrypt(params: SecrecyParams, seed: Seed, x: Sequence[int]) -> int:
     if len(x) != params.ell_prime:
         raise ValueError(f"ciphertext has {len(x)} symbols, expected {params.ell_prime}")
     seed.validate(params)
-    for v in x:
-        field._check(v)
+    field._check_all(x)
     return _affine_sum(field, seed, x, *field.fast_ops(seed.pivot + 1))
 
 

@@ -1,12 +1,15 @@
 import json
+import time
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secrid import analysis
 from secrid.analysis import (
     LEAKAGE_CSV_HEADER,
     ChannelModel,
@@ -400,7 +403,7 @@ def id_error_pairs(draw):
     identically, so whole subgrids are counted at once."""
     p, m = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4)]))
     field = field_for(p, m)
-    ell = draw(st.integers(min_value=1, max_value=4 if field.q <= 5 else 3 if field.q <= 9 else 2))
+    ell = draw(st.integers(min_value=1, max_value=4 if field.q <= 5 else 3))
     k = draw(st.integers(min_value=0, max_value=min(field.q - 1, 3)))
     params = IdCodeParams(field, ell, k)
     coeffs = st.lists(
@@ -430,6 +433,60 @@ def id_error_pairs(draw):
 def test_exact_id_error_matches_per_point_sweep(pair):
     id_i, id_j = pair
     assert exact_id_error(id_i, id_j) == id_error_by_sweep(id_i, id_j)
+
+
+@given(id_error_pairs())
+@settings(max_examples=200, deadline=None)
+def test_byte_path_matches_the_depth_first_walk(pair):
+    # the walk hands over at every depth, whichever the size rule would pick;
+    # at depth ell it never does
+    id_i, id_j = pair
+    ell = id_i.params.ell
+    counts = set()
+    for split in range(1, ell + 1):
+        with mock.patch.object(analysis, "_byte_split", lambda q, ell: split):
+            counts.add(exact_id_error(id_i, id_j))
+    assert len(counts) == 1
+
+
+def test_byte_split_is_chosen_by_size():
+    split = analysis._byte_split
+    assert analysis.BYTE_PREFIXES == 64
+    assert [split(16, ell) for ell in (1, 2, 3, 5)] == [1, 2, 2, 2]
+    assert [split(7, 4), split(7, 8), split(9, 4), split(5, 3), split(4, 4)] == [3, 3, 2, 3, 3]
+    assert [split(2, ell) for ell in (6, 7, 23)] == [6, 6, 6]
+    assert split(17, 5) == 5  # a pair (acc, c) needs two bytes
+
+
+@pytest.mark.parametrize("p, m, ell", [(2, 4, 5), (3, 2, 6), (7, 1, 7)])
+def test_exact_id_error_closed_form_counts_at_a_million_points(p, m, ell):
+    # ~10^6 points over an XOR, a Zech and a prime field, all on the byte path
+    field = field_for(p, m)
+    q = field.q
+    assert analysis._byte_split(q, ell) < ell
+    params = IdCodeParams(field, ell, 2)
+    layout = monomial_exponents(ell, 2)
+    x1 = layout.index((1,) + (0,) * (ell - 1))
+    x1x2 = layout.index((1, 1) + (0,) * (ell - 2))
+    zero = Identity(params, (0,) * params.coeff_count)
+    for c in (0, q - 1):
+        diff = [0] * params.coeff_count
+        diff[0], diff[x1] = field.sub(0, c), 1  # x1 - c: every point with x1 = c
+        assert exact_id_error(Identity(params, tuple(diff)), zero) == Fraction(1, q)
+    diff = [0] * params.coeff_count
+    diff[x1x2] = 1  # x1 x2: x1 = 0 or x2 = 0, 2 q^(ell-1) - q^(ell-2) points
+    assert exact_id_error(Identity(params, tuple(diff)), zero) == Fraction(2 * q - 1, q * q)
+
+
+def test_exact_id_error_of_equal_identities_builds_nothing():
+    field = Field(7, 1)  # a fresh field: no tables yet
+    params = IdCodeParams(field, 8, 2)
+    coeffs = tuple(range(7)) * 6 + (1, 2, 3)
+    assert params.coeff_count == len(coeffs)
+    start = time.perf_counter()
+    assert exact_id_error(Identity(params, coeffs), Identity(params, coeffs)) == 1
+    assert time.perf_counter() - start < 0.5  # 7^8 points are never walked
+    assert field._tables is None
 
 
 GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens.json"

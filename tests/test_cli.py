@@ -228,6 +228,24 @@ def test_verify_rejects_non_canonical_tag(pipeline, tmp_path, capsys, bad_tag):
     assert "not a canonical element" in error["message"]
 
 
+@pytest.mark.parametrize("bad", [True, -1, 5, 1.0])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_challenge_file_names_its_first_non_element(tmp_path, bad, at):
+    # JSON true and 1.0 stop at the integer check, -1 and q at the field's
+    r = [1, 2, 3]
+    r[at] = bad
+    path = tmp_path / "ch.json"
+    path.write_text(json.dumps(
+        {"q": 5, "ell": 3, "challenges": [{"r": [0, 4, 1], "tag": 0}, {"r": r, "tag": 0}]}
+    ))
+    with pytest.raises(ValueError) as exc:
+        cli._read_records(str(path), "challenges", rmid.Challenge)
+    if type(bad) is int:
+        assert str(exc.value) == f"{bad!r} is not a canonical element of {Field(5, 1)!r}"
+    else:
+        assert str(exc.value) == f"r entries must be integers, got {bad!r}"
+
+
 def test_encrypt_decrypt_restores_challenges(pipeline, tmp_path, capsys):
     _, challenge = pipeline
     seeds = tmp_path / "seeds.json"

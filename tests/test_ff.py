@@ -399,6 +399,28 @@ def test_rejects_values_outside_canonical_range():
         field.add(True, 0)  # bools are ints but not field elements
 
 
+@pytest.mark.parametrize("bad", [True, -1, 5, 1.0])  # a bool, a negative, q, a float
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_check_all_raises_the_per_value_message(bad, at):
+    field = field_for(5, 1)
+    values = [1, 2, 3, 4, 0]
+    values[at] = bad
+    with pytest.raises(ValueError) as exc:
+        field._check_all(values)
+    assert str(exc.value) == f"{bad!r} is not a canonical element of {field!r}"
+
+
+def test_check_all_passes_elements_and_names_the_first_bad_value():
+    field = field_for(2, 2)
+    field._check_all(())
+    field._check_all([3, 0, 1, 2])
+    field._check_all(bytes([3, 0]))
+    with pytest.raises(ValueError, match=r"^-1 is not"):
+        field._check_all((0, -1, 4, 2.5, None))
+    with pytest.raises(ValueError, match=r"^None is not"):
+        field._check_all((0, None, -1))
+
+
 # ---------------------------------------------------------------------------
 # sampling
 

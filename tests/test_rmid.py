@@ -155,6 +155,17 @@ def test_identity_of_the_wrong_length_names_its_geometry():
         Identity(IdCodeParams(field_for(7, 1), 2, 1), (0,) * 4)
 
 
+@pytest.mark.parametrize("bad", [True, -1, 5, 1.0])
+@pytest.mark.parametrize("at", [0, 2, 5])
+def test_identity_names_its_first_non_element(bad, at):
+    field = field_for(5, 1)
+    coeffs = [1, 2, 3, 4, 0, 1]  # ell = 2, k = 2
+    coeffs[at] = bad
+    with pytest.raises(ValueError) as exc:
+        Identity(IdCodeParams(field, 2, 2), tuple(coeffs))
+    assert str(exc.value) == f"{bad!r} is not a canonical element of {field!r}"
+
+
 # every ell <= 4 with k <= 8, then long groups (large k) and many levels
 PLAN_GEOMETRIES = [(ell, k) for ell in range(1, 5) for k in range(9)]
 PLAN_GEOMETRIES += [(3, 90), (2, 100), (4, 40), (6, 10)]

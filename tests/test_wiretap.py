@@ -124,6 +124,32 @@ def test_seed_validation_rejects_malformed():
         Seed((0, 1), 3, 1).validate(params)  # s0 out of range
 
 
+@pytest.mark.parametrize("bad", [True, -1, 5, 1.0])
+@pytest.mark.parametrize("at", ["s first", "s middle", "s0"])
+def test_seed_validation_names_its_first_non_element(bad, at):
+    # pivot 3: s[0] and s[1] lie below it, s0 is validated last
+    params = params_for(5, 4)
+    s, s0 = [2, 3, 4, 1], 2
+    if at == "s0":
+        s0 = bad
+    else:
+        s[0 if at == "s first" else 1] = bad
+    with pytest.raises(ValueError) as exc:
+        Seed(tuple(s), s0, 3).validate(params)
+    assert str(exc.value) == f"{bad!r} is not a canonical element of {params.field!r}"
+
+
+@pytest.mark.parametrize("bad", [True, -1, 5, 1.0])
+@pytest.mark.parametrize("at", [0, 2, 3])
+def test_decrypt_names_its_first_non_element(bad, at):
+    params = params_for(5, 4)
+    x = [1, 4, 0, 2]
+    x[at] = bad
+    with pytest.raises(ValueError) as exc:
+        decrypt(params, Seed((2, 3, 4, 1), 2, 3), tuple(x))
+    assert str(exc.value) == f"{bad!r} is not a canonical element of {params.field!r}"
+
+
 # ---------------------------------------------------------------------------
 # cipher
 
