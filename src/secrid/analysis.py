@@ -5,12 +5,13 @@ scale: exact total variation between conditional seed-observation laws for
 a given per-symbol observation channel (an integer dynamic program over the
 seed directions, level by level, each distinct convolved f once with its
 count), exact collision-entropy budgets, and exact identification error
-fractions (a depth-first zero count of the difference polynomial, one
-variable substituted at a time through rmid.substitution_plan, the Horner
-plan evaluate_tag folds by, ~sum_j q^j C(ell - j + 1 + k, k) lookups in a
-q x q multiply-add table instead of C(ell + k, k) at each of q^ell points;
-for q <= 16 the deeper levels run for all prefixes at once on byte
-vectors, one bytes.translate per Horner step).
+fractions (a zero count of the difference polynomial, one variable
+substituted at a time through rmid.substitution_plan, the Horner plan
+evaluate_tag folds by, with lookups in a q x q multiply-add table: for
+q <= 16 every level below the first runs for all prefixes at once on byte
+vectors, one bytes.translate per Horner step; above 16 a depth-first walk
+takes ~sum_j q^j C(ell - j + 1 + k, k) lookups instead of C(ell + k, k)
+at each of q^ell points).
 Distributions are kept as exact integers or rationals end to end; floats
 appear only in reported logarithms.
 
@@ -300,111 +301,93 @@ def exact_id_error(id_i: Identity, id_j: Identity) -> Fraction:
     any table is built.
 
     The tag is linear in the coefficients, so the tags agree exactly where
-    the difference polynomial vanishes.  Its zeros are counted depth-first,
-    one variable at a time: for each value a of the first remaining
-    variable, Horner in a folds the coefficients into a polynomial of total
-    degree <= k in the variables left, and the count recurses on that.  A
-    polynomial that vanishes identically holds q^(variables left) zeros
-    without descending; at the last variable the fold is univariate and
-    its roots are counted as they come.  That is at most sum over
-    j = 1..ell of q^j * C(ell - j + 1 + k, k) Horner steps instead of
-    C(ell + k, k) multiply-adds per point, e.g. 25k instead of 302k at
-    q = 7, ell = 4, k = 5, in memory of ell coefficient vectors.  Each step
-    is one lookup, steps[a][acc][c] = a * acc + c, in tables of q^2 entries
-    built once per call, so q is limited to 1024 (q^2 <= ff.TABLE_LIMIT);
-    the difference a - b is steps[-1][b][a] from the same tables.
-
-    When q <= 16, the walk stops at the first level with at least
-    BYTE_PREFIXES prefixes (_byte_split), and _byte_zeros folds the levels
-    left for all of those prefixes at once, on byte vectors, in memory of
-    up to about 4 q^ell bytes.  With fewer prefixes at every level, or with pairs
-    (acc, c) that do not fit one byte, the walk goes to the end."""
+    the difference polynomial vanishes.  Its zeros are counted one variable
+    at a time: for each value a of the first variable, Horner in a (_fold)
+    folds the coefficients into a polynomial of total degree <= k in the
+    variables left.  Each Horner step is one lookup,
+    steps[a][acc][c] = a * acc + c, in tables of q^2 entries built once per
+    call, so q is limited to 1024 (q^2 <= ff.TABLE_LIMIT); the difference
+    a - b is steps[-1][b][a] from the same tables.  q alone picks the
+    counter below the first variable: for q <= 16 a pair (acc, c) fits one
+    byte, and _byte_zeros counts every deeper level for all q folds at once
+    on byte vectors; above 16, _walk_zeros counts depth-first."""
     params = id_i.params
-    if id_j.params is not params and id_j.params != params:
+    if id_j.params != params:
         raise ValueError("identities use different code parameters")
     field = params.field
-    q = field.q
-    if q ** params.ell > 10_000_000:
-        raise ValueError(f"q^ell = {q ** params.ell} too large to enumerate")
+    q, ell = field.q, params.ell
+    bits = ell * (q.bit_length() - 1)  # q^ell >= 2^bits; past 2^64 it is not formed
+    if bits >= 64:
+        raise ValueError(f"q^ell = {q}^{ell} >= 2^{bits} too large to enumerate")
+    if q ** ell > 10_000_000:
+        raise ValueError(f"q^ell = {q ** ell} too large to enumerate")
     if q * q > TABLE_LIMIT:
         raise ValueError(f"q^2 = {q * q} too large for the Horner step tables")
     if id_i.coeffs == id_j.coeffs:  # canonical, so the difference is 0
         return Fraction(1)
     add, mul = field.fast_ops()
-    plan = substitution_plan(params.ell, params.k)
-    last = len(plan) - 1
+    plan = substitution_plan(ell, params.k)
     sums = [[add(y, c) for c in range(q)] for y in range(q)]
     # steps[a][x] = sums[a * x]: rows shared, not copied
     steps = [[sums[mul(a, x)] for x in range(q)] for a in range(q)]
-    # the depth at which the walk hands its polynomials to the byte path
-    split = _byte_split(q, params.ell)
-    prefixes = []
-
-    def zeros(poly: list[int], depth: int) -> int:
-        if depth == split:
-            prefixes.append(poly)
-            return 0
-        if depth == last:  # one univariate group: count its roots
-            ((top, rest),) = plan[last]
-            head, tail = poly[top], [poly[i] for i in rest]
-            hits = 0
-            for step in steps:
-                acc = head
-                for c in tail:
-                    acc = step[acc][c]
-                if not acc:
-                    hits += 1
-            return hits
-        vanished = q ** (last - depth)  # points left below this variable
-        hits = 0
-        for step in steps:  # one value a of this variable
-            folded = []
-            for top, rest in plan[depth]:
-                acc = poly[top]
-                for i in rest:
-                    acc = step[acc][poly[i]]
-                folded.append(acc)
-            hits += zeros(folded, depth + 1) if any(folded) else vanished
-        return hits
-
     minus = steps[field.p - 1]  # minus[b][a] = -b + a; p - 1 is -1
     diff = [minus[b][a] for a, b in zip(id_i.coeffs, id_j.coeffs)]
-    hits = zeros(diff, 0)
-    if prefixes:
-        hits += _byte_zeros(prefixes, plan[split:], steps)
-    return Fraction(hits, q ** params.ell)
-
-
-BYTE_PREFIXES = 64
-
-
-def _byte_split(q: int, ell: int) -> int:
-    """The depth from which exact_id_error counts on byte vectors: the first
-    level with BYTE_PREFIXES or more prefixes, q^d.  ell (no level) when a
-    pair (acc, c) does not fit one byte, q > 16, or no level is that long."""
     if q > 16:
-        return ell
-    depth = 1
-    while q ** depth < BYTE_PREFIXES:
-        depth += 1
-    return min(depth, ell)
+        hits = _walk_zeros(diff, plan, steps)
+    else:
+        hits = _byte_zeros([_fold(diff, plan[0], step) for step in steps], plan[1:], steps)
+    return Fraction(hits, q ** ell)
 
 
-def _byte_zeros(prefixes: list[list[int]], plan: tuple, steps: list) -> int:
-    """Zeros below the given prefixes, q <= 16: each coefficient becomes a
-    bytes vector over the prefixes, and one Horner step for all of them at
-    a = a value of the next variable is
+def _fold(poly: list[int], groups: tuple, step: list) -> list[int]:
+    """poly at one value a of its first variable, step[acc][c] = a * acc + c:
+    Horner over each group (top, rest) of substitution_plan, one coefficient
+    per group in the variables left."""
+    folded = []
+    for top, rest in groups:
+        acc = poly[top]
+        for i in rest:
+            acc = step[acc][poly[i]]
+        folded.append(acc)
+    return folded
+
+
+def _walk_zeros(poly: list[int], plan: tuple, steps: list) -> int:
+    """Zeros of poly in the len(plan) variables plan folds, depth-first: at
+    each value of the first variable, a fold that vanishes identically holds
+    q^(variables left) zeros without descending, and a nonzero constant
+    holds none.  At most sum over j = 1..ell of q^j * C(ell - j + 1 + k, k)
+    Horner steps instead of C(ell + k, k) multiply-adds per point, e.g. 25k
+    instead of 302k at q = 7, ell = 4, k = 5, in memory of ell coefficient
+    vectors."""
+    if not plan:
+        return 0
+    vanished = len(steps) ** (len(plan) - 1)
+    hits = 0
+    for step in steps:  # one value a of this variable
+        folded = _fold(poly, plan[0], step)
+        hits += _walk_zeros(folded, plan[1:], steps) if any(folded) else vanished
+    return hits
+
+
+def _byte_zeros(folds: list[list[int]], plan: tuple, steps: list) -> int:
+    """Zeros below the q folds of the first variable, q <= 16: each
+    coefficient becomes a bytes vector over the values of the variables
+    folded so far, and one Horner step for all of them at a = a value of
+    the next variable is
         (int(acc) * q + int(c)).to_bytes(n).translate(table[a]),
     with table[a][acc * q + c] = a * acc + c.  acc * q + c < q^2 <= 256
     carries into no other byte.  Each level joins its q folds into vectors
-    q times longer; the last holds one element per point."""
+    q times longer; the last holds one element per point, in memory of up
+    to about 4 q^ell bytes.  With no level left (ell = 1) the count is of
+    the zeros among the q constants."""
     q = len(steps)
     pad = bytes(256 - q * q)
     sums = list(map(bytes, steps[1]))  # steps[1][y] = sums[y]: y + c over c
     product = itemgetter(0)  # steps[a][x][0] = a * x + 0
     tables = [b"".join(map(sums.__getitem__, map(product, step))) + pad for step in steps]
     from_bytes = int.from_bytes
-    vectors = [bytes(column) for column in zip(*prefixes)]
+    vectors = [bytes(column) for column in zip(*folds)]
     for groups in plan:
         n = len(vectors[0])
         ints = [from_bytes(v, "big") for v in vectors]

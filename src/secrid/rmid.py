@@ -72,6 +72,8 @@ class Record:
         return tuple(map(self.__dict__.__getitem__, self._fields))
 
     def __eq__(self, other: object):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()

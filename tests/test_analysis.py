@@ -3,7 +3,6 @@ import time
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +17,7 @@ from secrid.analysis import (
     exact_leakage,
 )
 from secrid.ff import Field, field_for
-from secrid.rmid import IdCodeParams, Identity, monomial_exponents
+from secrid.rmid import IdCodeParams, Identity, monomial_exponents, substitution_plan
 from secrid.wiretap import SecrecyParams, enumerate_seeds, hyperplane
 
 from util import id_error_by_sweep, leakage_by_walk
@@ -379,6 +378,17 @@ def test_exact_id_error_refuses_a_point_space_too_large_to_enumerate():
     assert str(exc.value) == "q^ell = 3486784401 too large to enumerate"
 
 
+@pytest.mark.parametrize("field, ell", [(field_for(2, 16), 5000), (field_for(4294967291, 1), 65536)])
+def test_exact_id_error_refuses_a_huge_point_space_by_bit_length(field, ell):
+    identity = Identity(IdCodeParams(field, ell, 0), (0,))
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        exact_id_error(identity, identity)
+    assert time.perf_counter() - start < 0.05  # q^ell is never formed
+    bits = ell * (field.q.bit_length() - 1)
+    assert str(exc.value) == f"q^ell = {field.q}^{ell} >= 2^{bits} too large to enumerate"
+
+
 def test_exact_id_error_counts_over_the_largest_field_its_tables_allow():
     params = IdCodeParams(field_for(2, 10), 1, 3)
     id_i = Identity(params, (7, 1, 1, 0))
@@ -396,14 +406,14 @@ def test_exact_id_error_refuses_a_field_too_large_for_its_step_tables():
 
 
 @st.composite
-def id_error_pairs(draw):
-    """Identity pairs over prime, XOR-add and Zech-add fields.  Half the
-    draws force a shape: equal identities (error 1), a nonzero constant
-    difference (error 0), or x_v - c, whose substitution x_v = c vanishes
-    identically, so whole subgrids are counted at once."""
-    p, m = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4)]))
-    field = field_for(p, m)
-    ell = draw(st.integers(min_value=1, max_value=4 if field.q <= 5 else 3))
+def id_error_pairs(draw, fields=((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2), (2, 4)), ell=None):
+    """Identity pairs over prime, XOR-add and Zech-add fields, q <= 16 by
+    default.  Half the draws force a shape: equal identities (error 1), a
+    nonzero constant difference (error 0), or x_v - c, whose substitution
+    x_v = c vanishes identically, so whole subgrids are counted at once."""
+    field = field_for(*draw(st.sampled_from(fields)))
+    if ell is None:
+        ell = draw(st.integers(min_value=1, max_value=4 if field.q <= 5 else 3))
     k = draw(st.integers(min_value=0, max_value=min(field.q - 1, 3)))
     params = IdCodeParams(field, ell, k)
     coeffs = st.lists(
@@ -435,27 +445,31 @@ def test_exact_id_error_matches_per_point_sweep(pair):
     assert exact_id_error(id_i, id_j) == id_error_by_sweep(id_i, id_j)
 
 
+@given(id_error_pairs(fields=[(17, 1), (5, 2), (2, 5)], ell=2))
+@settings(max_examples=100, deadline=None)
+def test_exact_id_error_walks_depth_first_above_q_16(pair):
+    # a prime, a Zech and an XOR field whose pairs (acc, c) need two bytes
+    id_i, id_j = pair
+    assert id_i.params.field.q > 16
+    assert exact_id_error(id_i, id_j) == id_error_by_sweep(id_i, id_j)
+
+
 @given(id_error_pairs())
 @settings(max_examples=200, deadline=None)
 def test_byte_path_matches_the_depth_first_walk(pair):
-    # the walk hands over at every depth, whichever the size rule would pick;
-    # at depth ell it never does
+    # at q <= 16 exact_id_error counts on byte vectors only; the walk, run
+    # here from depth 0, must count the same zeros
     id_i, id_j = pair
-    ell = id_i.params.ell
-    counts = set()
-    for split in range(1, ell + 1):
-        with mock.patch.object(analysis, "_byte_split", lambda q, ell: split):
-            counts.add(exact_id_error(id_i, id_j))
-    assert len(counts) == 1
-
-
-def test_byte_split_is_chosen_by_size():
-    split = analysis._byte_split
-    assert analysis.BYTE_PREFIXES == 64
-    assert [split(16, ell) for ell in (1, 2, 3, 5)] == [1, 2, 2, 2]
-    assert [split(7, 4), split(7, 8), split(9, 4), split(5, 3), split(4, 4)] == [3, 3, 2, 3, 3]
-    assert [split(2, ell) for ell in (6, 7, 23)] == [6, 6, 6]
-    assert split(17, 5) == 5  # a pair (acc, c) needs two bytes
+    params = id_i.params
+    field, q = params.field, params.field.q
+    add, mul = field.fast_ops()
+    steps = [[[add(mul(a, x), c) for c in range(q)] for x in range(q)] for a in range(q)]
+    plan = substitution_plan(params.ell, params.k)
+    diff = [field.sub(a, b) for a, b in zip(id_i.coeffs, id_j.coeffs)]
+    folds = [analysis._fold(diff, plan[0], step) for step in steps]
+    walk = analysis._walk_zeros(diff, plan, steps)
+    assert walk == analysis._byte_zeros(folds, plan[1:], steps)
+    assert Fraction(walk, q ** params.ell) == exact_id_error(id_i, id_j)
 
 
 @pytest.mark.parametrize("p, m, ell", [(2, 4, 5), (3, 2, 6), (7, 1, 7)])
@@ -463,7 +477,6 @@ def test_exact_id_error_closed_form_counts_at_a_million_points(p, m, ell):
     # ~10^6 points over an XOR, a Zech and a prime field, all on the byte path
     field = field_for(p, m)
     q = field.q
-    assert analysis._byte_split(q, ell) < ell
     params = IdCodeParams(field, ell, 2)
     layout = monomial_exponents(ell, 2)
     x1 = layout.index((1,) + (0,) * (ell - 1))

@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from secrid.rmid import (
     IdCodeParams,
     Identity,
     MultiChallenge,
+    Record,
     capacity_diagnostics,
     code_size_bits,
     evaluate_tag,
@@ -79,6 +81,13 @@ def test_records_compare_and_hash_by_class_and_fields():
     assert Challenge((1, 2), (3,)) != SecretChallenge((1, 2), (3,))
     assert not Challenge((1, 2), (3,)) == SecretChallenge((1, 2), (3,))
     assert Challenge((1, 2), 3) != ((1, 2), 3)
+
+
+def test_a_record_equals_itself_without_comparing_fields():
+    params = IdCodeParams(field_for(3, 2), 2, 1)
+    with mock.patch.object(Record, "_values", side_effect=AssertionError("fields compared")):
+        assert params == params
+        assert not params != params
 
 
 def test_records_are_immutable():
