@@ -7,11 +7,11 @@ seed directions, level by level, each distinct convolved f once with its
 count), exact collision-entropy budgets, and exact identification error
 fractions (a zero count of the difference polynomial, one variable
 substituted at a time through rmid.substitution_plan, the Horner plan
-evaluate_tag folds by, with lookups in a q x q multiply-add table: for
-q <= 16 every level below the first runs for all prefixes at once on byte
-vectors, one bytes.translate per Horner step; above 16 a depth-first walk
-takes ~sum_j q^j C(ell - j + 1 + k, k) lookups instead of C(ell + k, k)
-at each of q^ell points).
+evaluate_tag folds by, with lookups in a q x q multiply-add table built
+once per field: for q <= 16 every level below the first runs for all
+prefixes at once on byte vectors, one bytes.translate per Horner step;
+above 16 a depth-first walk takes ~sum_j q^j C(ell - j + 1 + k, k)
+lookups instead of C(ell + k, k) at each of q^ell points).
 Distributions are kept as exact integers or rationals end to end; floats
 appear only in reported logarithms.
 
@@ -26,10 +26,12 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
-from operator import itemgetter
+from functools import lru_cache
+from itertools import repeat
+from operator import add, itemgetter, sub
 from typing import Sequence
 
-from .ff import TABLE_LIMIT
+from .ff import TABLE_LIMIT, Field
 from .rmid import Identity, Record, substitution_plan
 from .wiretap import SecrecyParams, leakage_bound, leakage_bound_squared
 
@@ -51,6 +53,8 @@ class ChannelModel(Record):
         self.__dict__.update(kind=kind, q=q, matrix=matrix, delta=delta)
         if len(matrix) != q:
             raise ValueError(f"need {q} rows, got {len(matrix)}")
+        if not matrix:
+            raise ValueError("the channel needs at least one input")
         width = len(matrix[0])
         for row in matrix:
             if len(row) != width:
@@ -115,7 +119,11 @@ def conditional_d2_pow(channel: ChannelModel) -> Fraction:
     """2^(D2(W || P_X W | P_X)) exactly at uniform input P_X: with output
     law py(z) = sum_x W(z | x) / q, it is sum_(x,z) W(z | x)^2 / (q py(z)),
     summed over the integer-scaled columns into one Fraction."""
-    scale, w = _scaled(channel)
+    return _d2_pow(*_scaled(channel))
+
+
+def _d2_pow(scale: int, w: list[list[int]]) -> Fraction:
+    """conditional_d2_pow of the channel _scaled gives (scale, w)."""
     cols = [(sum(col), sum(v * v for v in col)) for col in zip(*w) if any(col)]
     common = math.lcm(*(py for py, _ in cols))
     return Fraction(sum(sq * (common // py) for py, sq in cols), scale * common)
@@ -209,7 +217,7 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
     below it and changes no sum, so each step drops low = min h:
     g(t) = sum_u (h(u) - low) f(t - u), one term on a symmetric channel,
     whose steps merge to q kernels.  Rows are scaled to ints by a common
-    denominator."""
+    denominator; each sum over t is one map pipeline (_leakage_tables)."""
     field = params.field
     q = field.q
     if channel.q != q:
@@ -218,19 +226,15 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
     n_out = channel.n_outputs
     leakage_steps(params, n_out)
 
-    add, mul = field.fast_ops()
     scale, w = _scaled(channel)
-    # back[u][t] = t - u, with -u = (p - 1) u
-    back = [[add(t, mul(field.p - 1, u)) for t in range(q)] for u in range(q)]
+    shifts, half, solve = _leakage_tables(field)
     # kernels h(u) = W(z | x) at u = a x, by the x that solve a x = u
-    solve = [sorted(range(q), key=lambda x, a=a: mul(a, x)) for a in range(1, q)]
     kernels = Counter(tuple(col[x] for x in xs) for xs in solve for col in zip(*w))
-    steps = []  # (terms (t -> t - u, h(u) - low), how many (a, z) share h)
+    steps = []  # (terms (f -> f(. - u), h(u) - low), how many (a, z) share h)
     for h, count in kernels.items():
         low = min(h)
-        if terms := [(back[u], v - low) for u, v in enumerate(h) if v > low]:
+        if terms := [(shifts[u], v - low) for u, v in enumerate(h) if v > low]:
             steps.append((terms, count))  # a constant h leaves nothing to sum
-    half = [d for d in range(1, q) if d <= back[d][0]]  # d <= -d
     # sums by walk length k; pair_sums[k][d] for messages d apart
     max_sums = [0] * (lp + 1)
     pair_sums = [[0] * q for _ in range(lp + 1)]
@@ -241,15 +245,15 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
         below = defaultdict(int)
         for f, walks in level.items():
             total = sum(f)
-            max_sums[k] += walks * sum(abs(q * v - total) for v in f)
-            for d in half:
-                pair[d] += walks * sum(abs(v - f[i]) for v, i in zip(f, back[d]))
+            max_sums[k] += walks * sum(map(abs, map(sub, map(q.__mul__, f), repeat(total, q))))
+            for d, shift in half:
+                pair[d] += walks * sum(map(abs, map(sub, f, shift(f))))
             if k == lp:
                 continue
-            for ((idx, wt), *rest), count in steps:
-                g = [wt * f[i] for i in idx]
-                for idx, wt in rest:
-                    g = [v + wt * f[i] for v, i in zip(g, idx)]
+            for ((shift, wt), *rest), count in steps:
+                g = map(wt.__mul__, shift(f))
+                for shift, wt in rest:
+                    g = map(add, g, map(wt.__mul__, shift(f)))
                 below[tuple(g)] += walks * count
         level = below
 
@@ -262,7 +266,7 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
 
     # collision budget of the vector channel at uniform input; products
     # factorize, so the per-symbol budget is raised to ell'
-    d2_pow = conditional_d2_pow(channel) ** lp
+    d2_pow = _d2_pow(scale, w) ** lp
     d2_bits = math.log2(d2_pow)
     kappa_true = d2_bits / (lp * field.log2_q)
 
@@ -292,6 +296,20 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
     )
 
 
+@lru_cache(maxsize=None)
+def _leakage_tables(field: Field) -> tuple[list[itemgetter], list[tuple], list[list[int]]]:
+    """exact_leakage's tables, once per field: shifts[u] = itemgetter(*back[u])
+    with back[u][t] = t - u, so shifts[u](f) is f(. - u) in one C call; half,
+    the (d, shifts[d]) with d <= -d; solve[a - 1], the x sorted by a x."""
+    plus, times = field.fast_ops()
+    q = field.q
+    back = [[plus(t, times(field.p - 1, u)) for t in range(q)] for u in range(q)]
+    shifts = [itemgetter(*row) for row in back]
+    half = [(d, shifts[d]) for d in range(1, q) if d <= back[d][0]]
+    solve = [sorted(range(q), key=lambda x, a=a: times(a, x)) for a in range(1, q)]
+    return shifts, half, solve
+
+
 # ---------------------------------------------------------------------------
 # exact identification error
 
@@ -306,7 +324,7 @@ def exact_id_error(id_i: Identity, id_j: Identity) -> Fraction:
     folds the coefficients into a polynomial of total degree <= k in the
     variables left.  Each Horner step is one lookup,
     steps[a][acc][c] = a * acc + c, in tables of q^2 entries built once per
-    call, so q is limited to 1024 (q^2 <= ff.TABLE_LIMIT); the difference
+    field, so q is limited to 1024 (q^2 <= ff.TABLE_LIMIT); the difference
     a - b is steps[-1][b][a] from the same tables.  q alone picks the
     counter below the first variable: for q <= 16 a pair (acc, c) fits one
     byte, and _byte_zeros counts every deeper level for all q folds at once
@@ -325,18 +343,29 @@ def exact_id_error(id_i: Identity, id_j: Identity) -> Fraction:
         raise ValueError(f"q^2 = {q * q} too large for the Horner step tables")
     if id_i.coeffs == id_j.coeffs:  # canonical, so the difference is 0
         return Fraction(1)
-    add, mul = field.fast_ops()
     plan = substitution_plan(ell, params.k)
-    sums = [[add(y, c) for c in range(q)] for y in range(q)]
-    # steps[a][x] = sums[a * x]: rows shared, not copied
-    steps = [[sums[mul(a, x)] for x in range(q)] for a in range(q)]
+    steps, tables = _step_tables(field)
     minus = steps[field.p - 1]  # minus[b][a] = -b + a; p - 1 is -1
     diff = [minus[b][a] for a, b in zip(id_i.coeffs, id_j.coeffs)]
-    if q > 16:
+    if tables is None:
         hits = _walk_zeros(diff, plan, steps)
     else:
-        hits = _byte_zeros([_fold(diff, plan[0], step) for step in steps], plan[1:], steps)
+        hits = _byte_zeros([_fold(diff, plan[0], step) for step in steps], plan[1:], tables)
     return Fraction(hits, q ** ell)
+
+
+@lru_cache(maxsize=None)
+def _step_tables(field: Field) -> tuple[list[list[list[int]]], list[bytes] | None]:
+    """exact_id_error's tables, once per field: steps[a][x] = sums[a * x],
+    sums[y][c] = y + c, sharing rows and ints (17 MiB at q = 1024, not 41),
+    and for q <= 16 _byte_zeros' tables[a][x * q + c] = a * x + c."""
+    plus, times = field.fast_ops()
+    ints = list(range(field.q))
+    sums = [[ints[plus(y, c)] for c in ints] for y in ints]
+    steps = [[sums[times(a, x)] for x in ints] for a in ints]
+    if field.q > 16:
+        return steps, None
+    return steps, [b"".join(map(bytes, step)).ljust(256, b"\0") for step in steps]
 
 
 def _fold(poly: list[int], groups: tuple, step: list) -> list[int]:
@@ -370,22 +399,18 @@ def _walk_zeros(poly: list[int], plan: tuple, steps: list) -> int:
     return hits
 
 
-def _byte_zeros(folds: list[list[int]], plan: tuple, steps: list) -> int:
+def _byte_zeros(folds: list[list[int]], plan: tuple, tables: list[bytes]) -> int:
     """Zeros below the q folds of the first variable, q <= 16: each
     coefficient becomes a bytes vector over the values of the variables
     folded so far, and one Horner step for all of them at a = a value of
     the next variable is
-        (int(acc) * q + int(c)).to_bytes(n).translate(table[a]),
-    with table[a][acc * q + c] = a * acc + c.  acc * q + c < q^2 <= 256
+        (int(acc) * q + int(c)).to_bytes(n).translate(tables[a]),
+    with tables[a][acc * q + c] = a * acc + c.  acc * q + c < q^2 <= 256
     carries into no other byte.  Each level joins its q folds into vectors
     q times longer; the last holds one element per point, in memory of up
     to about 4 q^ell bytes.  With no level left (ell = 1) the count is of
     the zeros among the q constants."""
-    q = len(steps)
-    pad = bytes(256 - q * q)
-    sums = list(map(bytes, steps[1]))  # steps[1][y] = sums[y]: y + c over c
-    product = itemgetter(0)  # steps[a][x][0] = a * x + 0
-    tables = [b"".join(map(sums.__getitem__, map(product, step))) + pad for step in steps]
+    q = len(folds)
     from_bytes = int.from_bytes
     vectors = [bytes(column) for column in zip(*folds)]
     for groups in plan:

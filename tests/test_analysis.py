@@ -1,5 +1,7 @@
 import json
+import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -82,6 +84,9 @@ def test_channel_validation():
         ChannelModel.symmetric(3, 2)
     with pytest.raises(ValueError):
         ChannelModel.erasure(3, -1)
+    for empty in (lambda: ChannelModel.from_matrix("x", []), lambda: ChannelModel.erasure(0, 0.5)):
+        with pytest.raises(ValueError, match="^the channel needs at least one input$"):
+            empty()
     assert ChannelModel.erasure(3, Fraction(1, 2)).n_outputs == 4
 
 
@@ -468,7 +473,7 @@ def test_byte_path_matches_the_depth_first_walk(pair):
     diff = [field.sub(a, b) for a, b in zip(id_i.coeffs, id_j.coeffs)]
     folds = [analysis._fold(diff, plan[0], step) for step in steps]
     walk = analysis._walk_zeros(diff, plan, steps)
-    assert walk == analysis._byte_zeros(folds, plan[1:], steps)
+    assert walk == analysis._byte_zeros(folds, plan[1:], analysis._step_tables(field)[1])
     assert Fraction(walk, q ** params.ell) == exact_id_error(id_i, id_j)
 
 
@@ -515,6 +520,99 @@ def test_exact_id_error_at_the_full_benchmark_goldens():
         params = IdCodeParams(field_for(spec["p"], spec["m"]), spec["ell"], spec["k"])
         a, b = (Identity(params, tuple(spec[key])) for key in "ab")
         assert exact_id_error(a, b) == Fraction(spec["error"])
+
+
+FULL = json.loads(GOLDENS.read_text(encoding="utf-8"))["full"]
+
+
+def golden_leakage(spec, field=None):
+    # one leakage golden of the oracles benchmark: (computed, expected)
+    field = field or field_for(spec["p"], spec["m"])
+    report = exact_leakage(
+        SecrecyParams(field, spec["ell_prime"]),
+        walk_channel(spec["channel"], spec["q"], Fraction(spec["delta"])),
+    )
+    got = (report.exact_max_tv, report.exact_pairwise_tv, report.d2_pow)
+    return got, tuple(Fraction(spec[key]) for key in ("exact_max_tv", "exact_pairwise_tv", "d2_pow"))
+
+
+def golden_id_error(spec, field=None):
+    # one id-error golden of the oracles benchmark: (computed, expected)
+    params = IdCodeParams(field or field_for(spec["p"], spec["m"]), spec["ell"], spec["k"])
+    a, b = (Identity(params, tuple(spec[key])) for key in "ab")
+    return exact_id_error(a, b), Fraction(spec["error"])
+
+
+def test_warm_oracles_need_no_field_operation(monkeypatch):
+    # the tables are kept per field: once both oracles have run on GF(9),
+    # they run again with fast_ops refusing every call
+    leakage = next(spec for spec in FULL["leakage"] if spec["q"] == 9)
+    id_error = next(spec for spec in FULL["id_error"] if spec["q"] == 9)
+    golden_leakage(leakage)
+    golden_id_error(id_error)
+
+    def refuse(self, work=None):
+        raise AssertionError("a warm oracle asked for field operations")
+
+    monkeypatch.setattr(Field, "fast_ops", refuse)
+    got, expected = golden_leakage(leakage)
+    assert got == expected
+    got, expected = golden_id_error(id_error)
+    assert got == expected
+
+
+def test_a_fresh_field_counts_as_its_shared_equal():
+    fresh, shared = Field(3, 2), field_for(3, 2)
+    assert fresh == shared and fresh is not shared
+    for spec in FULL["id_error"]:
+        if spec["q"] == 9:
+            assert golden_id_error(spec, fresh) == golden_id_error(spec, shared)
+    spec = next(spec for spec in FULL["leakage"] if spec["q"] == 9)
+    assert golden_leakage(spec, fresh) == golden_leakage(spec, shared)
+
+
+def test_oracles_interleaved_over_their_fields_match_the_goldens():
+    # the leakage fields (5, 3, 4, 9) and the id-error fields (7, 9, 16) in
+    # a seeded shuffle, as the oracles workload runs them, from cold tables
+    analysis._step_tables.cache_clear()
+    analysis._leakage_tables.cache_clear()
+    ops = [(golden_leakage, spec) for spec in FULL["leakage"]]
+    ops += [(golden_id_error, spec) for spec in FULL["id_error"]]
+    rng = random.Random(28)
+    for _ in range(2):
+        rng.shuffle(ops)
+        for run, spec in ops:
+            got, expected = run(spec)
+            assert got == expected, spec
+    assert analysis._leakage_tables.cache_info().currsize == 4
+    assert analysis._step_tables.cache_info().currsize == 3
+
+
+def test_a_leakage_sweep_builds_its_tables_once(capsys):
+    from secrid.cli import main
+
+    analysis._leakage_tables.cache_clear()
+    argv = ["leakage-exact", "--q", "9", "--sweep", "--ell-primes", "2,3", "--deltas", "1/8,1/4"]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5  # header and 2 x 2 points
+    assert analysis._leakage_tables.cache_info().misses == 1
+
+
+def test_step_tables_of_the_largest_field_share_their_ints():
+    # GF(2^10), the largest field the step tables allow: ~17 MB of lists
+    # when every entry is one shared int, ~41 MB with a fresh int per entry
+    field = field_for(2, 10)
+    field.fast_ops()  # the field's own tables are not counted
+    params = IdCodeParams(field, 1, 3)
+    id_i, id_j = Identity(params, (7, 1, 1, 0)), Identity(params, (7, 0, 0, 0))
+    analysis._step_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        assert exact_id_error(id_i, id_j) == Fraction(2, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25_000_000
 
 
 def test_exact_id_error_stays_under_degree_bound():
