@@ -3,15 +3,16 @@
 Everything here exists to check the closed-form accounting exactly at toy
 scale: exact total variation between conditional seed-observation laws for
 a given per-symbol observation channel (an integer dynamic program over the
-seed directions, level by level, each distinct convolved f once with its
-count), exact collision-entropy budgets, and exact identification error
-fractions (a zero count of the difference polynomial, one variable
-substituted at a time through rmid.substitution_plan, the Horner plan
-evaluate_tag folds by, with lookups in a q x q multiply-add table built
-once per field: for q <= 16 every level below the first runs for all
-prefixes at once on byte vectors, one bytes.translate per Horner step;
-above 16 a depth-first walk takes ~sum_j q^j C(ell - j + 1 + k, k)
-lookups instead of C(ell + k, k) at each of q^ell points).
+seed directions, level by level, one convolved f per class of translates,
+which share every sum, with its count), exact collision-entropy budgets,
+and exact identification error fractions (a zero count of the difference
+polynomial, one variable substituted at a time through
+rmid.substitution_plan, the Horner plan evaluate_tag folds by, with
+lookups in a q x q multiply-add table built once per field: for q <= 16
+every level below the first runs for all prefixes at once on byte
+vectors, one bytes.translate per Horner step; above 16 a depth-first walk
+takes ~sum_j q^j C(ell - j + 1 + k, k) lookups instead of C(ell + k, k)
+at each of q^ell points).
 Distributions are kept as exact integers or rationals end to end; floats
 appear only in reported logarithms.
 
@@ -28,7 +29,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, mul, sub
 from typing import Sequence
 
 from .ff import TABLE_LIMIT, Field
@@ -209,15 +210,21 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
     -d give the same sum.  f is a convolution over GF(q), one step per
     coordinate with s_i != 0; a coordinate with s_i = 0 only scales f, by
     weights that sum to q over its z_i.  The step of multiplier a and output
-    z convolves with the kernel h(a x) = W(z | x); equal kernels merge, with
-    a count.  Steps commute, so f after the pivot's 1 and k - 1 nonzero
-    entries (C(ell', k) directions each) depends only on the multiset of
-    steps: the walk goes level by level in k, each distinct f once with how
-    many walks reach it.  A constant added to f adds a constant to every f
-    below it and changes no sum, so each step drops low = min h:
-    g(t) = sum_u (h(u) - low) f(t - u), one term on a symmetric channel,
-    whose steps merge to q kernels.  Rows are scaled to ints by a common
-    denominator; each sum over t is one map pipeline (_leakage_tables)."""
+    z convolves with the kernel h(a x) = W(z | x).  Steps commute, so f
+    after the pivot's 1 and k - 1 nonzero entries (C(ell', k) directions
+    each) depends only on the multiset of steps: the walk goes level by
+    level in k, one f per class of translates f(. + c) with how many walks
+    reach the class.  That is exact: translating f changes neither sum, and
+    convolution commutes with translation, so what lies below a translate
+    of f, or below a translated kernel, is translated alike.  Kernels and
+    the pivot's columns are keyed by their greatest translate, and merge
+    with a count; each child g by its translate from its first maximum, a
+    function of g that is canonical when that maximum is unique.  A
+    constant added to f adds a constant to every f below it and changes no
+    sum, so each step drops low = min h: g(t) = sum_u (h(u) - low) f(t - u),
+    one term on a symmetric channel, whose steps merge to one kernel.  Rows
+    are scaled to ints by a common denominator; each sum over t is one map
+    pipeline (_leakage_tables)."""
     field = params.field
     q = field.q
     if channel.q != q:
@@ -227,42 +234,50 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
     leakage_steps(params, n_out)
 
     scale, w = _scaled(channel)
-    shifts, half, solve = _leakage_tables(field)
-    # kernels h(u) = W(z | x) at u = a x, by the x that solve a x = u
-    kernels = Counter(tuple(col[x] for x in xs) for xs in solve for col in zip(*w))
-    steps = []  # (terms (f -> f(. - u), h(u) - low), how many (a, z) share h)
+    shifts, fronts, half, spreads = _leakage_tables(field)
+
+    def greatest(f: tuple) -> tuple:  # the class's canonical translate
+        top = max(f)
+        if f.count(top) == 1:
+            return fronts[f.index(top)](f)
+        return max(front(f) for front in fronts)
+
+    # kernels h(u) = W(z | x) at u = a x, one per class of translates
+    kernels = Counter(greatest(spread(col)) for spread in spreads for col in zip(*w))
+    steps = []  # (terms (u, times: multiply by h(u) - low), how many (a, z) share h's class)
     for h, count in kernels.items():
         low = min(h)
-        if terms := [(shifts[u], v - low) for u, v in enumerate(h) if v > low]:
+        if terms := [(u, (v - low).__mul__) for u, v in enumerate(h) if v > low]:
             steps.append((terms, count))  # a constant h leaves nothing to sum
-    # sums by walk length k; pair_sums[k][d] for messages d apart
+    reads = {u: shifts[u] for terms, _ in steps for u, _ in terms}  # each once per f
+    # sums by walk length k; pair_sums[k][i] for messages half[i]'s d apart
     max_sums = [0] * (lp + 1)
-    pair_sums = [[0] * q for _ in range(lp + 1)]
+    pair_sums = [[0] * len(half) for _ in range(lp + 1)]
 
-    level = Counter(zip(*w))  # the pivot's step from t = 0: f = W(z | .)
+    level = Counter(map(greatest, zip(*w)))  # the pivot's step from t = 0: f = W(z | .)
     for k in range(1, lp + 1):
         pair = pair_sums[k]
         below = defaultdict(int)
         for f, walks in level.items():
             total = sum(f)
             max_sums[k] += walks * sum(map(abs, map(sub, map(q.__mul__, f), repeat(total, q))))
-            for d, shift in half:
-                pair[d] += walks * sum(map(abs, map(sub, f, shift(f))))
+            for i, shift in enumerate(half):
+                pair[i] += walks * sum(map(abs, map(sub, f, shift(f))))
             if k == lp:
                 continue
-            for ((shift, wt), *rest), count in steps:
-                g = map(wt.__mul__, shift(f))
-                for shift, wt in rest:
-                    g = map(add, g, map(wt.__mul__, shift(f)))
-                below[tuple(g)] += walks * count
+            moved = {u: read(f) for u, read in reads.items()}  # f(. - u)
+            for ((u, times), *rest), count in steps:
+                g = map(times, moved[u])
+                for u, times in rest:
+                    g = map(add, g, map(times, moved[u]))
+                g = tuple(g)  # keyed by its translate from its first maximum
+                below[fronts[g.index(max(g))](g)] += walks * count
         level = below
 
-    def weighted(sums: list[int]) -> int:
-        return sum(math.comb(lp, k) * (q * scale) ** (lp - k) * v for k, v in enumerate(sums))
-
+    weights = [math.comb(lp, k) * (q * scale) ** (lp - k) for k in range(lp + 1)]
     norm = params.seed_space_size * q ** (lp - 1) * scale ** lp
-    exact_max_tv = Fraction(weighted(max_sums), q * norm)
-    exact_pairwise_tv = Fraction(max(weighted(col) for col in zip(*pair_sums)), norm)
+    exact_max_tv = Fraction(sum(map(mul, weights, max_sums)), q * norm)
+    exact_pairwise_tv = Fraction(max(sum(map(mul, weights, col)) for col in zip(*pair_sums)), norm)
 
     # collision budget of the vector channel at uniform input; products
     # factorize, so the per-symbol budget is raised to ell'
@@ -297,17 +312,21 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
 
 
 @lru_cache(maxsize=None)
-def _leakage_tables(field: Field) -> tuple[list[itemgetter], list[tuple], list[list[int]]]:
-    """exact_leakage's tables, once per field: shifts[u] = itemgetter(*back[u])
-    with back[u][t] = t - u, so shifts[u](f) is f(. - u) in one C call; half,
-    the (d, shifts[d]) with d <= -d; solve[a - 1], the x sorted by a x."""
+def _leakage_tables(field: Field) -> tuple[list[itemgetter], ...]:
+    """exact_leakage's getters, once per field, each taking f in one C call:
+    shifts[u](f) = f(. - u), by back[u][t] = t - u; fronts[c] = shifts[-c],
+    f(. + c); half, the shifts[d] with d <= -d; spreads[a - 1](col), col at
+    the x sorted by a x."""
     plus, times = field.fast_ops()
     q = field.q
     back = [[plus(t, times(field.p - 1, u)) for t in range(q)] for u in range(q)]
     shifts = [itemgetter(*row) for row in back]
-    half = [(d, shifts[d]) for d in range(1, q) if d <= back[d][0]]
-    solve = [sorted(range(q), key=lambda x, a=a: times(a, x)) for a in range(1, q)]
-    return shifts, half, solve
+    fronts = [shifts[row[0]] for row in back]
+    half = [shifts[d] for d in range(1, q) if d <= back[d][0]]
+    spreads = [
+        itemgetter(*sorted(range(q), key=lambda x, a=a: times(a, x))) for a in range(1, q)
+    ]
+    return shifts, fronts, half, spreads
 
 
 # ---------------------------------------------------------------------------

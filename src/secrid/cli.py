@@ -346,6 +346,7 @@ def cmd_leakage_bound(args) -> list:
 
 def cmd_leakage_exact(args) -> list:
     import csv
+    from fractions import Fraction
 
     from .analysis import LEAKAGE_CSV_HEADER, exact_leakage, leakage_steps
     from .wiretap import SecrecyParams
@@ -362,12 +363,27 @@ def cmd_leakage_exact(args) -> list:
     n_out = field.q + (args.channel == "erasure")  # the erasure mark
     for params in points:
         leakage_steps(params, n_out)
+    # at delta = a/b the exact TVs have denominators of about ell' log10 b
+    # digits, at least ell' (bits - 1) log10 2 + 1 before the fractions
+    # reduce; past twice Python's int-to-str limit (0: none) the report
+    # could not be written, so the point is refused before its work
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    unwritable = f"the exact report would write an integer past {limit} digits"
+    if args.channel in ("symmetric", "erasure"):
+        deltas = [Fraction(d) for d in deltas]
+        lp = max(params.ell_prime for params in points)
+        bits = lp * (max(d.denominator for d in deltas).bit_length() - 1)
+        if limit and bits * 30102 // 100000 + 1 > 2 * limit:  # 0.30102 < log10 2
+            raise DomainError(unwritable)
     channels = [_channel(args.channel, field.q, d) for d in deltas]
     reports = [exact_leakage(params, channel) for params in points for channel in channels]
-    if not args.sweep:
-        return [(args.out or "-", _dumps(reports[0].to_json_dict()))]
-    text = io.StringIO()
-    csv.writer(text).writerows([LEAKAGE_CSV_HEADER, *(r.to_csv_row() for r in reports)])
+    try:  # str() of an int past the limit raises ValueError
+        if not args.sweep:
+            return [(args.out or "-", _dumps(reports[0].to_json_dict()))]
+        text = io.StringIO()
+        csv.writer(text).writerows([LEAKAGE_CSV_HEADER, *(r.to_csv_row() for r in reports)])
+    except ValueError:
+        raise DomainError(unwritable) from None
     return [(args.out or "-", text.getvalue())]
 
 

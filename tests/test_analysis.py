@@ -259,6 +259,24 @@ def test_exact_leakage_matches_oracle_on_random_channels(point):
     )
 
 
+@given(small_leakage_points(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_exact_leakage_is_invariant_under_translating_the_inputs(point, data):
+    # W(z | x + c) with the outputs permuted: every f of the hyperplane
+    # cipher becomes a translate, f(. + c sum s), so no statistic moves;
+    # the level walk keeps one f per class of translates on this ground
+    params, channel = point
+    field = params.field
+    c = data.draw(st.integers(min_value=0, max_value=field.q - 1))
+    outputs = data.draw(st.permutations(range(channel.n_outputs)))
+    rows = [[channel.matrix[field.add(x, c)][z] for z in outputs] for x in range(field.q)]
+    before = exact_leakage(params, channel)
+    after = exact_leakage(params, ChannelModel.from_matrix("translated", rows))
+    assert (after.exact_max_tv, after.exact_pairwise_tv, after.d2_pow) == (
+        before.exact_max_tv, before.exact_pairwise_tv, before.d2_pow
+    )
+
+
 @pytest.mark.parametrize(
     "q, lp", [(4, 3), (5, 3), (7, 3), (8, 3), (9, 3), (4, 4), (5, 4)]
 )
@@ -284,10 +302,11 @@ def walk_channel(kind, q, delta):
 
 
 @pytest.mark.parametrize("kind", ["symmetric", "erasure", "identity", "uniform", "parity"])
-@pytest.mark.parametrize("q, lp", [(7, 2), (8, 3), (9, 2), (5, 3), (4, 4)])
+@pytest.mark.parametrize("q, lp", [(7, 2), (8, 3), (9, 2), (5, 3), (4, 4), (3, 5), (2, 6)])
 def test_exact_leakage_matches_the_depth_first_walk(q, lp, kind):
     # points too large for the product-channel oracle: every ordered
-    # sequence of unmerged steps against distinct f vectors with counts
+    # sequence of unmerged steps against one f per class of translates
+    # with counts; (3, 5) and (2, 6) merge classes over several levels
     params = params_for(q, lp)
     channel = walk_channel(kind, q, Fraction(1, 3))
     report = exact_leakage(params, channel)

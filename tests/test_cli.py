@@ -646,6 +646,45 @@ def test_leakage_exact_refuses_a_huge_ell_prime_by_its_size(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "flags, refused_first",
+    [
+        (("--delta", "1e-300000"), True),
+        (("--sweep", "--deltas", "1/8,1e-300000"), True),
+        # under the refusal's estimate, but its exact strings pass the limit
+        (("--delta", "1e-2150"), False),
+        (("--sweep", "--deltas", "1/8,1e-2150"), False),
+    ],
+    ids=["point", "sweep", "point_past_the_estimate", "sweep_past_the_estimate"],
+)
+def test_leakage_exact_refuses_a_delta_whose_report_cannot_be_written(
+    tmp_path, capsys, monkeypatch, flags, refused_first
+):
+    # 10^300000 took ~42 s of integer DP before str() of a TV passed
+    # Python's int-to-str limit, and a sweep failed the same way
+    if refused_first:
+        monkeypatch.setattr(cli, "_channel", lambda *a: pytest.fail(f"channel {a} built"))
+    report = tmp_path / "report"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "leakage-exact", "--q", "3", *flags, "--out", str(report))
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (1, "")
+    limit = sys.get_int_max_str_digits()
+    assert json.loads(err) == {"error": {
+        "kind": "DomainError",
+        "message": f"the exact report would write an integer past {limit} digits",
+    }}
+    assert not report.exists()
+
+
+def test_leakage_exact_writes_a_delta_of_a_thousand_digits(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert run_cli(capsys, "leakage-exact", "--q", "3", "--delta", "1e-1000",
+                   "--out", str(report)) == (0, "", "")
+    assert len(report.read_bytes()) == 8259
+    assert json.loads(report.read_text())["exact_max_tv_exact"].count("/") == 1
+
+
 def test_leakage_exact_single_point(capsys):
     obj = run_json(
         capsys,
