@@ -25,6 +25,7 @@ the channel reaches, so it is always finite.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
@@ -34,10 +35,10 @@ from typing import Sequence
 
 from .ff import TABLE_LIMIT, Field
 from .rmid import Identity, Record, substitution_plan
-from .wiretap import SecrecyParams, leakage_bound, leakage_bound_squared
+from .wiretap import SecrecyParams, _log2_ratio, leakage_bound, leakage_bound_squared
 
-# cost guard of exact_leakage: the most steps leakage_steps allows
-STATE_SPACE_LIMIT = 100_000_000
+# cost guard of exact_leakage: the most work units leakage_work allows, ~5 s
+WORK_LIMIT = 40_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -146,61 +147,67 @@ class LeakageReport(Record):
             bound_tight=bound_tight, bound_simplified=bound_simplified,
         )
 
+    def to_csv_row(self) -> list:  # csv writes a None delta as an empty cell
+        delta = None if self.delta is None else float(self.delta)
+        return [self.q, self.ell_prime, delta, self.kappa_true, float(self.exact_max_tv),
+                self.bound_tight, self.bound_simplified]
+
     def to_json_dict(self) -> dict:
         return {
-            "q": self.q,
-            "ell_prime": self.ell_prime,
+            **dict(zip(LEAKAGE_CSV_HEADER, self.to_csv_row())),
             "channel": self.channel_kind,
-            "delta": None if self.delta is None else float(self.delta),
-            "exact_max_tv": float(self.exact_max_tv),
             "exact_max_tv_exact": str(self.exact_max_tv),
             "exact_pairwise_tv": float(self.exact_pairwise_tv),
             "exact_pairwise_tv_exact": str(self.exact_pairwise_tv),
             "d2_bits": self.d2_bits,
-            "kappa_true": self.kappa_true,
-            "bound_tight": self.bound_tight,
-            "bound_simplified": self.bound_simplified,
         }
-
-    def to_csv_row(self) -> list:
-        row = self.to_json_dict()  # csv writes a None delta as an empty cell
-        return [row[key] for key in LEAKAGE_CSV_HEADER]
 
 
 LEAKAGE_CSV_HEADER = [
-    "q",
-    "ell_prime",
-    "delta",
-    "kappa_true",
-    "exact_max_tv",
-    "bound_tight",
-    "bound_simplified",
+    "q", "ell_prime", "delta", "kappa_true", "exact_max_tv", "bound_tight", "bound_simplified",
 ]
 
 
-def leakage_steps(params: SecrecyParams, n_outputs: int) -> int:
-    """Integer steps exact_leakage takes at most through a channel of
-    n_outputs outputs, directions * |Z|^ell' * ell' * q^2; more than
-    STATE_SPACE_LIMIT are refused, by bit length first, so a huge ell' is
-    refused without forming its power."""
-    q = params.field.q
-    lp = params.ell_prime
-    # directions >= q^(ell' - 1), so steps >= 2^bits
-    bits = (lp + 1) * (q.bit_length() - 1) + lp * (n_outputs.bit_length() - 1)
-    if bits < STATE_SPACE_LIMIT.bit_length():
-        steps = params.direction_count * n_outputs ** lp * lp * q * q
-        if steps <= STATE_SPACE_LIMIT:
-            return steps
-        bits = steps.bit_length() - 1
-    raise ValueError(
-        f"directions * |Z|^ell' * ell' * q^2 >= 2^{bits} too large for exact leakage"
-    )
+def leakage_work(
+    params: SecrecyParams, n_outputs: int, scale: int = 1, pivots: int = 1, steps: Sequence = (),
+) -> int:
+    """Work units (~0.1 us) exact_leakage takes at most on params through a
+    channel of n_outputs outputs scaled to ints by scale (b bits), pivots
+    pivot classes and steps, the walk's (terms, count) pairs; the defaults
+    bound an unbuilt channel from below.  Charged: the channel and its
+    q^2 |Z| kernel pass; ell' + 1 weights of ~ell' bits(2 q scale) bits; the
+    walk's classes, at most pivots C(S + k - 2, k - 1) at level k, each q
+    per sum and, below ell', per term and key of a step, x (1 + ell' b^1.5
+    / 4096) as ints grow.  Past WORK_LIMIT, or a report integer past the
+    int-to-str limit: ValueError, before any power of q is formed."""
+    q, lp, b = params.field.q, params.ell_prime, scale.bit_length()
+    half = q - 1 if params.field.p == 2 else (q - 1) // 2  # pair sums: d and -d give the same
+    words = lp * (q * scale).bit_length() // 64 + lp // 64 + 1  # C(ell', k) < 2^ell'
+    work = q * n_outputs * (q + 64) + lp + (half + 2) * (lp + 1) * words * words // 32
+    if work <= WORK_LIMIT:  # ell' is small enough to form the binomials
+        # C(S + ell' - 1, ell' - 1) classes on all levels sum, those below ell' step
+        n, taken = len(steps) + lp - 2, sum(len(terms) + 4 for terms, _ in steps)
+        walk = math.comb(n + 1, lp - 1) * (q + q * half + 16) + math.comb(n, lp - 2) * q * taken
+        work += pivots * walk * (1 + lp * b * math.isqrt(b) // 4096)
+    if work > WORK_LIMIT:
+        raise ValueError(
+            f"a work bound >= 2^{work.bit_length() - 1} units, past {WORK_LIMIT}, "
+            "is too large for exact leakage"
+        )
+    # the report's TVs are below 2 over denominators dividing q * norm
+    written = 2 * q * params.seed_space_size * q ** (lp - 1) * scale ** lp
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if limit and written.bit_length() * 30103 // 100000 + 1 > limit:  # 0.30103 > log10 2
+        raise ValueError(f"the exact report would write an integer past {limit} digits")
+    return work
 
 
 def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport:
     """Measure both leakage statistics of the hyperplane cipher exactly, then
     cross-check them against the closed-form bounds at the channel's true
-    collision budget.
+    collision budget.  leakage_work refuses a point too large before the
+    kernel pass, and again from the first level and the steps, before the
+    walk.
 
     With f(t) = sum over x with s.x = t of prod_i W(z_i | x_i), seed (s, s0)
     and message m give P(s, s0, z | m) = f(m - s0) / (|S| q^(ell'-1)).  Over
@@ -229,11 +236,9 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
     q = field.q
     if channel.q != q:
         raise ValueError(f"channel alphabet {channel.q} does not match q={q}")
-    lp = params.ell_prime
-    n_out = channel.n_outputs
-    leakage_steps(params, n_out)
-
+    lp, n_out = params.ell_prime, channel.n_outputs
     scale, w = _scaled(channel)
+    leakage_work(params, n_out, scale)  # before the q^2 |Z| kernel pass
     shifts, fronts, half, spreads = _leakage_tables(field)
 
     def greatest(f: tuple) -> tuple:  # the class's canonical translate
@@ -255,6 +260,7 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
     pair_sums = [[0] * len(half) for _ in range(lp + 1)]
 
     level = Counter(map(greatest, zip(*w)))  # the pivot's step from t = 0: f = W(z | .)
+    leakage_work(params, n_out, scale, len(level), steps)
     for k in range(1, lp + 1):
         pair = pair_sums[k]
         below = defaultdict(int)
@@ -282,7 +288,8 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
     # collision budget of the vector channel at uniform input; products
     # factorize, so the per-symbol budget is raised to ell'
     d2_pow = _d2_pow(scale, w) ** lp
-    d2_bits = math.log2(d2_pow)
+    num, den = d2_pow.numerator, d2_pow.denominator  # past float range, in exponent space
+    d2_bits = math.log2(d2_pow) if num < den << 1023 else _log2_ratio(num, den)
     kappa_true = d2_bits / (lp * field.log2_q)
 
     tight_sq, _ = leakage_bound_squared(q, lp, d2_pow)

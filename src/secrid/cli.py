@@ -180,14 +180,12 @@ def _field_from_args(args) -> Field:
     return field_for(p, m)
 
 
-def _channel(kind: str, q: int, delta_text: str):
-    """Observation channel by name; delta_text ("1/8", "0.125") is ignored
-    by the parameter-free identity and uniform channels."""
+def _channel(kind: str, q: int, delta):
+    """Observation channel by name; identity and uniform take no delta."""
     from .analysis import ChannelModel
 
-    if kind in ("identity", "uniform"):
-        return getattr(ChannelModel, kind)(q)
-    return getattr(ChannelModel, kind)(q, delta_text)
+    make = getattr(ChannelModel, kind)
+    return make(q) if kind in ("identity", "uniform") else make(q, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +346,7 @@ def cmd_leakage_exact(args) -> list:
     import csv
     from fractions import Fraction
 
-    from .analysis import LEAKAGE_CSV_HEADER, exact_leakage, leakage_steps
+    from .analysis import LEAKAGE_CSV_HEADER, exact_leakage, leakage_work
     from .wiretap import SecrecyParams
 
     field = _field_from_args(args)
@@ -358,32 +356,27 @@ def cmd_leakage_exact(args) -> list:
     else:
         ell_primes, deltas = [args.ell_prime], [args.delta]
     points = [SecrecyParams(field, int(v)) for v in ell_primes]
-    # every point is sized, and one too large refused, before any channel
-    # is built: at a large q the q x q matrix is itself the cost
-    n_out = field.q + (args.channel == "erasure")  # the erasure mark
-    for params in points:
-        leakage_steps(params, n_out)
-    # at delta = a/b the exact TVs have denominators of about ell' log10 b
-    # digits, at least ell' (bits - 1) log10 2 + 1 before the fractions
-    # reduce; past twice Python's int-to-str limit (0: none) the report
-    # could not be written, so the point is refused before its work
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    unwritable = f"the exact report would write an integer past {limit} digits"
-    if args.channel in ("symmetric", "erasure"):
+    if args.channel in ("symmetric", "erasure"):  # the others take no delta
+        # a term of Fraction(text) has at most len(text) + |exponent| digits,
+        # refused past the int-to-str limit (0: none): "1e-30000000" takes ~1 min
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        for text in deltas:  # |exponent| <= the int of its decimal digits
+            exponent = "".join(filter(str.isdecimal, text.lower().partition("e")[2]))
+            if limit and len(text) + int(exponent or 0) > limit:
+                raise DomainError(f"the exact report would write an integer past {limit} digits")
         deltas = [Fraction(d) for d in deltas]
-        lp = max(params.ell_prime for params in points)
-        bits = lp * (max(d.denominator for d in deltas).bit_length() - 1)
-        if limit and bits * 30102 // 100000 + 1 > 2 * limit:  # 0.30102 < log10 2
-            raise DomainError(unwritable)
+    # every point is sized before any channel is built (at a large q the
+    # matrix is the cost), at the least scale, its delta's denominator
+    n_out = field.q + (args.channel == "erasure")  # the erasure mark
+    floor = max(getattr(d, "denominator", 1) for d in deltas)
+    for params in points:
+        leakage_work(params, n_out, floor)
     channels = [_channel(args.channel, field.q, d) for d in deltas]
     reports = [exact_leakage(params, channel) for params in points for channel in channels]
-    try:  # str() of an int past the limit raises ValueError
-        if not args.sweep:
-            return [(args.out or "-", _dumps(reports[0].to_json_dict()))]
-        text = io.StringIO()
-        csv.writer(text).writerows([LEAKAGE_CSV_HEADER, *(r.to_csv_row() for r in reports)])
-    except ValueError:
-        raise DomainError(unwritable) from None
+    if not args.sweep:
+        return [(args.out or "-", _dumps(reports[0].to_json_dict()))]
+    text = io.StringIO()
+    csv.writer(text).writerows([LEAKAGE_CSV_HEADER, *(r.to_csv_row() for r in reports)])
     return [(args.out or "-", text.getvalue())]
 
 

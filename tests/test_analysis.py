@@ -20,7 +20,7 @@ from secrid.analysis import (
 )
 from secrid.ff import Field, field_for
 from secrid.rmid import IdCodeParams, Identity, monomial_exponents, substitution_plan
-from secrid.wiretap import SecrecyParams, enumerate_seeds, hyperplane
+from secrid.wiretap import SecrecyParams, enumerate_seeds, hyperplane, leakage_bound_squared
 
 from util import id_error_by_sweep, leakage_by_walk
 
@@ -334,23 +334,67 @@ def test_exact_leakage_at_the_benchmark_points(q, lp, kind, max_tv, pair_tv, d2_
 
 
 def test_exact_leakage_rejects_huge_state_space():
-    # 820 directions * 9^4 observations * 4 * 9^2 = 1.7e9 steps passes 10^8
-    with pytest.raises(ValueError):
-        exact_leakage(params_for(9, 4), ChannelModel.identity(9))
+    # a random GF(4) channel whose walk may hold 3 C(19, 10) = 277,134
+    # classes at ell' = 11 passes the bound of a channel not yet built, and
+    # is refused once its classes are counted, before any level runs
+    rng = random.Random(1)
+    rows = [[rng.randint(1, 3) for _ in range(3)] for _ in range(4)]
+    channel = ChannelModel.from_matrix("random", [[Fraction(v, sum(r)) for v in r] for r in rows])
+    assert analysis.leakage_work(params_for(4, 11), 3, analysis._scaled(channel)[0]) < 10 ** 5
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r" is too large for exact leakage$"):
+        exact_leakage(params_for(4, 11), channel)
+    assert time.perf_counter() - start < 0.1
+    # GF(9)'s identity channel at ell' = 4 has one class per level
+    assert exact_leakage(params_for(9, 4), ChannelModel.identity(9)).exact_pairwise_tv == 2
 
 
-def test_leakage_steps_counts_and_refuses_by_size():
-    from secrid.analysis import STATE_SPACE_LIMIT, leakage_steps
+def test_leakage_work_counts_and_refuses_by_size():
+    from secrid.analysis import WORK_LIMIT, leakage_work
 
-    assert STATE_SPACE_LIMIT == 100_000_000
-    assert leakage_steps(params_for(2, 10), 2) == 1023 * 2 ** 10 * 10 * 4
-    assert leakage_steps(params_for(9, 3), 9) == 91 * 9 ** 3 * 3 * 81
-    # 2047 * 2^11 * 11 * 4 = 1.8e8: a small count, refused once formed
-    with pytest.raises(ValueError, match=r"^directions .* >= 2\^27 too large"):
-        leakage_steps(params_for(2, 11), 2)
-    # bounded below by bit lengths; 2^(10^9) is never formed
-    with pytest.raises(ValueError, match=r">= 2\^2000000001 too large"):
-        leakage_steps(params_for(2, 10 ** 9), 2)
+    assert WORK_LIMIT == 40_000_000
+    # channel 2 * 2 * (2 + 64), levels 10, weights 3 * 11 * 1 // 32, and
+    # one class summing for 2 + 2 * 1 + 16
+    assert leakage_work(params_for(2, 10), 2) == 264 + 10 + 1 + 20
+    # two steps of one term each: C(2 + 9, 9) = 55 classes sum for
+    # 3 + 3 * 1 + 16, and the C(2 + 8, 8) = 45 below ell' = 10 step for 3 * 2 * 5
+    one_term = [([(1, None)], 1)] * 2
+    assert leakage_work(params_for(3, 10), 3, 1, 1, one_term) == 603 + 10 + 1 + 55 * 22 + 45 * 30
+    # 2 C(8 + 30, 30) = 97,806,984 classes, past the limit in their sums alone
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^a work bound >= 2\^\d+ units, past 40000000, "):
+        leakage_work(params_for(3, 31), 3, 1, 2, one_term * 4)
+    # the weights alone refuse ell' = 10^9; no binomial or 2^(10^9) is formed
+    with pytest.raises(ValueError, match=r">= 2\^77 units, past 40000000, is too large"):
+        leakage_work(params_for(2, 10 ** 9), 2)
+    assert time.perf_counter() - start < 0.01
+
+
+@pytest.mark.parametrize("lp", [16, 32, 64])
+@pytest.mark.parametrize(
+    "kind, delta", [("symmetric", Fraction(1, 8)), ("erasure", Fraction(1, 4))]
+)
+@pytest.mark.parametrize("q", [3, 5, 4, 8, 9])  # prime, XOR and Zech fields
+def test_exact_leakage_meets_the_bounds_at_planned_lengths(q, kind, delta, lp):
+    # acceptance 4 at the lengths the planner plans: exact TV^2 <= min(tight^2, 4)
+    # and tight <= simplified; all 30 points take ~0.1 s
+    report = exact_leakage(params_for(q, lp), getattr(ChannelModel, kind)(q, delta))
+    tight_sq, simplified_sq = leakage_bound_squared(q, lp, report.d2_pow)
+    for stat in (report.exact_max_tv, report.exact_pairwise_tv):
+        assert 0 <= stat * stat <= min(tight_sq, 4)
+    assert tight_sq <= simplified_sq
+
+
+def test_exact_leakage_takes_d2_bits_past_float_range():
+    # d2_pow = (per-symbol value)^1024 passes 2^1024, so log2 of it as a float
+    # overflows; the bits and kappa come from exponent space instead
+    channel = ChannelModel.symmetric(3, Fraction(1, 8))
+    report = exact_leakage(params_for(3, 1024), channel)
+    assert report.d2_pow > 2 ** 1024
+    per_symbol = exact_leakage(params_for(3, 2), channel)
+    assert report.d2_bits == pytest.approx(512 * per_symbol.d2_bits, rel=1e-12)
+    assert report.kappa_true == pytest.approx(per_symbol.kappa_true, rel=1e-12)
+    assert 0 < report.bound_tight <= report.bound_simplified
 
 
 def test_leakage_report_row_matches_header():
@@ -359,6 +403,10 @@ def test_leakage_report_row_matches_header():
     obj = report.to_json_dict()
     assert obj["channel"] == "symmetric"
     assert Fraction(obj["exact_max_tv_exact"]) == report.exact_max_tv
+    assert report.to_csv_row() == [obj[key] for key in LEAKAGE_CSV_HEADER]
+    # the row formats no exact string: one of 10^5000 would pass str()'s limit
+    huge = analysis.LeakageReport(**{**vars(report), "exact_max_tv": Fraction(1, 10 ** 5000)})
+    assert huge.to_csv_row()[LEAKAGE_CSV_HEADER.index("exact_max_tv")] == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -635,46 +635,73 @@ def test_leakage_exact_refuses_a_large_field_before_building_its_channel(capsys,
     assert error["message"].endswith(" too large for exact leakage")
 
 
-def test_leakage_exact_refuses_a_huge_ell_prime_by_its_size(capsys):
-    # 3^1000000 steps has ~477k digits, past str()'s 4300-digit limit
+def test_leakage_exact_refuses_a_huge_ell_prime_by_its_size(capsys, monkeypatch):
+    # the ell' + 1 weights of ~2 * 10^6 bits alone bound the work past 2^47
+    # units; no power of 3 is formed and no channel is built
+    monkeypatch.setattr(cli, "_channel", lambda *a: pytest.fail(f"channel {a} built"))
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, "leakage-exact", "--q", "3", "--ell-prime", "1000000")
+    assert time.perf_counter() - start < 1
     assert (code, out) == (1, "")
     error = json.loads(err)["error"]
     assert error["kind"] == "ValueError"
     assert error["message"] == (
-        "directions * |Z|^ell' * ell' * q^2 >= 2^2000001 too large for exact leakage"
+        "a work bound >= 2^47 units, past 40000000, is too large for exact leakage"
     )
 
 
 @pytest.mark.parametrize(
-    "flags, refused_first",
+    "flags, kind",
     [
-        (("--delta", "1e-300000"), True),
-        (("--sweep", "--deltas", "1/8,1e-300000"), True),
-        # under the refusal's estimate, but its exact strings pass the limit
-        (("--delta", "1e-2150"), False),
-        (("--sweep", "--deltas", "1/8,1e-2150"), False),
+        # refused from the text: Fraction("1e-30000000") alone takes ~1 min
+        (("--delta", "1e-30000000"), "DomainError"),
+        (("--sweep", "--deltas", "1/8,1e-30000000"), "DomainError"),
+        (("--delta", "1e-300000"), "DomainError"),
+        (("--sweep", "--deltas", "1/8,1e-300000"), "DomainError"),
+        # parsed, then refused by its denominators of ~2 * 2150 digits
+        (("--delta", "1e-2150"), "ValueError"),
+        (("--sweep", "--deltas", "1/8,1e-2150"), "ValueError"),
     ],
-    ids=["point", "sweep", "point_past_the_estimate", "sweep_past_the_estimate"],
+    ids=[
+        "point_huge", "sweep_huge", "point", "sweep",
+        "point_past_the_estimate", "sweep_past_the_estimate",
+    ],
 )
 def test_leakage_exact_refuses_a_delta_whose_report_cannot_be_written(
-    tmp_path, capsys, monkeypatch, flags, refused_first
+    tmp_path, capsys, monkeypatch, flags, kind
 ):
     # 10^300000 took ~42 s of integer DP before str() of a TV passed
-    # Python's int-to-str limit, and a sweep failed the same way
-    if refused_first:
-        monkeypatch.setattr(cli, "_channel", lambda *a: pytest.fail(f"channel {a} built"))
+    # Python's int-to-str limit; each is now refused before its channel
+    monkeypatch.setattr(cli, "_channel", lambda *a: pytest.fail(f"channel {a} built"))
     report = tmp_path / "report"
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "leakage-exact", "--q", "3", *flags, "--out", str(report))
-    assert time.perf_counter() - start < 2
+    assert time.perf_counter() - start < 1
     assert (code, out) == (1, "")
     limit = sys.get_int_max_str_digits()
     assert json.loads(err) == {"error": {
-        "kind": "DomainError",
+        "kind": kind,
         "message": f"the exact report would write an integer past {limit} digits",
     }}
     assert not report.exists()
+
+
+def test_leakage_exact_writes_up_to_the_digit_limit(tmp_path, capsys, monkeypatch):
+    # GF(3) erasure at ell' = 2 has scale 10^N, and its report's integers
+    # are below 2 * 3 * 36 * 10^(2N), bounded at 4,299 digits for N = 2148
+    # (the longest written has 4,297) and 4,301 for N = 2149, refused unbuilt
+    assert sys.get_int_max_str_digits() == 4300  # Python's default
+    argv = ["leakage-exact", "--q", "3", "--channel", "erasure"]
+    report = tmp_path / "report.json"
+    assert run_cli(capsys, *argv, "--delta", "1e-2148", "--out", str(report)) == (0, "", "")
+    obj = json.loads(report.read_text())
+    exact = (obj["exact_max_tv_exact"], obj["exact_pairwise_tv_exact"])
+    assert max(len(term) for tv in exact for term in tv.split("/")) == 4297
+    monkeypatch.setattr(cli, "_channel", lambda *a: pytest.fail(f"channel {a} built"))
+    code, out, err = run_cli(capsys, *argv, "--delta", "1e-2149")
+    assert (code, out) == (1, "")
+    message = json.loads(err)["error"]["message"]
+    assert message == "the exact report would write an integer past 4300 digits"
 
 
 def test_leakage_exact_writes_a_delta_of_a_thousand_digits(tmp_path, capsys):
@@ -731,7 +758,9 @@ def test_small_sweeps_start_no_process(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     # a point above the limit is refused before any point runs
     monkeypatch.setattr(analysis, "exact_leakage", lambda *point: pytest.fail(f"{point} ran"))
-    code, out, err = run_cli(capsys, "leakage-exact", "--q", "9", "--sweep", "--ell-primes", "2,4")
+    code, out, err = run_cli(
+        capsys, "leakage-exact", "--q", "9", "--sweep", "--ell-primes", "2,4096"
+    )
     assert (code, out) == (1, "")
     error = json.loads(err)["error"]
     assert error["kind"] == "ValueError"
