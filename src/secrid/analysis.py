@@ -46,7 +46,14 @@ WORK_LIMIT = 40_000_000
 
 class ChannelModel(Record):
     """Per-symbol observation channel: rows are inputs 0..q-1, columns are
-    outputs (an erasure channel has one extra output, the erasure mark)."""
+    outputs (an erasure channel has one extra output, the erasure mark).
+
+    The constructor is where a channel becomes integers.  Beside its fields
+    it keeps scale, the lcm of the entries' denominators; scaled, the rows
+    times scale as ints, each summing to scale; n_outputs; and d2_pow,
+    2^(D2(W || P_X W | P_X)) exactly at uniform input P_X: with output law
+    py(z) = sum_x W(z | x) / q, it is sum_(x,z) W(z | x)^2 / (q py(z)),
+    summed over the integer columns into one Fraction."""
 
     def __init__(
         self, kind: str, q: int, matrix: tuple[tuple[Fraction, ...], ...],
@@ -58,25 +65,27 @@ class ChannelModel(Record):
         if not matrix:
             raise ValueError("the channel needs at least one input")
         width = len(matrix[0])
-        for row in matrix:
-            if len(row) != width:
-                raise ValueError("ragged transition matrix")
+        if any(len(row) != width for row in matrix):
+            raise ValueError("ragged transition matrix")
+        scale = math.lcm(*{v.denominator for row in matrix for v in row})
+        scaled = tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in matrix)
+        for row in scaled:
             if any(v < 0 for v in row):
                 raise ValueError("negative transition probability")
-            if sum(row) != 1:
-                raise ValueError(f"row of {kind} channel sums to {sum(row)}")
-
-    @property
-    def n_outputs(self) -> int:
-        return len(self.matrix[0])
+            if sum(row) != scale:
+                raise ValueError(f"row of {kind} channel sums to {Fraction(sum(row), scale)}")
+        cols = [(sum(col), sum(v * v for v in col)) for col in zip(*scaled) if any(col)]
+        common = math.lcm(*(py for py, _ in cols))
+        d2_pow = Fraction(sum(sq * (common // py) for py, sq in cols), scale * common)
+        self.__dict__.update(scale=scale, scaled=scaled, n_outputs=width, d2_pow=d2_pow)
 
     @classmethod
     def identity(cls, q: int) -> "ChannelModel":
-        return cls("identity", q, cls.symmetric(q, 0).matrix)
+        return cls("identity", q, _symmetric_rows(q, Fraction(0)))
 
     @classmethod
     def uniform(cls, q: int) -> "ChannelModel":
-        return cls("uniform", q, cls.symmetric(q, Fraction(q - 1, q)).matrix)
+        return cls("uniform", q, _symmetric_rows(q, Fraction(q - 1, q)))
 
     @classmethod
     def symmetric(cls, q: int, delta) -> "ChannelModel":
@@ -85,13 +94,7 @@ class ChannelModel(Record):
         d = Fraction(delta)
         if not 0 <= d <= 1:
             raise ValueError(f"flip probability must be in [0, 1], got {delta}")
-        if q < 2:
-            raise ValueError("symmetric channel needs q >= 2")
-        off = d / (q - 1)
-        rows = tuple(
-            tuple(1 - d if z == x else off for z in range(q)) for x in range(q)
-        )
-        return cls("symmetric", q, rows, delta=d)
+        return cls("symmetric", q, _symmetric_rows(q, d), delta=d)
 
     @classmethod
     def erasure(cls, q: int, delta) -> "ChannelModel":
@@ -111,24 +114,12 @@ class ChannelModel(Record):
         return cls(kind, len(rows), rows)
 
 
-def _scaled(channel: ChannelModel) -> tuple[int, list[list[int]]]:
-    """The channel's rows scaled to ints by the common denominator."""
-    scale = math.lcm(*(v.denominator for row in channel.matrix for v in row))
-    return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in channel.matrix]
-
-
-def conditional_d2_pow(channel: ChannelModel) -> Fraction:
-    """2^(D2(W || P_X W | P_X)) exactly at uniform input P_X: with output
-    law py(z) = sum_x W(z | x) / q, it is sum_(x,z) W(z | x)^2 / (q py(z)),
-    summed over the integer-scaled columns into one Fraction."""
-    return _d2_pow(*_scaled(channel))
-
-
-def _d2_pow(scale: int, w: list[list[int]]) -> Fraction:
-    """conditional_d2_pow of the channel _scaled gives (scale, w)."""
-    cols = [(sum(col), sum(v * v for v in col)) for col in zip(*w) if any(col)]
-    common = math.lcm(*(py for py, _ in cols))
-    return Fraction(sum(sq * (common // py) for py, sq in cols), scale * common)
+def _symmetric_rows(q: int, d: Fraction) -> tuple[tuple[Fraction, ...], ...]:
+    """The symmetric channel's rows: 1 - d at x, d / (q - 1) elsewhere."""
+    if q < 2:
+        raise ValueError("symmetric channel needs q >= 2")
+    off = d / (q - 1)
+    return tuple(tuple(1 - d if z == x else off for z in range(q)) for x in range(q))
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +220,16 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
     function of g that is canonical when that maximum is unique.  A
     constant added to f adds a constant to every f below it and changes no
     sum, so each step drops low = min h: g(t) = sum_u (h(u) - low) f(t - u),
-    one term on a symmetric channel, whose steps merge to one kernel.  Rows
-    are scaled to ints by a common denominator; each sum over t is one map
-    pipeline (_leakage_tables)."""
+    one term on a symmetric channel, whose steps merge to one kernel.  The
+    walk runs on the channel's integer rows, scaled once by its constructor
+    (W = scaled / scale); each sum over t is one map pipeline
+    (_leakage_tables)."""
     field = params.field
     q = field.q
     if channel.q != q:
         raise ValueError(f"channel alphabet {channel.q} does not match q={q}")
     lp, n_out = params.ell_prime, channel.n_outputs
-    scale, w = _scaled(channel)
+    scale, w = channel.scale, channel.scaled
     leakage_work(params, n_out, scale)  # before the q^2 |Z| kernel pass
     shifts, fronts, half, spreads = _leakage_tables(field)
 
@@ -280,14 +272,19 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
                 below[fronts[g.index(max(g))](g)] += walks * count
         level = below
 
-    weights = [math.comb(lp, k) * (q * scale) ** (lp - k) for k in range(lp + 1)]
+    # C(ell', k) (q scale)^(ell' - k), from k = ell' down: one multiply and
+    # one exact divide each, C(ell', k - 1) = C(ell', k) k / (ell' - k + 1)
+    weights = [1]
+    for k in range(lp, 0, -1):
+        weights.append(weights[-1] * (q * scale * k) // (lp - k + 1))
+    weights.reverse()
     norm = params.seed_space_size * q ** (lp - 1) * scale ** lp
     exact_max_tv = Fraction(sum(map(mul, weights, max_sums)), q * norm)
     exact_pairwise_tv = Fraction(max(sum(map(mul, weights, col)) for col in zip(*pair_sums)), norm)
 
     # collision budget of the vector channel at uniform input; products
-    # factorize, so the per-symbol budget is raised to ell'
-    d2_pow = _d2_pow(scale, w) ** lp
+    # factorize, so the channel's per-symbol budget is raised to ell'
+    d2_pow = channel.d2_pow ** lp
     num, den = d2_pow.numerator, d2_pow.denominator  # past float range, in exponent space
     d2_bits = math.log2(d2_pow) if num < den << 1023 else _log2_ratio(num, den)
     kappa_true = d2_bits / (lp * field.log2_q)

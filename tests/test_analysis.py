@@ -1,10 +1,12 @@
 import json
+import math
 import random
 import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from secrid import analysis
 from secrid.analysis import (
     LEAKAGE_CSV_HEADER,
     ChannelModel,
-    conditional_d2_pow,
     exact_id_error,
     exact_leakage,
 )
@@ -50,21 +51,21 @@ def channel_power(channel, n):
 # channels
 
 def test_identity_channel_d2_counts_alphabet():
-    assert conditional_d2_pow(ChannelModel.identity(2)) == 2
-    assert conditional_d2_pow(ChannelModel.identity(5)) == 5
+    assert ChannelModel.identity(2).d2_pow == 2
+    assert ChannelModel.identity(5).d2_pow == 5
 
 
 def test_uniform_channel_carries_nothing():
-    assert conditional_d2_pow(ChannelModel.uniform(3)) == 1
+    assert ChannelModel.uniform(3).d2_pow == 1
 
 
 def test_symmetric_channel_interpolates():
     q = 3
-    assert conditional_d2_pow(ChannelModel.symmetric(q, 0)) == q
+    assert ChannelModel.symmetric(q, 0).d2_pow == q
     full_mix = ChannelModel.symmetric(q, Fraction(q - 1, q))
-    assert conditional_d2_pow(full_mix) == 1
+    assert full_mix.d2_pow == 1
     values = [
-        conditional_d2_pow(ChannelModel.symmetric(q, d))
+        ChannelModel.symmetric(q, d).d2_pow
         for d in (0, Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(2, 3))
     ]
     assert all(a >= b for a, b in zip(values, values[1:]))
@@ -73,7 +74,7 @@ def test_symmetric_channel_interpolates():
 def test_erasure_channel_d2_closed_form():
     for q in (2, 3, 5):
         for delta in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
-            got = conditional_d2_pow(ChannelModel.erasure(q, delta))
+            got = ChannelModel.erasure(q, delta).d2_pow
             assert got == q * (1 - delta) + delta
 
 
@@ -110,9 +111,9 @@ def test_product_channel_d2_factorizes():
         ChannelModel.symmetric(3, Fraction(1, 8)),
         ChannelModel.erasure(2, Fraction(1, 2)),
     ):
-        single = conditional_d2_pow(base)
+        single = base.d2_pow
         for n in (2, 3):
-            assert conditional_d2_pow(channel_power(base, n)) == single ** n
+            assert channel_power(base, n).d2_pow == single ** n
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +260,58 @@ def test_exact_leakage_matches_oracle_on_random_channels(point):
     )
 
 
+def scaling_by_definition(channel):
+    """(scale, scaled, n_outputs, d2_pow) from the Fraction matrix alone: the
+    lcm of the denominators, the matrix times it, the row width, and
+    sum_(x,z) W(z | x)^2 / (q py(z)) over the outputs with py(z) > 0."""
+    q, matrix = channel.q, channel.matrix
+    scale = math.lcm(*(v.denominator for row in matrix for v in row))
+    py = [sum(col, Fraction(0)) / q for col in zip(*matrix)]
+    terms = (v * v / (q * py[z]) for row in matrix for z, v in enumerate(row) if py[z])
+    scaled = tuple(tuple(int(v * scale) for v in row) for row in matrix)
+    return scale, scaled, len(matrix[0]), sum(terms, Fraction(0))
+
+
+def assert_scaled_once(params, channel):
+    """The channel carries its integer form, and exact_leakage forms no
+    common denominator of its own."""
+    assert (channel.scale, channel.scaled, channel.n_outputs, channel.d2_pow) == (
+        scaling_by_definition(channel)
+    )
+    with mock.patch.object(math, "lcm", wraps=math.lcm) as lcm:
+        report = exact_leakage(params, channel)
+    assert lcm.call_count == 0
+    assert report.d2_pow == channel.d2_pow ** params.ell_prime
+
+
+@given(small_leakage_points())
+@settings(max_examples=25, deadline=None)
+def test_random_channels_are_scaled_once_by_their_constructor(point):
+    assert_scaled_once(*point)
+
+
+def test_named_channels_are_scaled_once_by_their_constructor(monkeypatch):
+    kinds = []
+    init = ChannelModel.__init__
+
+    def counted(self, kind, *args, **kwargs):
+        kinds.append(kind)
+        init(self, kind, *args, **kwargs)
+
+    monkeypatch.setattr(ChannelModel, "__init__", counted)
+    for q in (2, 3, 4, 5, 8, 9):  # prime, XOR and Zech fields
+        kinds.clear()
+        channels = [
+            ChannelModel.identity(q),
+            ChannelModel.uniform(q),
+            ChannelModel.symmetric(q, Fraction(1, 8)),
+            ChannelModel.erasure(q, Fraction(1, 4)),
+        ]
+        assert kinds == ["identity", "uniform", "symmetric", "erasure"]
+        for channel in channels:
+            assert_scaled_once(params_for(q, 2), channel)
+
+
 @given(small_leakage_points(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_exact_leakage_is_invariant_under_translating_the_inputs(point, data):
@@ -340,7 +393,7 @@ def test_exact_leakage_rejects_huge_state_space():
     rng = random.Random(1)
     rows = [[rng.randint(1, 3) for _ in range(3)] for _ in range(4)]
     channel = ChannelModel.from_matrix("random", [[Fraction(v, sum(r)) for v in r] for r in rows])
-    assert analysis.leakage_work(params_for(4, 11), 3, analysis._scaled(channel)[0]) < 10 ** 5
+    assert analysis.leakage_work(params_for(4, 11), 3, channel.scale) < 10 ** 5
     start = time.perf_counter()
     with pytest.raises(ValueError, match=r" is too large for exact leakage$"):
         exact_leakage(params_for(4, 11), channel)
