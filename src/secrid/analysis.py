@@ -102,10 +102,8 @@ class ChannelModel(Record):
         d = Fraction(delta)
         if not 0 <= d <= 1:
             raise ValueError(f"erasure probability must be in [0, 1], got {delta}")
-        rows = tuple(
-            tuple((1 - d if z == x else Fraction(0)) for z in range(q)) + (d,)
-            for x in range(q)
-        )
+        keep, zero = 1 - d, Fraction(0)  # one object each, shared by every row
+        rows = tuple(tuple(keep if z == x else zero for z in range(q)) + (d,) for x in range(q))
         return cls("erasure", q, rows, delta=d)
 
     @classmethod
@@ -214,12 +212,14 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
     level in k, one f per class of translates f(. + c) with how many walks
     reach the class.  That is exact: translating f changes neither sum, and
     convolution commutes with translation, so what lies below a translate
-    of f, or below a translated kernel, is translated alike.  Kernels and
-    the pivot's columns are keyed by their greatest translate, and merge
-    with a count; each child g by its translate from its first maximum, a
-    function of g that is canonical when that maximum is unique.  A
-    constant added to f adds a constant to every f below it and changes no
-    sum, so each step drops low = min h: g(t) = sum_u (h(u) - low) f(t - u),
+    of f, or below a translated kernel, is translated alike.  The pivot's
+    columns are keyed by their greatest translate, and merge with a count;
+    a translated column spreads to a translated kernel, so each class of
+    columns is spread once per multiplier, and kernels merge alike; each
+    child g is keyed by its translate from its first maximum, a function
+    of g that is canonical when that maximum is unique.  A constant added
+    to f adds a constant to every f below it and changes no sum, so each
+    step drops low = min h: g(t) = sum_u (h(u) - low) f(t - u),
     one term on a symmetric channel, whose steps merge to one kernel.  The
     walk runs on the channel's integer rows, scaled once by its constructor
     (W = scaled / scale); each sum over t is one map pipeline
@@ -239,8 +239,11 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
             return fronts[f.index(top)](f)
         return max(front(f) for front in fronts)
 
-    # kernels h(u) = W(z | x) at u = a x, one per class of translates
-    kernels = Counter(greatest(spread(col)) for spread in spreads for col in zip(*w))
+    level = Counter(map(greatest, zip(*w)))  # the pivot's step from t = 0: f = W(z | .)
+    kernels = Counter()  # h(u) = W(z | x) at u = a x, one per class, from each class of columns
+    for spread in spreads:
+        for col, n in level.items():
+            kernels[greatest(spread(col))] += n
     steps = []  # (terms (u, times: multiply by h(u) - low), how many (a, z) share h's class)
     for h, count in kernels.items():
         low = min(h)
@@ -251,7 +254,6 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
     max_sums = [0] * (lp + 1)
     pair_sums = [[0] * len(half) for _ in range(lp + 1)]
 
-    level = Counter(map(greatest, zip(*w)))  # the pivot's step from t = 0: f = W(z | .)
     leakage_work(params, n_out, scale, len(level), steps)
     for k in range(1, lp + 1):
         pair = pair_sums[k]

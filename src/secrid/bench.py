@@ -81,7 +81,7 @@ def _time_op(op: Callable[[], object], reps: int) -> list[float]:
     return samples
 
 
-def run_bench(report: PlanReport, reps: int = 50, rng: random.Random | None = None) -> list[BenchRecord]:
+def run_bench(report: PlanReport, reps: int, rng: random.Random) -> list[BenchRecord]:
     """Measure one planned parameter point.  reps = 0 is a dry run that
     yields nothing; otherwise at least MIN_REPS repetitions are required so
     the medians mean something."""
@@ -89,8 +89,6 @@ def run_bench(report: PlanReport, reps: int = 50, rng: random.Random | None = No
         return []
     if reps < MIN_REPS:
         raise ValueError(f"need at least {MIN_REPS} repetitions, got {reps}")
-    if rng is None:
-        rng = random.Random(0)
     field = field_for(report.p, report.m)
     field.fast_ops()  # steady-state latency: build the tables before timing
     params = IdCodeParams(field, report.ell, report.k, report.n_challenges)
@@ -130,7 +128,7 @@ def run_bench(report: PlanReport, reps: int = 50, rng: random.Random | None = No
     return records
 
 
-def default_grid(q: int = 59049) -> list[tuple[int, int]]:
+def default_grid(q: int) -> list[tuple[int, int]]:
     """(ell, k) grid with k = multiplier * ell, dropping points whose
     coefficient count exceeds MAX_COEFFS.  The upper corner of the full
     grid runs to ~10^12 coefficients, far past what any implementation can
@@ -147,7 +145,7 @@ def default_grid(q: int = 59049) -> list[tuple[int, int]]:
 
 
 def run_grid(
-    q: int = 59049, kappa: float = 0.2, reps: int = 50, budget_policy: str = "paper", seed: int = 0
+    q: int, kappa: float = 0.2, reps: int = 50, budget_policy: str = "paper", seed: int = 0
 ) -> list[BenchRecord]:
     rng = random.Random(seed)
     records = []

@@ -60,8 +60,8 @@ def plan(
     explicit budget to decouple the two."""
     p, m = prime_power(q)
     field = field_for(p, m)
-    base = IdCodeParams(field, ell, k)
-    quote = epsilon_2rs(base)
+    params = IdCodeParams(field, ell, k)
+    quote = epsilon_2rs(params)
     # the challenge count is always sized to beat the layered baseline;
     # an explicit epsilon_total only changes the secrecy budget being split
     n = min_challenges_for(Fraction(k, q), quote.error)
@@ -72,7 +72,6 @@ def plan(
         raise ValueError(
             "leakage budget is zero; nothing can meet it with a finite ciphertext"
         )
-    params = IdCodeParams(field, ell, k, n)
     per_challenge = split_leakage_budget(eps_total, n, budget_policy)
     length = min_cipher_length(q, kappa, float(per_challenge))
     return PlanReport(

@@ -73,12 +73,9 @@ def epsilon_2rs(target: IdCodeParams) -> RsErrorQuote:
     """Smallest union-bound error among size-maximal layered quotes; ties go
     to the smaller (k_in, k_out).  Shrinking k_out below the size budget is
     not allowed, otherwise the degenerate one-symbol code with zero error
-    would win every comparison."""
+    would win every comparison.  k_in = 1 always fits, with k_out =
+    min(C(ell + k, ell), q - 1) >= 1, so there is always a quote."""
     quotes = rs_candidates(target)
-    if not quotes:
-        raise ValueError(
-            f"no layered code fits a budget of {target.coeff_count} symbols"
-        )
     return min(quotes, key=lambda rq: (rq.error, rq.params.k_in, rq.params.k_out))
 
 

@@ -88,6 +88,12 @@ def test_channel_validation():
     for empty in (lambda: ChannelModel.from_matrix("x", []), lambda: ChannelModel.erasure(0, 0.5)):
         with pytest.raises(ValueError, match="^the channel needs at least one input$"):
             empty()
+    for one_input in (
+        lambda: ChannelModel.symmetric(1, 0), lambda: ChannelModel.identity(1),
+        lambda: ChannelModel.uniform(1),
+    ):
+        with pytest.raises(ValueError, match="^symmetric channel needs q >= 2$"):
+            one_input()
     assert ChannelModel.erasure(3, Fraction(1, 2)).n_outputs == 4
 
 
@@ -310,6 +316,29 @@ def test_named_channels_are_scaled_once_by_their_constructor(monkeypatch):
         assert kinds == ["identity", "uniform", "symmetric", "erasure"]
         for channel in channels:
             assert_scaled_once(params_for(q, 2), channel)
+
+
+@pytest.mark.parametrize("q", [5, 8, 9])  # prime, XOR and Zech fields
+def test_each_class_of_columns_is_spread_once(monkeypatch, q):
+    # the columns of these channels are translates of one another, plus the
+    # constant erasure column: one spread per class and multiplier, not per column
+    tables = analysis._leakage_tables
+    spread_cols = []
+
+    def counted(field):
+        shifts, fronts, half, spreads = tables(field)
+        spreads = [lambda col, s=s: spread_cols.append(col) or s(col) for s in spreads]
+        return shifts, fronts, half, spreads
+
+    monkeypatch.setattr(analysis, "_leakage_tables", counted)
+    for channel, classes in [
+        (ChannelModel.identity(q), 1),
+        (ChannelModel.symmetric(q, Fraction(1, 4)), 1),
+        (ChannelModel.erasure(q, Fraction(1, 4)), 2),
+    ]:
+        spread_cols.clear()
+        exact_leakage(params_for(q, 2), channel)
+        assert len(spread_cols) == classes * (q - 1)
 
 
 @given(small_leakage_points(), st.data())

@@ -53,9 +53,9 @@ def test_run_bench_produces_all_operations():
 
 
 def test_run_bench_rep_floor():
-    assert run_bench(small_plan(), reps=0) == []
+    assert run_bench(small_plan(), reps=0, rng=random.Random(0)) == []
     with pytest.raises(ValueError):
-        run_bench(small_plan(), reps=MIN_REPS - 1)
+        run_bench(small_plan(), reps=MIN_REPS - 1, rng=random.Random(0))
 
 
 def test_bench_record_validation():

@@ -1124,6 +1124,22 @@ ERROR_PATHS = {
         ["params", "--q", "59049", "--ell", "2", "--k", "20", "--kappa", "nan"],
         "ValueError", "kappa must be a fraction in [0, 1), got nan",
     ),
+    "params_zero_budget": (
+        ["params", "--q", "59049", "--ell", "2", "--k", "0"],
+        "ValueError", "leakage budget is zero; nothing can meet it with a finite ciphertext",
+    ),
+    "leakage_exact_ell_prime_1": (
+        ["leakage-exact", "--q", "5", "--ell-prime", "1"],
+        "ValueError", "ciphertext length must be an integer >= 2, got 1",
+    ),
+    "leakage_bound_ell_prime_1": (
+        ["leakage-bound", "--q", "5", "--ell-prime", "1", "--kappa", "0.2"],
+        "ValueError", "ciphertext length must be an integer >= 2, got 1",
+    ),
+    "encrypt_ell_prime_1": (
+        ["encrypt", "--challenge", "{challenge}", "--ell-prime", "1", "--seeds-out", "{missing}"],
+        "ValueError", "ciphertext length must be an integer >= 2, got 1",
+    ),
 }
 
 
@@ -1154,6 +1170,7 @@ def test_error_paths_exit_one_with_their_message(pipeline, tmp_path, capsys, cas
     code, out, err = run_cli(capsys, *(arg.format(**names) for arg in argv))
     assert (code, out) == (1, "")
     assert json.loads(err)["error"] == {"kind": kind, "message": message.format(**names)}
+    assert not files["missing"].exists()
 
 
 def test_domain_errors_exit_one_with_json(capsys):

@@ -147,6 +147,10 @@ def test_coeff_count_is_binomial(ell, k):
     assert len(monomial_exponents(ell, k)) == params.coeff_count
 
 
+def test_cached_read_on_the_class_is_the_descriptor():
+    assert IdCodeParams.coeff_count is IdCodeParams.__dict__["coeff_count"]
+
+
 @pytest.mark.parametrize("ell,k", [(1, 6), (2, 4), (3, 3), (6, 2), (4, 0)])
 def test_coeff_count_above_compares_the_count_with_the_limit(ell, k):
     params = IdCodeParams(field_for(7, 1), ell, k)

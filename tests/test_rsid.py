@@ -139,3 +139,5 @@ def test_min_challenges_rejects_bad_domains():
         min_challenges_for(Fraction(1), Fraction(1, 2))
     with pytest.raises(ValueError):
         min_challenges_for(Fraction(1, 2), Fraction(0))
+    with pytest.raises(ValueError, match="^challenge count diverged; target error too small$"):
+        min_challenges_for(Fraction(9999, 10000), Fraction(1, 10**60))

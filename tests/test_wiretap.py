@@ -51,6 +51,13 @@ def test_direction_count_small_cases():
     assert params_for(2, 3).seed_space_size == 14
 
 
+@pytest.mark.parametrize("ell_prime", [1, 0, 2.0, "3", True])
+def test_secrecy_params_refuse_a_length_below_two_or_not_an_int(ell_prime):
+    with pytest.raises(ValueError) as exc:
+        params_for(5, ell_prime)
+    assert str(exc.value) == f"ciphertext length must be an integer >= 2, got {ell_prime!r}"
+
+
 def test_enumerate_seeds_matches_count_and_shape():
     params = params_for(3, 3)
     seeds = list(enumerate_seeds(params))
@@ -360,6 +367,8 @@ def test_leakage_bound_squared_exact_values():
     # tight: 4 * (9 - 3 + 1 - 1)/((9 - 1) * 3) * (2 - 1) = 4 * 6/24 = 1
     assert tight_sq == 1
     assert simplified_sq == Fraction(8, 3)
+    with pytest.raises(ValueError, match="^bounds assume ell_prime >= 2$"):
+        leakage_bound_squared(5, 1, Fraction(1))
 
 
 # (q, ell', d2 bits, tight, simplified), both bounds as float.hex, on each
