@@ -181,11 +181,11 @@ def _field_from_args(args) -> Field:
 
 
 def _channel(kind: str, q: int, delta):
-    """Observation channel by name; identity and uniform take no delta."""
+    """Observation channel by name; a delta of None is a channel that takes none."""
     from .analysis import ChannelModel
 
     make = getattr(ChannelModel, kind)
-    return make(q) if kind in ("identity", "uniform") else make(q, delta)
+    return make(q) if delta is None else make(q, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +231,7 @@ def cmd_challenge(args) -> list:
 
 def cmd_verify(args) -> list:
     identity = Identity.from_json_dict(_read_json(args.identity))
-    field = identity.params.field
-    _, _, challenges = _read_records(args.challenge, "challenges", Challenge, field)
-    for c in challenges:
-        field._check(c.tag)
+    _, _, challenges = _read_records(args.challenge, "challenges", Challenge, identity.params.field)
     failed = first_failure(identity, MultiChallenge(challenges))
     if failed is not None:
         sys.stderr.write(f"reject: challenge {failed} (0-based) is the first to fail\n")
@@ -356,7 +353,9 @@ def cmd_leakage_exact(args) -> list:
     else:
         ell_primes, deltas = [args.ell_prime], [args.delta]
     points = [SecrecyParams(field, int(v)) for v in ell_primes]
-    if args.channel in ("symmetric", "erasure"):  # the others take no delta
+    if args.channel in ("identity", "uniform"):  # no delta: one channel serves every point
+        deltas = [None]
+    else:
         # a term of Fraction(text) has at most len(text) + |exponent| digits,
         # refused past the int-to-str limit (0: none): "1e-30000000" takes ~1 min
         limit = getattr(sys, "get_int_max_str_digits", int)()

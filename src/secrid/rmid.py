@@ -231,7 +231,7 @@ class Challenge(Record):
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Challenge":
-        # the tag is checked against the field by whoever uses it
+        # the tag is checked against the field by verify
         return cls(json_ints(obj, "r"), obj["tag"])
 
     def to_bytes(self, field: Field) -> bytes:
@@ -329,7 +329,7 @@ def generate_challenge(identity: Identity, rng) -> Challenge:
 
 
 def verify(identity: Identity, challenge: Challenge) -> bool:
-    return evaluate_tag(identity, challenge.r) == challenge.tag
+    return evaluate_tag(identity, challenge.r) == identity.params.field._check(challenge.tag)
 
 
 def generate_multi(identity: Identity, rng) -> MultiChallenge:
@@ -347,7 +347,9 @@ def verify_multi(identity: Identity, mc: MultiChallenge) -> bool:
 
 
 def first_failure(identity: Identity, mc: MultiChallenge) -> int | None:
-    """0-based index of the first challenge that does not verify, or None."""
+    """0-based index of the first challenge that does not verify, or None.
+    Every tag is checked against the field before the count and any evaluation."""
+    identity.params.field._check_all([c.tag for c in mc.challenges])
     if len(mc.challenges) != identity.params.n_challenges:
         raise ValueError(
             f"expected {identity.params.n_challenges} challenges, "

@@ -358,7 +358,9 @@ def min_cipher_length(q: int, kappa: float, epsilon: float) -> MinLength:
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     log2_q = math.log2(q)
-    real = (2.0 + log2_q + 2.0 * math.log2(1.0 / epsilon)) / ((1.0 - kappa) * log2_q)
+    inv = 1.0 / epsilon  # inf below ~5.6e-309, where log2(1/epsilon) is -log2(epsilon)
+    bits = math.log2(inv) if inv < math.inf else -math.log2(epsilon)
+    real = (2.0 + log2_q + 2.0 * bits) / ((1.0 - kappa) * log2_q)
     return MinLength(ell_prime=max(2, math.ceil(real)), real_bound=real)
 
 
@@ -372,8 +374,6 @@ def split_leakage_budget(epsilon_total, n: int, policy: str = "paper"):
     if not 0 < epsilon_total <= 2:
         raise ValueError(f"budget must be in (0, 2], got {epsilon_total}")
     if policy == "paper":
-        if n == 1:
-            return epsilon_total
         return float(epsilon_total) ** (1.0 / n)
     if policy == "additive":
         return epsilon_total / n

@@ -279,6 +279,16 @@ def test_encrypt_can_size_itself_from_kappa_epsilon(pipeline, tmp_path, capsys):
     assert obj["ell_prime"] >= 2
 
 
+def test_a_subnormal_epsilon_plans_a_finite_length(pipeline, tmp_path, capsys):
+    # 1/epsilon is inf here: min_cipher_length raised OverflowError
+    plan = run_json(capsys, "params", "--q", "59049", "--ell", "2", "--k", "20",
+                    "--budget-policy", "additive", "--epsilon", "1e-320")
+    assert plan["ell_prime"] == 136
+    secret = run_json(capsys, "encrypt", "--challenge", str(pipeline[1]), "--kappa", "0.2",
+                      "--epsilon", "5e-324", "--seeds-out", str(tmp_path / "seeds.json"))
+    assert secret["ell_prime"] == 580
+
+
 def test_encrypt_requires_a_length_or_a_target(pipeline, tmp_path, capsys):
     _, challenge = pipeline
     code, _, err = run_cli(
@@ -747,6 +757,20 @@ def test_leakage_exact_sweep_writes_one_row_per_point(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("channel", ["identity", "uniform"])
+def test_a_delta_free_sweep_runs_each_ell_prime_once(capsys, monkeypatch, channel):
+    # one channel serves every --deltas entry, which wrote 4 equal rows per ell'
+    calls = []
+    run = analysis.exact_leakage
+    monkeypatch.setattr(analysis, "exact_leakage", lambda *point: calls.append(point) or run(*point))
+    code, out, err = run_cli(
+        capsys, "leakage-exact", "--q", "9", "--channel", channel, "--sweep", "--ell-primes", "2,3"
+    )
+    assert code == 0, err
+    assert [row[1:3] for row in csv.reader(io.StringIO(out))][1:] == [["2", ""], ["3", ""]]
+    assert [params.ell_prime for params, _ in calls] == [2, 3]
+
+
 def test_small_sweeps_start_no_process(capsys, monkeypatch):
     def no_pool(method):
         raise AssertionError(f"a {method} pool was started")
@@ -1075,6 +1099,60 @@ def test_every_option_is_read_by_its_subcommand():
         if missing:
             unread[name] = sorted(missing)
     assert unread == {}
+
+
+# each numeric flag with the argv it is set in ({challenge} and {seeds} stand
+# for files the test writes); the flag comes last, so its value wins
+EDGE_FLAGS = {
+    **{
+        f"params_{policy}": (
+            ["params", "--q", "59049", "--ell", "2", "--k", "20", "--kappa", "0.2",
+             "--budget-policy", policy],
+            ("--ell", "--k", "--kappa", "--epsilon"),
+        )
+        for policy in rmid.BUDGET_POLICIES
+    },
+    "leakage_bound": (
+        ["leakage-bound", "--q", "5", "--ell-prime", "3", "--kappa", "0.2"],
+        ("--ell-prime", "--kappa", "--d2-bits"),
+    ),
+    "encrypt": (
+        ["encrypt", "--challenge", "{challenge}", "--seeds-out", "{seeds}",
+         "--kappa", "0.2", "--epsilon", "0.01"],
+        ("--ell-prime", "--kappa", "--epsilon"),
+    ),
+    "leakage_exact": (["leakage-exact", "--q", "3"], ("--ell-prime",)),
+    "capacity_check": (["capacity-check"], ("--n-seq",)),
+    "gen_identity": (
+        ["gen-identity", "--q", "5", "--ell", "1", "--k", "2", "--seed", "1"],
+        ("--ell", "--k", "--n"),
+    ),
+}
+EDGE_VALUES = ["nan", "inf", "-inf", "0", "-0.0", "5e-324", "1e-320", "1e308", "-1", str(2 ** 64)]
+
+
+@pytest.mark.parametrize(
+    "name, flag",
+    [(name, flag) for name, (_, flags) in EDGE_FLAGS.items() for flag in flags],
+    ids=[name + flag for name, (_, flags) in EDGE_FLAGS.items() for flag in flags],
+)
+def test_numeric_edge_values_never_escape_main(pipeline, tmp_path, capsys, name, flag):
+    # as --flag=value, since argparse reads "-inf" alone as a flag; a subnormal
+    # epsilon raised OverflowError from min_cipher_length, where 1/epsilon is inf
+    argv, _ = EDGE_FLAGS[name]
+    files = {"challenge": pipeline[1], "seeds": tmp_path / "seeds.json"}
+    for value in EDGE_VALUES:
+        args = [arg.format(**files) for arg in argv] + [f"{flag}={value}"]
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse's usage error, which exits 2
+            code = exc.code
+        out, err = capsys.readouterr()
+        if code == 1:
+            assert out == "", args
+            assert err.count("\n") == 1 and list(json.loads(err)) == ["error"], args
+        else:
+            assert code in (0, 2), args
 
 
 def test_usage_errors_exit_two():
@@ -1461,10 +1539,10 @@ REPORT_SHA256 = {
         ["leakage-exact", "--q", "5", "--sweep"],
         "05465d2c302efebf0f364654763bd6b6668404374a0e3b69fe34715f14972f8a",
     ),
-    # a parameter-free channel: the delta column is empty
+    # a parameter-free channel: one row per ell', its delta column empty
     "leakage_sweep_identity": (
         ["leakage-exact", "--q", "3", "--sweep", "--channel", "identity"],
-        "873ceaad29da2bf44aedee087372306f6fc07a4248c64dbc46ef3ea6c7b3986b",
+        "36c0aef8413d9873394ee51525e624ba2dd20be94b4b92c3989c154a08303744",
     ),
     "leakage_sweep_erasure": (
         ["leakage-exact", "--q", "4", "--sweep", "--channel", "erasure", "--deltas", "0,1/3,1"],

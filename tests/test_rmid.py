@@ -378,6 +378,20 @@ def test_multi_false_accept_is_per_challenge_product():
     assert doubles == len(singles) ** 2
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, 26], ids=["true", "float", "tag_plus_q"])
+def test_verify_checks_the_tag_against_the_field(bad):
+    # a constant identity over GF(25) has every tag 1; True and 1.0 compared equal to it
+    identity = Identity(IdCodeParams(field_for(5, 2), 1, 0, 2), (1,))
+    good, bad = Challenge((3,), 1), Challenge((3,), bad)
+    assert verify(identity, good)
+    with pytest.raises(ValueError, match="is not a canonical element"):
+        verify(identity, bad)
+    # every tag before the count and before any evaluation, as the CLI refuses them
+    for challenges in [(good, bad), (Challenge((3,), 2), bad), (bad,)]:
+        with pytest.raises(ValueError, match="is not a canonical element"):
+            verify_multi(identity, MultiChallenge(challenges))
+
+
 def test_verify_multi_rejects_wrong_count():
     field = field_for(5, 1)
     params = IdCodeParams(field, 1, 2, 2)

@@ -468,6 +468,15 @@ def test_min_cipher_length_worked_example():
     assert result.real_bound == pytest.approx(2.41334, abs=1e-4)
 
 
+@pytest.mark.parametrize("epsilon", [5e-324, 1e-320])
+def test_min_cipher_length_takes_a_subnormal_epsilon(epsilon):
+    # 1/epsilon is inf, so log2(1/epsilon) is read as -log2(epsilon)
+    log2_q = math.log2(59049)
+    result = min_cipher_length(59049, 0.2, epsilon)
+    assert result.real_bound == (2.0 + log2_q - 2.0 * math.log2(epsilon)) / (0.8 * log2_q)
+    assert result.ell_prime == math.ceil(result.real_bound)
+
+
 def test_min_cipher_length_floor_and_domain():
     assert min_cipher_length(1024, 0.0, 1.0).ell_prime == 2
     with pytest.raises(ValueError):
