@@ -18,7 +18,6 @@ import argparse
 import contextlib
 import io
 import json
-import math
 import os
 import random
 import sys
@@ -28,6 +27,7 @@ from .ff import Field, field_for, prime_power
 from .rmid import (
     BUDGET_POLICIES,
     Challenge,
+    DomainError,
     IdCodeParams,
     Identity,
     MultiChallenge,
@@ -55,10 +55,6 @@ CONFIG_KEYS = {
     "budget_policy": str,
     "seed": int,
 }
-
-
-class DomainError(ValueError):
-    """Anything that is the caller's data rather than the caller's syntax."""
 
 
 def _dumps(obj) -> str:
@@ -188,6 +184,20 @@ def _channel(kind: str, q: int, delta):
     return make(q) if delta is None else make(q, delta)
 
 
+def _channel_scale(kind: str, q: int, delta) -> int:
+    """The scale _channel(kind, q, delta) will have, the lcm of its entries'
+    denominators, without building its q x q matrix.  An erasure channel
+    holds 1 - delta, 0 and delta; a symmetric one 1 - d and d / (q - 1),
+    whose denominator is a multiple of d's, with d = 0 for identity and
+    (q - 1) / q for uniform."""
+    from fractions import Fraction
+
+    if kind == "erasure":
+        return delta.denominator
+    d = {"identity": Fraction(0), "uniform": Fraction(q - 1, q)}.get(kind, delta)
+    return (d / (q - 1)).denominator
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -299,12 +309,6 @@ def cmd_params(args) -> list:
 
     _require(args, "ell", "k")
     field = _field_from_args(args)
-    params = IdCodeParams(field, args.ell, args.k)
-    # identity_bits = count * log2 q is a float: float(count) overflows from
-    # 2^1024 - 2^970 on, and the product may overflow below that
-    limit = 2 ** 1024 - 2 ** 970 - 1
-    if params.coeff_count_above(limit) or math.isinf(params.coeff_count * field.log2_q):
-        raise DomainError("C(ell + k, ell) * log2 q is past 2^1024, the float range")
     report = plan(
         q=field.q,
         ell=args.ell,
@@ -365,11 +369,11 @@ def cmd_leakage_exact(args) -> list:
                 raise DomainError(f"the exact report would write an integer past {limit} digits")
         deltas = [Fraction(d) for d in deltas]
     # every point is sized before any channel is built (at a large q the
-    # matrix is the cost), at the least scale, its delta's denominator
+    # matrix is the cost), at the scale its channel will have
     n_out = field.q + (args.channel == "erasure")  # the erasure mark
-    floor = max(getattr(d, "denominator", 1) for d in deltas)
     for params in points:
-        leakage_work(params, n_out, floor)
+        for d in deltas:
+            leakage_work(params, n_out, _channel_scale(args.channel, field.q, d))
     channels = [_channel(args.channel, field.q, d) for d in deltas]
     reports = [exact_leakage(params, channel) for params in points for channel in channels]
     if not args.sweep:
@@ -407,112 +411,122 @@ def cmd_bench(args) -> list:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser; each subparser is its own "parser" default, so main can add --config's."""
+# the flags some subcommands share, in the order their help lists them
+CONFIG_FLAG = [("--config", dict(help="KEY = VALUE defaults file"))]
+SEED_FLAG = [("--seed", dict(type=int, default=None, help="RNG seed; same seed, same bytes"))]
+FIELD_FLAGS = [
+    ("--q", dict(type=int, default=None, help="field size (prime power)")),
+    ("--p", dict(type=int, default=None, help="characteristic")),
+    ("--m", dict(type=int, default=None, help="extension degree")),
+]
+
+# name -> (function, help, flags), in the order the usage lists them; a flag
+# is its name and add_argument keywords, or a list of flags that exclude
+# each other
+SUBCOMMANDS = {
+    "gen-identity": (cmd_gen_identity, "mint an identity from bytes or at random", [
+        *CONFIG_FLAG, *SEED_FLAG, *FIELD_FLAGS,
+        ("--ell", dict(type=int, default=None)),
+        ("--k", dict(type=int, default=None)),
+        ("--n", dict(type=int, default=1, help="challenges per verification")),
+        [("--data-hex", dict(help="payload bytes as hex")),
+         ("--data-file", dict(help="payload bytes from a file"))],
+    ]),
+    "challenge": (cmd_challenge, "draw a fresh multi-challenge", [
+        *CONFIG_FLAG, *SEED_FLAG,
+        ("--identity", dict(required=True, help="identity JSON (- for stdin)")),
+        ("--out-bin", dict(help="also write the fixed-width binary form")),
+    ]),
+    "verify": (cmd_verify, "check a multi-challenge", [
+        *CONFIG_FLAG,
+        ("--identity", dict(required=True)),
+        ("--challenge", dict(required=True)),
+    ]),
+    "encrypt": (cmd_encrypt, "hide the tags of a multi-challenge", [
+        *CONFIG_FLAG, *SEED_FLAG,
+        ("--challenge", dict(required=True)),
+        ("--ell-prime", dict(type=int, default=None)),
+        ("--kappa", dict(type=float, default=None)),
+        ("--epsilon", dict(type=float, default=None)),
+        ("--seeds-out", dict(required=True, help="where the shared seeds go (JSON)")),
+        ("--seeds-bin-out", dict(help="seeds in binary form")),
+        ("--out-bin", dict(help="secret challenges in binary form")),
+    ]),
+    "decrypt": (cmd_decrypt, "recover tags with the seeds", [
+        *CONFIG_FLAG,
+        ("--secret", dict(required=True)),
+        ("--seeds", dict(required=True)),
+    ]),
+    "params": (cmd_params, "plan challenges, budget, and ciphertext length", [
+        *CONFIG_FLAG, *FIELD_FLAGS,
+        ("--ell", dict(type=int, default=None)),
+        ("--k", dict(type=int, default=None)),
+        ("--kappa", dict(type=float, default=0.0)),
+        ("--epsilon", dict(type=float, default=None,
+                           help="override the secrecy budget (default: the layered-baseline error)")),
+        ("--budget-policy", dict(choices=BUDGET_POLICIES, default="paper")),
+    ]),
+    "leakage-bound": (cmd_leakage_bound, "closed-form leakage bounds", [
+        *CONFIG_FLAG, *FIELD_FLAGS,
+        ("--ell-prime", dict(type=int, default=None)),
+        ("--d2-bits", dict(type=float, default=None)),
+        ("--kappa", dict(type=float, default=None)),
+    ]),
+    "leakage-exact": (cmd_leakage_exact, "exhaustive leakage for a toy observer channel", [
+        *CONFIG_FLAG, *FIELD_FLAGS,
+        ("--ell-prime", dict(type=int, default=2)),
+        ("--channel", dict(choices=["identity", "uniform", "symmetric", "erasure"],
+                           default="symmetric")),
+        ("--delta", dict(default="0", help="channel parameter, e.g. 1/8")),
+        ("--sweep", dict(action="store_true", help="emit a CSV grid instead")),
+        ("--deltas", dict(default="0,1/8,1/4,1/2", help="comma list for --sweep")),
+        ("--ell-primes", dict(default="2,3", help="comma list for --sweep")),
+        ("--out", dict(help="output path, - for stdout (the default)")),
+    ]),
+    "capacity-check": (cmd_capacity_check, "scaling ratios of the doubly exponential family", [
+        *CONFIG_FLAG,
+        ("--n-seq", dict(type=int, required=True)),
+        ("--sweep-to", dict(type=int, default=None)),
+    ]),
+    "bench": (cmd_bench, "latency grid to CSV", [
+        *CONFIG_FLAG, *FIELD_FLAGS,
+        ("--seed", dict(type=int, default=0, help="RNG seed; same seed, same bytes")),
+        ("--kappa", dict(default="0.2", help="comma list of kappa values")),
+        ("--reps", dict(type=int, default=50)),
+        ("--budget-policy", dict(choices=BUDGET_POLICIES, default="paper")),
+        ("--out", dict(help="CSV path, - for stdout (the default)")),
+    ]),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with every subcommand of SUBCOMMANDS, or with only
+    the one named; its usage, help and errors list all of them either way.
+    Each subparser is its own "parser" default, so main can add --config's."""
     parser = argparse.ArgumentParser(
         prog="secrid",
         description="identification codecs with information-theoretically secret tags",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="KEY = VALUE defaults file")
-    # bench adds its own --seed: children share a parent's actions and defaults
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=None, help="RNG seed; same seed, same bytes")
-
-    fieldargs = argparse.ArgumentParser(add_help=False)
-    fieldargs.add_argument("--q", type=int, default=None, help="field size (prime power)")
-    fieldargs.add_argument("--p", type=int, default=None, help="characteristic")
-    fieldargs.add_argument("--m", type=int, default=None, help="extension degree")
-
-    s = sub.add_parser("gen-identity", parents=[common, seeded, fieldargs],
-                       help="mint an identity from bytes or at random")
-    s.add_argument("--ell", type=int, default=None)
-    s.add_argument("--k", type=int, default=None)
-    s.add_argument("--n", type=int, default=1, help="challenges per verification")
-    src = s.add_mutually_exclusive_group()
-    src.add_argument("--data-hex", help="payload bytes as hex")
-    src.add_argument("--data-file", help="payload bytes from a file")
-    s.set_defaults(func=cmd_gen_identity)
-
-    s = sub.add_parser("challenge", parents=[common, seeded], help="draw a fresh multi-challenge")
-    s.add_argument("--identity", required=True, help="identity JSON (- for stdin)")
-    s.add_argument("--out-bin", help="also write the fixed-width binary form")
-    s.set_defaults(func=cmd_challenge)
-
-    s = sub.add_parser("verify", parents=[common], help="check a multi-challenge")
-    s.add_argument("--identity", required=True)
-    s.add_argument("--challenge", required=True)
-    s.set_defaults(func=cmd_verify)
-
-    s = sub.add_parser("encrypt", parents=[common, seeded],
-                       help="hide the tags of a multi-challenge")
-    s.add_argument("--challenge", required=True)
-    s.add_argument("--ell-prime", type=int, default=None)
-    s.add_argument("--kappa", type=float, default=None)
-    s.add_argument("--epsilon", type=float, default=None)
-    s.add_argument("--seeds-out", required=True, help="where the shared seeds go (JSON)")
-    s.add_argument("--seeds-bin-out", help="seeds in binary form")
-    s.add_argument("--out-bin", help="secret challenges in binary form")
-    s.set_defaults(func=cmd_encrypt)
-
-    s = sub.add_parser("decrypt", parents=[common], help="recover tags with the seeds")
-    s.add_argument("--secret", required=True)
-    s.add_argument("--seeds", required=True)
-    s.set_defaults(func=cmd_decrypt)
-
-    s = sub.add_parser("params", parents=[common, fieldargs],
-                       help="plan challenges, budget, and ciphertext length")
-    s.add_argument("--ell", type=int, default=None)
-    s.add_argument("--k", type=int, default=None)
-    s.add_argument("--kappa", type=float, default=0.0)
-    s.add_argument("--epsilon", type=float, default=None,
-                   help="override the secrecy budget (default: the layered-baseline error)")
-    s.add_argument("--budget-policy", choices=BUDGET_POLICIES, default="paper")
-    s.set_defaults(func=cmd_params)
-
-    s = sub.add_parser("leakage-bound", parents=[common, fieldargs],
-                       help="closed-form leakage bounds")
-    s.add_argument("--ell-prime", type=int, default=None)
-    s.add_argument("--d2-bits", type=float, default=None)
-    s.add_argument("--kappa", type=float, default=None)
-    s.set_defaults(func=cmd_leakage_bound)
-
-    s = sub.add_parser("leakage-exact", parents=[common, fieldargs],
-                       help="exhaustive leakage for a toy observer channel")
-    s.add_argument("--ell-prime", type=int, default=2)
-    s.add_argument("--channel", choices=["identity", "uniform", "symmetric", "erasure"],
-                   default="symmetric")
-    s.add_argument("--delta", default="0", help="channel parameter, e.g. 1/8")
-    s.add_argument("--sweep", action="store_true", help="emit a CSV grid instead")
-    s.add_argument("--deltas", default="0,1/8,1/4,1/2", help="comma list for --sweep")
-    s.add_argument("--ell-primes", default="2,3", help="comma list for --sweep")
-    s.add_argument("--out", help="output path, - for stdout (the default)")
-    s.set_defaults(func=cmd_leakage_exact)
-
-    s = sub.add_parser("capacity-check", parents=[common],
-                       help="scaling ratios of the doubly exponential family")
-    s.add_argument("--n-seq", type=int, required=True)
-    s.add_argument("--sweep-to", type=int, default=None)
-    s.set_defaults(func=cmd_capacity_check)
-
-    s = sub.add_parser("bench", parents=[common, fieldargs], help="latency grid to CSV")
-    s.add_argument("--seed", type=int, default=0, help="RNG seed; same seed, same bytes")
-    s.add_argument("--kappa", default="0.2", help="comma list of kappa values")
-    s.add_argument("--reps", type=int, default=50)
-    s.add_argument("--budget-policy", choices=BUDGET_POLICIES, default="paper")
-    s.add_argument("--out", help="CSV path, - for stdout (the default)")
-    s.set_defaults(func=cmd_bench)
-
-    for s in sub.choices.values():
-        s.set_defaults(parser=s)
+    # the metavar argparse would print for all of them, which would then
+    # name the action in errors; those arise only with all of them built
+    metavar = None if only is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (func, text, flags) in SUBCOMMANDS.items():
+        if only in (None, name):
+            s = sub.add_parser(name, help=text)
+            for flag in flags:
+                group = s.add_mutually_exclusive_group() if isinstance(flag, list) else s
+                for option, kwargs in flag if isinstance(flag, list) else [flag]:
+                    group.add_argument(option, **kwargs)
+            s.set_defaults(func=func, parser=s)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # a process runs one subcommand, so it builds only that one's parser
+    first = (sys.argv[1:] if argv is None else argv)[:1]
+    parser = build_parser(*(n for n in first if n in SUBCOMMANDS))
     args = parser.parse_args(argv)
     try:
         if args.config:  # parse again, with the file's values as defaults

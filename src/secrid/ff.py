@@ -39,10 +39,12 @@ from typing import Callable, Sequence
 
 # exp/log (and Zech) tables are built for fields up to this size
 TABLE_LIMIT = 1 << 20
-# one table-free multiply-add costs about as much as building this many
-# table entries (measured 19 on GF(3^10) and 9.5 on GF(2^16), 2-core x86,
-# Python 3.11), so a field's tables are built once the multiply-adds charged
-# to it reach q / TABLE_PAYBACK
+# one table-free multiply-add on the digit pair costs about as much as
+# building this many table entries (measured 19 on GF(3^10) and 9.5 on
+# GF(2^16), 2-core x86, Python 3.11), so a field's tables are built once the
+# multiply-adds charged to it reach q / TABLE_PAYBACK.  Tag evaluation on a
+# field rmid's packed-digit kernel serves runs a step at about 1/18 of a
+# pair step; the charge and this threshold are left as they are
 TABLE_PAYBACK = 16
 # no field is larger; above it the digit arithmetic is still exact, but the
 # trial-division searches behind a field's construction run for minutes

@@ -9,10 +9,11 @@ so a run is reproducible from its JSON alone.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .ff import field_for, prime_power
-from .rmid import IdCodeParams, Record, code_size_bits
+from .rmid import DomainError, IdCodeParams, Record, code_size_bits
 from .rsid import epsilon_2rs, min_challenges_for
 from .wiretap import min_cipher_length, split_leakage_budget
 
@@ -61,6 +62,11 @@ def plan(
     p, m = prime_power(q)
     field = field_for(p, m)
     params = IdCodeParams(field, ell, k)
+    # identity_bits = count * log2 q is a float: float(count) overflows from
+    # 2^1024 - 2^970 on, and the product may overflow below that
+    limit = 2 ** 1024 - 2 ** 970 - 1
+    if params.coeff_count_above(limit) or math.isinf(params.coeff_count * field.log2_q):
+        raise DomainError("C(ell + k, ell) * log2 q is past 2^1024, the float range")
     quote = epsilon_2rs(params)
     # the challenge count is always sized to beat the layered baseline;
     # an explicit epsilon_total only changes the secrecy budget being split
@@ -72,8 +78,13 @@ def plan(
         raise ValueError(
             "leakage budget is zero; nothing can meet it with a finite ciphertext"
         )
-    per_challenge = split_leakage_budget(eps_total, n, budget_policy)
-    length = min_cipher_length(q, kappa, float(per_challenge))
+    per_challenge = float(split_leakage_budget(eps_total, n, budget_policy))
+    if not 0 < per_challenge <= 1:
+        raise ValueError(
+            f"budget {float(eps_total)} split over {n} challenges by the {budget_policy!r}"
+            f" policy leaves {per_challenge} per challenge, outside (0, 1]"
+        )
+    length = min_cipher_length(q, kappa, per_challenge)
     return PlanReport(
         p=p,
         m=m,
@@ -89,7 +100,7 @@ def plan(
         n_challenges=n,
         budget_policy=budget_policy,
         epsilon_total=float(eps_total),
-        per_challenge_epsilon=float(per_challenge),
+        per_challenge_epsilon=per_challenge,
         kappa=kappa,
         ell_prime=length.ell_prime,
         ell_prime_real=length.real_bound,

@@ -18,6 +18,7 @@ cold CLI process loads nothing for them.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -41,6 +42,10 @@ def _compositions(slots: int, total: int) -> Iterator[tuple[int, ...]]:
     for first in range(total + 1):
         for rest in _compositions(slots - 1, total - first):
             yield (first,) + rest
+
+
+class DomainError(ValueError):
+    """Anything that is the caller's data rather than the caller's syntax."""
 
 
 def json_field(obj, key: str, kind: type):
@@ -194,6 +199,12 @@ class Identity(Record):
         """Coefficient logs (-1 for 0); pickle-safe: one generator per (p, m)."""
         return list(map(self.params.field._tables[1].__getitem__, self.coeffs))
 
+    @cached
+    def _packed(self) -> list[int]:
+        """Coefficients with one base-p digit per byte, for the packed kernel."""
+        field = self.params.field
+        return list(map(_packing(field.p, field.m)[0], self.coeffs))
+
     def to_json_dict(self) -> dict:
         f = self.params.field
         return {
@@ -274,13 +285,58 @@ def identity_from_bytes(data: bytes, params: IdCodeParams) -> Identity:
 # ---------------------------------------------------------------------------
 # challenge / verify
 
+@lru_cache(maxsize=None)
+def _packing(p: int, m: int) -> tuple | None:
+    """(spread, powers, mod_p) of the packed kernel of GF(p^m), or None for
+    a field it does not serve.  An element is packed one base-p digit per
+    byte, low digit first: spread packs a canonical integer w digits at a
+    time through a table of the p^w <= 256 chunks, and powers(a) packs
+    a * x^i mod f for i < m, multiplying by x as a shift whose top digit t
+    folds back as t * (x^m mod f).  mod_p reduces every byte of a bytes
+    object mod p through bytes.translate.  A multiply-add then sums m + 1
+    packed terms whose bytes stay at most m (p - 1)^2 + p - 1: the kernel
+    serves the fields where that is at most 255, so no byte carries."""
+    if p == 2 or m == 1 or m * (p - 1) ** 2 + p - 1 > 255:
+        return None
+    table, width = [0], 0
+    while len(table) * p <= 256:
+        table = [t + (d << width) for d in range(p) for t in table]
+        width += 8
+    chunk, top = len(table), 8 * m
+    mod_p = bytes(b % p for b in range(256))
+    neg_f = int.from_bytes(bytes(-c % p for c in find_irreducible(p, m)[:m]), "little")
+
+    def spread(c: int) -> int:
+        out = shift = 0
+        while c:
+            c, r = divmod(c, chunk)
+            out += table[r] << shift
+            shift += width
+        return out
+
+    def powers(v: int) -> list[int]:
+        out = []
+        for _ in range(m):
+            out.append(v)
+            t = v >> (top - 8)
+            v = (v << 8) + t * neg_f - (t << top)
+            v = int.from_bytes(v.to_bytes(m, "little").translate(mod_p), "little")
+        return out
+
+    return spread, powers, mod_p
+
+
 def evaluate_tag(identity: Identity, r: Sequence[int]) -> int:
     """p_i(r) by Horner, one variable at a time: substituting r_1 folds each
     group of substitution_plan into one coefficient of a polynomial in the
     variables left, and so on down to a constant.  One multiply-add per
     coefficient, plus C(ell - d + k, k) for each smaller level d >= 1.  With
     a Zech table it runs on logs (-1 for 0), one Zech lookup per step, and a
-    zero coordinate leaves each group's constant; else on the fast_ops pair."""
+    zero coordinate leaves each group's constant.  A field with no tables
+    that _packing serves runs on packed digits: x -> a * x is GF(p)-linear,
+    so a step is the sum of the accumulator's digits times the packed
+    a * x^i, plus the packed coefficient, each byte then reduced mod p.
+    Every other field runs on the fast_ops pair."""
     params = identity.params
     field = params.field
     if len(r) != params.ell:
@@ -288,6 +344,22 @@ def evaluate_tag(identity: Identity, r: Sequence[int]) -> int:
     point = tuple(field._check(x) for x in r)
     add, mul = field.fast_ops(params.coeff_count)
     tables = field._tables
+    packing = tables is None and _packing(field.p, field.m)
+    if packing:
+        spread, powers, mod_p = packing
+        m = field.m
+        poly = identity._packed
+        for groups, a in zip(substitution_plan(params.ell, params.k), point):
+            times_a = powers(spread(a))
+            folded = []
+            for top, rest in groups:
+                acc = poly[top].to_bytes(m, "little")
+                for i in rest:
+                    acc = sum(map(operator.mul, acc, times_a), poly[i])
+                    acc = acc.to_bytes(m, "little").translate(mod_p)
+                folded.append(int.from_bytes(acc, "little"))
+            poly = folded
+        return sum(map(operator.mul, poly[0].to_bytes(m, "little"), field._places))
     if tables is None or tables[2] is None:
         poly = identity.coeffs
         for groups, a in zip(substitution_plan(params.ell, params.k), point):

@@ -533,6 +533,28 @@ def test_params_rejects_non_finite_epsilon(capsys, epsilon):
     assert "(0, 2]" in error["message"]
 
 
+def test_params_refuses_a_budget_by_its_total_and_policy(capsys):
+    # the paper split's share 1.5^(1/2) is past 1; the message names the flag's value
+    code, out, err = run_cli(
+        capsys, "params", "--q", "59049", "--ell", "2", "--k", "20", "--epsilon", "1.5",
+    )
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {"kind": "ValueError", "message": (
+        "budget 1.5 split over 2 challenges by the 'paper' policy leaves"
+        " 1.224744871391589 per challenge, outside (0, 1]"
+    )}
+
+
+def test_params_and_plan_share_the_float_range_rule(capsys):
+    from secrid.planner import plan
+
+    code, out, err = run_cli(capsys, "params", "--q", "59049", "--ell", "300", "--k", "59000")
+    with pytest.raises(ValueError) as info:
+        plan(59049, 300, 59000, 0.0)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {"kind": "DomainError", "message": str(info.value)}
+
+
 def test_params_refuses_a_code_past_the_float_range(capsys):
     # C(2000, 1000) * log2 q has no float; the count is refused before it
     code, out, err = run_cli(
@@ -769,6 +791,33 @@ def test_a_delta_free_sweep_runs_each_ell_prime_once(capsys, monkeypatch, channe
     assert code == 0, err
     assert [row[1:3] for row in csv.reader(io.StringIO(out))][1:] == [["2", ""], ["3", ""]]
     assert [params.ell_prime for params, _ in calls] == [2, 3]
+
+
+def test_a_sweep_sizes_each_point_at_its_channels_scale(capsys, monkeypatch):
+    # GF(3) at delta = 1/8 scales by 16, not 8: ell' = 2100 is refused
+    # before ell' = 1000 runs
+    monkeypatch.setattr(analysis, "exact_leakage", lambda *point: pytest.fail(f"{point} ran"))
+    code, out, err = run_cli(
+        capsys, "leakage-exact", "--q", "3", "--sweep", "--deltas", "1/8",
+        "--ell-primes", "1000,2100",
+    )
+    assert (code, out) == (1, "")
+    limit = sys.get_int_max_str_digits()
+    assert json.loads(err)["error"] == {
+        "kind": "ValueError",
+        "message": f"the exact report would write an integer past {limit} digits",
+    }
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 101])
+@pytest.mark.parametrize("channel", ["identity", "uniform", "symmetric", "erasure"])
+def test_channel_scale_is_the_built_channels(channel, q):
+    from fractions import Fraction
+
+    deltas = [None] if channel in ("identity", "uniform") else [
+        Fraction(0), Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), Fraction(5, 6), Fraction(1)]
+    for delta in deltas:
+        assert cli._channel_scale(channel, q, delta) == cli._channel(channel, q, delta).scale
 
 
 def test_small_sweeps_start_no_process(capsys, monkeypatch):
@@ -1064,6 +1113,40 @@ def test_config_is_parsed_by_the_one_parser_main_builds(tmp_path, capsys, monkey
     from_config = run_json(capsys, "params", "--config", str(cfg))
     assert len(calls) == 1
     assert from_config == run_json(capsys, "params", "--q", "59049", "--ell", "2", "--k", "20")
+
+
+def _parser_exit(capsys, parse, argv):
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    return (info.value.code, *capsys.readouterr())
+
+
+def _argv_the_parser_refuses_or_answers():
+    """-h, --version, no arguments and an unknown subcommand; then for each
+    subcommand -h, an unknown flag, its required flags missing, each typed
+    flag given a bad value, each choice a bad one, and both flags of an
+    exclusive pair."""
+    cases = [["-h"], ["--version"], [], ["bogus"], ["--bogus"]]
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, parser in sub.choices.items():
+        cases += [[name, "-h"], [name, "--bogus"]]
+        flags = [a for a in parser._actions if a.option_strings]
+        if any(a.required for a in flags):
+            cases.append([name])
+        cases += [[name, a.option_strings[0], "x"] for a in flags if a.type or a.choices]
+        for group in parser._mutually_exclusive_groups:
+            cases.append([name, *(s for a in group._group_actions for s in (a.option_strings[0], "x"))])
+    return cases
+
+
+@pytest.mark.parametrize(
+    "argv", _argv_the_parser_refuses_or_answers(), ids=lambda argv: " ".join(argv) or "(none)"
+)
+def test_main_answers_as_the_parser_of_every_subcommand(capsys, argv):
+    # main builds only the named subcommand's parser; its usage, help,
+    # errors and exit codes are those of the full one
+    expect = _parser_exit(capsys, cli.build_parser().parse_args, argv)
+    assert _parser_exit(capsys, main, argv) == expect
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

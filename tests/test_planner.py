@@ -76,3 +76,25 @@ def test_plan_report_is_frozen():
     assert isinstance(report, PlanReport)
     with pytest.raises(AttributeError):
         report.ell_prime = 5
+
+
+def test_plan_refuses_a_code_past_the_float_range():
+    # C(59300, 300) * log2 q has no float; this raised OverflowError
+    with pytest.raises(ValueError, match="past 2\\^1024, the float range"):
+        plan(59049, 300, 59000, 0.2)
+
+
+@pytest.mark.parametrize(
+    "policy,k,n", [("paper", 20, 2), ("additive", 1, 1)], ids=["paper", "additive"]
+)
+def test_plan_refuses_a_budget_whose_share_leaves_the_unit_interval(policy, k, n):
+    # a total in (0, 2] whose share per challenge is past 1: 1.5^(1/2), 1.5 / 1
+    with pytest.raises(ValueError) as info:
+        plan(q=59049, ell=2, k=k, kappa=0.2, budget_policy=policy, epsilon_total=1.5)
+    assert str(info.value).startswith(
+        f"budget 1.5 split over {n} challenges by the {policy!r} policy leaves "
+    )
+    assert str(info.value).endswith(" per challenge, outside (0, 1]")
+    # split over two challenges, additive leaves 0.75
+    report = plan(q=59049, ell=2, k=20, kappa=0.2, budget_policy="additive", epsilon_total=1.5)
+    assert (report.n_challenges, report.per_challenge_epsilon) == (2, 0.75)

@@ -19,6 +19,7 @@ from secrid.rmid import (
     Identity,
     MultiChallenge,
     Record,
+    _packing,
     capacity_diagnostics,
     code_size_bits,
     evaluate_tag,
@@ -219,13 +220,18 @@ def test_evaluation_matches_monomial_oracle(q, ell, k):
 
 
 # one of each kernel: Zech logs (GF(9), GF(3^10)), the XOR and prime fast
-# pairs, and the digit pair of a field that never builds tables
+# pairs, and on fields that never build tables the packed digits (GF(9),
+# GF(3^10), and GF(7^6) at its byte bound, 6 * 6^2 + 6 = 222) and the digit
+# pair (GF(7^7), 258 past it)
 KERNEL_FIELDS = {
     "zech_9": (table_built, 3, 2),
     "zech_59049": (table_built, 3, 10),
     "xor_16": (table_built, 2, 4),
     "prime_7": (table_built, 7, 1),
     "table_free_9": (table_free, 3, 2),
+    "table_free_59049": (table_free, 3, 10),
+    "table_free_117649": (table_free, 7, 6),
+    "table_free_823543": (table_free, 7, 7),
 }
 
 
@@ -256,6 +262,26 @@ def test_every_kernel_matches_the_monomial_oracle(case):
     assert (tables is None) == name.startswith("table_free")
     assert (tables is not None and tables[2] is not None) == name.startswith("zech")
     assert evaluate_tag(identity, r) == tag_by_monomials(identity, r)
+
+
+def test_the_packed_kernel_serves_the_fields_whose_bytes_cannot_carry():
+    # m (p - 1)^2 + p - 1 <= 255 with p > 2 and m > 1
+    packed = {(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(1, 8) if _packing(p, m)}
+    assert packed == {(3, m) for m in range(2, 8)} | {(5, m) for m in range(2, 8)} | {
+        (7, 2), (7, 3), (7, 4), (7, 5), (7, 6), (11, 2)}
+    table_free_kernels = {name: _packing(*KERNEL_FIELDS[name][1:]) is not None
+                          for name in KERNEL_FIELDS if name.startswith("table_free")}
+    assert sorted(table_free_kernels.values()) == [False, True, True, True]
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 10), (5, 13), (7, 6), (11, 2)])
+def test_packed_powers_of_x_match_the_schoolbook_multiply(p, m):
+    spread, powers, _ = _packing(p, m)
+    field = Field(p, m)
+    rng = random.Random(p * 100 + m)
+    for a in (0, 1, field.q - 1, *field.sample_vector(rng, 20)):
+        expect = [spread(field.mul_schoolbook(a, p ** i)) for i in range(m)]
+        assert powers(spread(a)) == expect
 
 
 def test_coefficient_logs_stay_out_of_identity_records_and_survive_pickling():
