@@ -237,7 +237,7 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
         top = max(f)
         if f.count(top) == 1:
             return fronts[f.index(top)](f)
-        return max(front(f) for front in fronts)
+        return max(fronts[i](f) for i, v in enumerate(f) if v == top)  # the greatest starts at top
 
     level = Counter(map(greatest, zip(*w)))  # the pivot's step from t = 0: f = W(z | .)
     kernels = Counter()  # h(u) = W(z | x) at u = a x, one per class, from each class of columns

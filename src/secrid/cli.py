@@ -23,7 +23,7 @@ import random
 import sys
 
 from . import __version__
-from .ff import Field, field_for, prime_power
+from .ff import Field
 from .rmid import (
     BUDGET_POLICIES,
     Challenge,
@@ -43,8 +43,6 @@ from .rmid import (
 # only what its subcommand runs.
 
 CONFIG_KEYS = {
-    "p": int,
-    "m": int,
     "q": int,
     "ell": int,
     "k": int,
@@ -165,17 +163,6 @@ def _record_file(key: str, records, **header) -> str:
     return _dumps({**header, key: [r.to_json_dict() for r in records]})
 
 
-def _field_from_args(args) -> Field:
-    if args.q is None:
-        if args.p is None:
-            raise DomainError("give --q or --p (with optional --m)")
-        return field_for(args.p, 1 if args.m is None else args.m)
-    p, m = prime_power(args.q)
-    if args.p not in (None, p) or args.m not in (None, m):
-        raise DomainError(f"--q {args.q} is not --p raised to --m")
-    return field_for(p, m)
-
-
 def _channel(kind: str, q: int, delta):
     """Observation channel by name; a delta of None is a channel that takes none."""
     from .analysis import ChannelModel
@@ -209,9 +196,14 @@ def _require(args, *names: str) -> None:
         raise DomainError(f"missing {flags} (flag or config key)")
 
 
+def _field(args) -> Field:
+    _require(args, "q")
+    return Field.from_q(args.q)
+
+
 def cmd_gen_identity(args) -> list:
     _require(args, "ell", "k")
-    field = _field_from_args(args)
+    field = _field(args)
     params = IdCodeParams(field, args.ell, args.k, args.n)
     # every coefficient is held in memory; 2^24 is ~28x what the bench mints
     if params.coeff_count_above(1 << 24):
@@ -253,7 +245,6 @@ def cmd_encrypt(args) -> list:
         SecrecyParams,
         check_binary_seed_length,
         encrypt_tags,
-        min_cipher_length,
         sample_seed,
     )
 
@@ -262,12 +253,8 @@ def cmd_encrypt(args) -> list:
     header, field, challenges = _read_records(args.challenge, "challenges", Challenge)
     if not challenges:
         raise DomainError("challenge file holds no challenges")
-    if args.ell_prime is not None:
-        ell_prime = args.ell_prime
-    elif args.kappa is not None and args.epsilon is not None:
-        ell_prime = min_cipher_length(field.q, args.kappa, args.epsilon).ell_prime
-    else:
-        raise DomainError("give --ell-prime, or --kappa with --epsilon")
+    _require(args, "ell_prime")
+    ell_prime = args.ell_prime
     if len(challenges) * ell_prime > 1 << 16:  # sample_seed forms q^ell', so refuse first
         raise DomainError(f"{len(challenges)} x ell'={ell_prime} symbols are above the limit 2^16")
     if args.seeds_bin_out:
@@ -308,9 +295,8 @@ def cmd_params(args) -> list:
     from .planner import plan
 
     _require(args, "ell", "k")
-    field = _field_from_args(args)
     report = plan(
-        q=field.q,
+        q=_field(args).q,
         ell=args.ell,
         k=args.k,
         kappa=args.kappa,
@@ -324,7 +310,7 @@ def cmd_leakage_bound(args) -> list:
     from .wiretap import SecrecyParams, kappa_d2_bits, leakage_bound
 
     _require(args, "ell_prime")
-    field = _field_from_args(args)
+    field = _field(args)
     params = SecrecyParams(field, args.ell_prime)
     if args.d2_bits is not None:
         d2 = args.d2_bits
@@ -350,24 +336,23 @@ def cmd_leakage_exact(args) -> list:
     from .analysis import LEAKAGE_CSV_HEADER, exact_leakage, leakage_work
     from .wiretap import SecrecyParams
 
-    field = _field_from_args(args)
+    field = _field(args)
     # a point is a sweep of one
     if args.sweep:
         ell_primes, deltas = args.ell_primes.split(","), args.deltas.split(",")
     else:
         ell_primes, deltas = [args.ell_prime], [args.delta]
     points = [SecrecyParams(field, int(v)) for v in ell_primes]
+    # a term of Fraction(text) has at most len(text) + |exponent| digits,
+    # refused past the int-to-str limit (0: none): "1e-30000000" takes ~1 min
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    for text in deltas:  # |exponent| <= the int of its decimal digits
+        exponent = "".join(filter(str.isdecimal, text.lower().partition("e")[2]))
+        if limit and len(text) + int(exponent or 0) > limit:
+            raise DomainError(f"the exact report would write an integer past {limit} digits")
+    deltas = [Fraction(d) for d in deltas]  # parsed for every channel, used by some
     if args.channel in ("identity", "uniform"):  # no delta: one channel serves every point
         deltas = [None]
-    else:
-        # a term of Fraction(text) has at most len(text) + |exponent| digits,
-        # refused past the int-to-str limit (0: none): "1e-30000000" takes ~1 min
-        limit = getattr(sys, "get_int_max_str_digits", int)()
-        for text in deltas:  # |exponent| <= the int of its decimal digits
-            exponent = "".join(filter(str.isdecimal, text.lower().partition("e")[2]))
-            if limit and len(text) + int(exponent or 0) > limit:
-                raise DomainError(f"the exact report would write an integer past {limit} digits")
-        deltas = [Fraction(d) for d in deltas]
     # every point is sized before any channel is built (at a large q the
     # matrix is the cost), at the scale its channel will have
     n_out = field.q + (args.channel == "erasure")  # the erasure mark
@@ -394,9 +379,7 @@ def cmd_capacity_check(args) -> list:
 def cmd_bench(args) -> list:
     from .bench import run_grid, write_csv
 
-    # the reference field, unless a flag or config key names one
-    named = (args.q, args.p, args.m) != (None, None, None)
-    q = _field_from_args(args).q if named else 59049
+    q = _field(args).q
     records = []
     # a config's kappa is a float; all are parsed before any grid runs
     for kappa in [float(v) for v in str(args.kappa).split(",")]:
@@ -414,18 +397,14 @@ def cmd_bench(args) -> list:
 # the flags some subcommands share, in the order their help lists them
 CONFIG_FLAG = [("--config", dict(help="KEY = VALUE defaults file"))]
 SEED_FLAG = [("--seed", dict(type=int, default=None, help="RNG seed; same seed, same bytes"))]
-FIELD_FLAGS = [
-    ("--q", dict(type=int, default=None, help="field size (prime power)")),
-    ("--p", dict(type=int, default=None, help="characteristic")),
-    ("--m", dict(type=int, default=None, help="extension degree")),
-]
+FIELD_FLAG = [("--q", dict(type=int, default=None, help="field size (prime power)"))]
 
 # name -> (function, help, flags), in the order the usage lists them; a flag
 # is its name and add_argument keywords, or a list of flags that exclude
 # each other
 SUBCOMMANDS = {
     "gen-identity": (cmd_gen_identity, "mint an identity from bytes or at random", [
-        *CONFIG_FLAG, *SEED_FLAG, *FIELD_FLAGS,
+        *CONFIG_FLAG, *SEED_FLAG, *FIELD_FLAG,
         ("--ell", dict(type=int, default=None)),
         ("--k", dict(type=int, default=None)),
         ("--n", dict(type=int, default=1, help="challenges per verification")),
@@ -446,8 +425,6 @@ SUBCOMMANDS = {
         *CONFIG_FLAG, *SEED_FLAG,
         ("--challenge", dict(required=True)),
         ("--ell-prime", dict(type=int, default=None)),
-        ("--kappa", dict(type=float, default=None)),
-        ("--epsilon", dict(type=float, default=None)),
         ("--seeds-out", dict(required=True, help="where the shared seeds go (JSON)")),
         ("--seeds-bin-out", dict(help="seeds in binary form")),
         ("--out-bin", dict(help="secret challenges in binary form")),
@@ -458,7 +435,7 @@ SUBCOMMANDS = {
         ("--seeds", dict(required=True)),
     ]),
     "params": (cmd_params, "plan challenges, budget, and ciphertext length", [
-        *CONFIG_FLAG, *FIELD_FLAGS,
+        *CONFIG_FLAG, *FIELD_FLAG,
         ("--ell", dict(type=int, default=None)),
         ("--k", dict(type=int, default=None)),
         ("--kappa", dict(type=float, default=0.0)),
@@ -467,13 +444,13 @@ SUBCOMMANDS = {
         ("--budget-policy", dict(choices=BUDGET_POLICIES, default="paper")),
     ]),
     "leakage-bound": (cmd_leakage_bound, "closed-form leakage bounds", [
-        *CONFIG_FLAG, *FIELD_FLAGS,
+        *CONFIG_FLAG, *FIELD_FLAG,
         ("--ell-prime", dict(type=int, default=None)),
         ("--d2-bits", dict(type=float, default=None)),
         ("--kappa", dict(type=float, default=None)),
     ]),
     "leakage-exact": (cmd_leakage_exact, "exhaustive leakage for a toy observer channel", [
-        *CONFIG_FLAG, *FIELD_FLAGS,
+        *CONFIG_FLAG, *FIELD_FLAG,
         ("--ell-prime", dict(type=int, default=2)),
         ("--channel", dict(choices=["identity", "uniform", "symmetric", "erasure"],
                            default="symmetric")),
@@ -489,7 +466,8 @@ SUBCOMMANDS = {
         ("--sweep-to", dict(type=int, default=None)),
     ]),
     "bench": (cmd_bench, "latency grid to CSV", [
-        *CONFIG_FLAG, *FIELD_FLAGS,
+        *CONFIG_FLAG,
+        ("--q", dict(type=int, default=59049, help="field size (prime power)")),
         ("--seed", dict(type=int, default=0, help="RNG seed; same seed, same bytes")),
         ("--kappa", dict(default="0.2", help="comma list of kappa values")),
         ("--reps", dict(type=int, default=50)),

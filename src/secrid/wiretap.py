@@ -333,6 +333,8 @@ def leakage_bound_squared(
 
 def kappa_d2_bits(params: SecrecyParams, kappa: float) -> float:
     """Observer budget as a fraction kappa of the ciphertext entropy."""
+    if not 0.0 <= kappa <= 1.0:  # NaN too
+        raise ValueError(f"kappa must be a fraction in [0, 1], got {kappa}")
     return kappa * params.ell_prime * params.field.log2_q
 
 

@@ -341,6 +341,31 @@ def test_each_class_of_columns_is_spread_once(monkeypatch, q):
         assert len(spread_cols) == classes * (q - 1)
 
 
+@pytest.mark.parametrize("q", [9, 11, 13])  # Zech and prime fields
+def test_a_tied_column_builds_only_the_translates_from_its_maxima(monkeypatch, q):
+    # each row holds 1/4 at 4 random outputs, so most columns hold their
+    # maximum more than once; a translate from any other point starts below
+    # the maximum and cannot be the greatest, so it is not built
+    rng = random.Random(q)
+    rows = [[Fraction(int(z in picked), 4) for z in range(q)]
+            for picked in (rng.sample(range(q), 4) for _ in range(q))]
+    channel = ChannelModel.from_matrix("tied", rows)
+    tables = analysis._leakage_tables
+    built = []  # (f, c) for each translate f(. + c) built
+
+    def counted(field):
+        shifts, fronts, half, spreads = tables(field)
+        fronts = [lambda f, c=c, t=t: built.append((f, c)) or t(f) for c, t in enumerate(fronts)]
+        return shifts, fronts, half, spreads
+
+    monkeypatch.setattr(analysis, "_leakage_tables", counted)
+    params = params_for(q, 2)
+    report = exact_leakage(params, channel)
+    assert any(f.count(max(f)) > 1 for f, _ in built)
+    assert all(f[c] == max(f) for f, c in built)
+    assert (report.exact_max_tv, report.exact_pairwise_tv) == leakage_by_walk(params, channel)
+
+
 @given(small_leakage_points(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_exact_leakage_is_invariant_under_translating_the_inputs(point, data):

@@ -26,6 +26,7 @@ import secrid
 from secrid import analysis, cli, rmid
 from secrid.cli import main
 from secrid.ff import Field
+from secrid.wiretap import min_cipher_length
 
 
 def run_cli(capsys, *argv):
@@ -67,14 +68,6 @@ def test_gen_identity_reads_its_payload_from_a_file(tmp_path, capsys):
     args = ("gen-identity", "--q", "25", "--ell", "1", "--k", "2")
     from_file = run_json(capsys, *args, "--data-file", str(payload))
     assert from_file == run_json(capsys, *args, "--data-hex", "0104")
-
-
-def test_gen_identity_accepts_p_m_spelling(capsys):
-    obj = run_json(
-        capsys, "gen-identity", "--p", "5", "--m", "2", "--ell", "1", "--k", "2",
-        "--seed", "1",
-    )
-    assert obj["q_params"]["q"] == 25
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -149,15 +142,6 @@ def test_gen_identity_limit_is_the_exact_binomial(capsys, monkeypatch, ell, k, r
         assert "above the limit 2^24" in error["message"]
     else:
         assert error == {"kind": "ValueError", "message": "drawn"}
-
-
-def test_gen_identity_rejects_inconsistent_q_p(capsys):
-    code, out, err = run_cli(
-        capsys,
-        "gen-identity", "--q", "25", "--p", "3", "--ell", "1", "--k", "2",
-    )
-    assert code == 1
-    assert json.loads(err)["error"]["kind"] == "DomainError"
 
 
 # ---------------------------------------------------------------------------
@@ -268,25 +252,12 @@ def test_encrypt_decrypt_restores_challenges(pipeline, tmp_path, capsys):
     assert restored["challenges"] == original["challenges"]
 
 
-def test_encrypt_can_size_itself_from_kappa_epsilon(pipeline, tmp_path, capsys):
-    _, challenge = pipeline
-    seeds = tmp_path / "seeds.json"
-    obj = run_json(
-        capsys,
-        "encrypt", "--challenge", str(challenge), "--kappa", "0.0",
-        "--epsilon", "0.5", "--seeds-out", str(seeds), "--seed", "2",
-    )
-    assert obj["ell_prime"] >= 2
-
-
-def test_a_subnormal_epsilon_plans_a_finite_length(pipeline, tmp_path, capsys):
+def test_a_subnormal_epsilon_plans_a_finite_length(capsys):
     # 1/epsilon is inf here: min_cipher_length raised OverflowError
     plan = run_json(capsys, "params", "--q", "59049", "--ell", "2", "--k", "20",
                     "--budget-policy", "additive", "--epsilon", "1e-320")
     assert plan["ell_prime"] == 136
-    secret = run_json(capsys, "encrypt", "--challenge", str(pipeline[1]), "--kappa", "0.2",
-                      "--epsilon", "5e-324", "--seeds-out", str(tmp_path / "seeds.json"))
-    assert secret["ell_prime"] == 580
+    assert min_cipher_length(25, 0.2, 5e-324).ell_prime == 580
 
 
 def test_encrypt_requires_a_length_or_a_target(pipeline, tmp_path, capsys):
@@ -591,9 +562,6 @@ LONG_POINT_IDENTITY = {"q_params": {"p": 5, "m": 1}, "ell": 10 ** 6, "k": 0, "n"
         (["encrypt", "--challenge", "{challenge}", "--ell-prime", "1000000",
           "--seeds-out", "{seeds}"],
          "DomainError", "2 x ell'=1000000 symbols are above the limit 2^16"),
-        (["encrypt", "--challenge", "{challenge}", "--kappa", "0.9999999", "--epsilon", "1e-6",
-          "--seeds-out", "{seeds}"],
-         "DomainError", "2 x ell'=100147360 symbols are above the limit 2^16"),
         (["leakage-bound", "--q", "4294967291", "--ell-prime", "1000000", "--kappa", "0.2"],
          "ValueError", "ell'=1000000 symbols over GF(4294967291) are above the limit of 2^21"),
         (["leakage-bound", "--q", "5", "--ell-prime", "10000000000", "--kappa", "0.2"],
@@ -601,7 +569,7 @@ LONG_POINT_IDENTITY = {"q_params": {"p": 5, "m": 1}, "ell": 10 ** 6, "k": 0, "n"
     ],
     ids=["identity_file_challenge", "identity_file_verify", "params_ell_k_10_6",
          "params_bits_past_float", "payload_1mb", "mint_n_10_8", "identity_file_point_10_6",
-         "encrypt_ell_prime_10_6", "encrypt_planned_ell_prime", "leakage_bound_ell_prime_10_6",
+         "encrypt_ell_prime_10_6", "leakage_bound_ell_prime_10_6",
          "leakage_bound_ell_prime_10_10"],
 )
 def test_oversized_inputs_are_refused_before_the_work(
@@ -871,9 +839,8 @@ def test_capacity_check_rejects_an_inverted_range(capsys):
 
 @pytest.mark.parametrize(
     "field_args,config,q",
-    [([], "", 59049), (["--p", "5", "--m", "2"], "", 25), (["--q", "7"], "", 7),
-     ([], "p = 3\n", 3), (["--q", "9"], "q = 25\n", 9)],
-    ids=["default", "p_m", "q", "config_p", "flag_over_config"],
+    [([], "", 59049), (["--q", "7"], "", 7), ([], "q = 3\n", 3), (["--q", "9"], "q = 25\n", 9)],
+    ids=["default", "q", "config_q", "flag_over_config"],
 )
 def test_bench_resolves_its_field_from_any_field_flag(
     tmp_path, capsys, monkeypatch, field_args, config, q
@@ -887,17 +854,6 @@ def test_bench_resolves_its_field_from_any_field_flag(
     assert code == 0, err
     assert seen == [q]
     assert out.splitlines()[0].startswith("schema_version,")
-
-
-def test_bench_csv_names_the_field_given_as_p_and_m(capsys):
-    code, out, err = run_cli(
-        capsys,
-        "bench", "--p", "5", "--m", "2", "--reps", "30", "--seed", "0",
-    )
-    assert code == 0, err
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert len(rows) == 4
-    assert {row["q"] for row in rows} == {"25"}
 
 
 @pytest.mark.parametrize("kappas", ["", "0.2,x", "0.2,,0.4"])
@@ -924,18 +880,6 @@ def test_bench_runs_one_grid_per_kappa_in_order(tmp_path, capsys, monkeypatch):
     cfg.write_text("kappa = 0.25\n")  # a config's kappa is one float
     assert run_cli(capsys, "bench", "--config", str(cfg))[0] == 0
     assert seen == [0.4, 0.2, 0.3, 0.25]
-
-
-def test_bench_rejects_a_degree_without_a_characteristic(capsys, monkeypatch):
-    def no_grid(**kwargs):
-        raise AssertionError(f"bench ran its grid at q = {kwargs['q']}")
-
-    monkeypatch.setattr("secrid.bench.run_grid", no_grid)
-    code, out, err = run_cli(capsys, "bench", "--m", "2")
-    assert (code, out) == (1, "")
-    assert json.loads(err)["error"] == {
-        "kind": "DomainError", "message": "give --q or --p (with optional --m)",
-    }
 
 
 def _disk_full_after_first_row(monkeypatch):
@@ -986,6 +930,7 @@ def test_bench_command_writes_csv(tmp_path, capsys):
     rows = list(csv.reader(io.StringIO(out.read_text())))
     assert rows[0][0] == "schema_version"
     assert len(rows) == 1 + 4  # four timed operations at one grid point
+    assert {row[rows[0].index("q")] for row in rows[1:]} == {"25"}
 
 
 # ---------------------------------------------------------------------------
@@ -1121,15 +1066,57 @@ def _parser_exit(capsys, parse, argv):
     return (info.value.code, *capsys.readouterr())
 
 
+# a complete argv of each subcommand; no file it names is read before
+# argparse has accepted the whole line
+ACCEPTED_ARGV = {
+    "gen-identity": ["--q", "25", "--ell", "1", "--k", "2"],
+    "challenge": ["--identity", "id.json"],
+    "verify": ["--identity", "id.json", "--challenge", "ch.json"],
+    "encrypt": ["--challenge", "ch.json", "--ell-prime", "3", "--seeds-out", "seeds.json"],
+    "decrypt": ["--secret", "secret.json", "--seeds", "seeds.json"],
+    "params": ["--q", "25", "--ell", "1", "--k", "2"],
+    "leakage-bound": ["--q", "5", "--ell-prime", "3", "--kappa", "0.2"],
+    "leakage-exact": ["--q", "3"],
+    "capacity-check": ["--n-seq", "2"],
+    "bench": [],
+}
+# spellings of values the program works out elsewhere, which no subcommand
+# takes: a field's (p, m), which --q fixes, and a ciphertext length planned
+# from (kappa, epsilon), which is params' ell_prime
+NOT_TAKEN = [(name, flag) for name in cli.SUBCOMMANDS for flag in ("--p", "--m")] + [
+    ("encrypt", "--kappa"), ("encrypt", "--epsilon"),
+]
+
+
+@pytest.mark.parametrize("name, flag", NOT_TAKEN, ids=lambda value: value)
+def test_values_the_program_works_out_are_not_flags(capsys, name, flag):
+    code, out, err = _parser_exit(capsys, main, [name, *ACCEPTED_ARGV[name], flag, "3"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: secrid")
+    assert err.endswith(f"error: unrecognized arguments: {flag} 3\n")
+
+
+@pytest.mark.parametrize("key", ["p", "m"])
+def test_a_config_names_a_field_only_as_q(tmp_path, capsys, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 3\n")
+    code, out, err = run_cli(capsys, "params", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "kind": "DomainError", "message": f"{cfg}:1: unknown key {key!r}",
+    }
+
+
 def _argv_the_parser_refuses_or_answers():
     """-h, --version, no arguments and an unknown subcommand; then for each
-    subcommand -h, an unknown flag, its required flags missing, each typed
-    flag given a bad value, each choice a bad one, and both flags of an
-    exclusive pair."""
+    subcommand -h, an unknown flag, each spelling it does not take
+    (NOT_TAKEN), its required flags missing, each typed flag given a bad
+    value, each choice a bad one, and both flags of an exclusive pair."""
     cases = [["-h"], ["--version"], [], ["bogus"], ["--bogus"]]
     (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     for name, parser in sub.choices.items():
         cases += [[name, "-h"], [name, "--bogus"]]
+        cases += [[name, flag, "x"] for command, flag in NOT_TAKEN if command == name]
         flags = [a for a in parser._actions if a.option_strings]
         if any(a.required for a in flags):
             cases.append([name])
@@ -1191,25 +1178,26 @@ EDGE_FLAGS = {
         f"params_{policy}": (
             ["params", "--q", "59049", "--ell", "2", "--k", "20", "--kappa", "0.2",
              "--budget-policy", policy],
-            ("--ell", "--k", "--kappa", "--epsilon"),
+            ("--q", "--ell", "--k", "--kappa", "--epsilon"),
         )
         for policy in rmid.BUDGET_POLICIES
     },
     "leakage_bound": (
         ["leakage-bound", "--q", "5", "--ell-prime", "3", "--kappa", "0.2"],
-        ("--ell-prime", "--kappa", "--d2-bits"),
+        ("--q", "--ell-prime", "--kappa", "--d2-bits"),
     ),
     "encrypt": (
-        ["encrypt", "--challenge", "{challenge}", "--seeds-out", "{seeds}",
-         "--kappa", "0.2", "--epsilon", "0.01"],
-        ("--ell-prime", "--kappa", "--epsilon"),
+        ["encrypt", "--challenge", "{challenge}", "--seeds-out", "{seeds}"],
+        ("--ell-prime",),
     ),
-    "leakage_exact": (["leakage-exact", "--q", "3"], ("--ell-prime",)),
-    "capacity_check": (["capacity-check"], ("--n-seq",)),
+    "leakage_exact": (["leakage-exact", "--q", "3"], ("--q", "--ell-prime")),
+    "capacity_check": (["capacity-check", "--n-seq", "2"], ("--n-seq", "--sweep-to")),
     "gen_identity": (
         ["gen-identity", "--q", "5", "--ell", "1", "--k", "2", "--seed", "1"],
-        ("--ell", "--k", "--n"),
+        ("--q", "--seed", "--ell", "--k", "--n"),
     ),
+    # --reps is left out: at 2^64 a grid would run for as long as it was let
+    "bench": (["bench"], ("--q",)),
 }
 EDGE_VALUES = ["nan", "inf", "-inf", "0", "-0.0", "5e-324", "1e-320", "1e308", "-1", str(2 ** 64)]
 
@@ -1297,6 +1285,26 @@ ERROR_PATHS = {
         ["leakage-bound", "--q", "5", "--ell-prime", "1", "--kappa", "0.2"],
         "ValueError", "ciphertext length must be an integer >= 2, got 1",
     ),
+    "leakage_bound_negative_kappa": (
+        ["leakage-bound", "--q", "9", "--ell-prime", "3", "--kappa", "-1"],
+        "ValueError", "kappa must be a fraction in [0, 1], got -1.0",
+    ),
+    "leakage_bound_nan_kappa": (
+        ["leakage-bound", "--q", "9", "--ell-prime", "3", "--kappa", "nan"],
+        "ValueError", "kappa must be a fraction in [0, 1], got nan",
+    ),
+    "leakage_bound_kappa_above_one": (
+        ["leakage-bound", "--q", "9", "--ell-prime", "3", "--kappa", "1.5"],
+        "ValueError", "kappa must be a fraction in [0, 1], got 1.5",
+    ),
+    # a channel that takes no delta still has its text checked
+    **{
+        f"leakage_exact_{channel}_malformed_delta": (
+            ["leakage-exact", "--q", "9", "--channel", channel, "--delta", "abc"],
+            "ValueError", "Invalid literal for Fraction: 'abc'",
+        )
+        for channel in ("identity", "uniform")
+    },
     "encrypt_ell_prime_1": (
         ["encrypt", "--challenge", "{challenge}", "--ell-prime", "1", "--seeds-out", "{missing}"],
         "ValueError", "ciphertext length must be an integer >= 2, got 1",
@@ -1769,7 +1777,8 @@ def test_mistyped_record_files_fail_with_json_error(
 
 
 @pytest.mark.parametrize(
-    "case", ["identity_m_100000", "q_mersenne_61", "p_m", "challenge_q", "seeds_q"]
+    "case",
+    ["identity_m_100000", "q_mersenne_61", "params_q_mersenne_61", "challenge_q", "seeds_q"],
 )
 def test_oversized_fields_fail_fast(pipeline, tmp_path, case):
     identity, _ = pipeline
@@ -1785,7 +1794,7 @@ def test_oversized_fields_fail_fast(pipeline, tmp_path, case):
     argv = {
         "identity_m_100000": ["challenge", "--identity", str(big_id)],
         "q_mersenne_61": ["gen-identity", "--q", str(2 ** 61 - 1), "--ell", "1", "--k", "1"],
-        "p_m": ["params", "--p", "2", "--m", "100000", "--ell", "1", "--k", "1"],
+        "params_q_mersenne_61": ["params", "--q", str(2 ** 61 - 1), "--ell", "1", "--k", "1"],
         "challenge_q": [
             "encrypt", "--challenge", str(big_q), "--ell-prime", "3",
             "--seeds-out", str(seeds_out),

@@ -459,6 +459,15 @@ def test_kappa_d2_bits():
     assert kappa_d2_bits(params, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("kappa", [-1.0, float("nan"), 1.5])
+def test_kappa_d2_bits_refuses_a_kappa_outside_the_unit_interval(kappa):
+    params = params_for(59049, 3)
+    with pytest.raises(ValueError) as exc:
+        kappa_d2_bits(params, kappa)
+    assert str(exc.value) == f"kappa must be a fraction in [0, 1], got {kappa}"
+    assert kappa_d2_bits(params, 1.0) == 3 * math.log2(59049)  # the whole ciphertext
+
+
 # ---------------------------------------------------------------------------
 # length planning
 
