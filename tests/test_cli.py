@@ -856,7 +856,20 @@ def test_bench_resolves_its_field_from_any_field_flag(
     assert out.splitlines()[0].startswith("schema_version,")
 
 
-@pytest.mark.parametrize("kappas", ["", "0.2,x", "0.2,,0.4"])
+def test_bench_csv_names_the_field_given_as_p_and_m(capsys):
+    # q = 25 is the field of characteristic p = 5 and degree m = 2; the CSV
+    # names it by its order, whichever way it was given
+    code, out, err = run_cli(
+        capsys,
+        "bench", "--q", "25", "--reps", "30", "--seed", "0",
+    )
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 4
+    assert {row["q"] for row in rows} == {"25"}
+
+
+@pytest.mark.parametrize("kappas",["", "0.2,x", "0.2,,0.4"])
 def test_bench_parses_every_kappa_before_any_grid_runs(capsys, monkeypatch, kappas):
     # an empty kappa list used to bench the default kappa, and a bad value
     # used to fail only after the grids before it had run
