@@ -163,7 +163,9 @@ def leakage_work(
     """Work units (~0.1 us) exact_leakage takes at most on params through a
     channel of n_outputs outputs scaled to ints by scale (b bits), pivots
     pivot classes and steps, the walk's (terms, count) pairs; the defaults
-    bound an unbuilt channel from below.  Charged: the channel and its
+    bound an unbuilt channel from below, as n_outputs = q and scale =
+    delta's denominator (1 without one) bound a named channel's, which the
+    CLI checks before it builds any channel.  Charged: the channel and its
     q^2 |Z| kernel pass; ell' + 1 weights of ~ell' bits(2 q scale) bits; the
     walk's classes, at most pivots C(S + k - 2, k - 1) at level k, each q
     per sum and, below ell', per term and key of a step, x (1 + ell' b^1.5

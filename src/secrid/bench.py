@@ -25,6 +25,7 @@ from .rmid import IdCodeParams, Identity, Record, generate_multi, verify_multi
 from .wiretap import SecrecyParams, encrypt_tags, decrypt_tags, sample_seed
 
 MIN_REPS = 30
+MAX_REPS = 1000  # 20x the default of 50
 _MIN_SAMPLE_SECONDS = 2e-4
 
 BENCH_SCHEMA_VERSION = 1
@@ -84,7 +85,9 @@ def _time_op(op: Callable[[], object], reps: int) -> list[float]:
 def run_bench(report: PlanReport, reps: int, rng: random.Random) -> list[BenchRecord]:
     """Measure one planned parameter point.  reps = 0 is a dry run that
     yields nothing; otherwise at least MIN_REPS repetitions are required so
-    the medians mean something."""
+    the medians mean something, and at most MAX_REPS so the run ends."""
+    if reps > MAX_REPS:
+        raise ValueError(f"at most {MAX_REPS} repetitions, got {reps}")
     if reps == 0:
         return []
     if reps < MIN_REPS:

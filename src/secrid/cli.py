@@ -2,7 +2,8 @@
 
 JSON goes to stdout, machine-readable errors go to stderr as JSON with exit
 code 1; argparse handles usage errors with exit code 2.  Every drawing
-subcommand takes --seed, and identical seeds give byte-identical output.
+subcommand takes --seed, and identical seeds give byte-identical output;
+bench's CSV holds timings, so its --seed fixes which identities are timed.
 A --config file (KEY = VALUE lines, # comments) sets the default of each
 flag it names; explicit flags win.
 
@@ -169,20 +170,6 @@ def _channel(kind: str, q: int, delta):
 
     make = getattr(ChannelModel, kind)
     return make(q) if delta is None else make(q, delta)
-
-
-def _channel_scale(kind: str, q: int, delta) -> int:
-    """The scale _channel(kind, q, delta) will have, the lcm of its entries'
-    denominators, without building its q x q matrix.  An erasure channel
-    holds 1 - delta, 0 and delta; a symmetric one 1 - d and d / (q - 1),
-    whose denominator is a multiple of d's, with d = 0 for identity and
-    (q - 1) / q for uniform."""
-    from fractions import Fraction
-
-    if kind == "erasure":
-        return delta.denominator
-    d = {"identity": Fraction(0), "uniform": Fraction(q - 1, q)}.get(kind, delta)
-    return (d / (q - 1)).denominator
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +341,16 @@ def cmd_leakage_exact(args) -> list:
     if args.channel in ("identity", "uniform"):  # no delta: one channel serves every point
         deltas = [None]
     # every point is sized before any channel is built (at a large q the
-    # matrix is the cost), at the scale its channel will have
-    n_out = field.q + (args.channel == "erasure")  # the erasure mark
+    # matrix is the cost), at bounds below its channel's: |Z| >= q, and a
+    # scale that delta's denominator divides; then at each built channel's,
+    # before any point runs
     for params in points:
         for d in deltas:
-            leakage_work(params, n_out, _channel_scale(args.channel, field.q, d))
+            leakage_work(params, field.q, 1 if d is None else d.denominator)
     channels = [_channel(args.channel, field.q, d) for d in deltas]
+    for params in points:
+        for channel in channels:
+            leakage_work(params, channel.n_outputs, channel.scale)
     reports = [exact_leakage(params, channel) for params in points for channel in channels]
     if not args.sweep:
         return [(args.out or "-", _dumps(reports[0].to_json_dict()))]

@@ -122,6 +122,21 @@ def test_product_channel_d2_factorizes():
             assert channel_power(base, n).d2_pow == single ** n
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 101])
+@pytest.mark.parametrize("kind", ["identity", "uniform", "symmetric", "erasure"])
+def test_named_channels_meet_the_bounds_a_point_is_first_sized_at(kind, q):
+    # leakage-exact sizes each point at |Z| = q and scale = delta's
+    # denominator (1 without a delta) before it builds a channel, which is
+    # a lower bound only if every named channel has at least those
+    deltas = [None] if kind in ("identity", "uniform") else [
+        Fraction(0), Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), Fraction(5, 6), Fraction(1)]
+    make = getattr(ChannelModel, kind)
+    for delta in deltas:
+        channel = make(q) if delta is None else make(q, delta)
+        assert channel.n_outputs >= q
+        assert channel.scale % (1 if delta is None else delta.denominator) == 0
+
+
 # ---------------------------------------------------------------------------
 # exact leakage, with an independent joint-law oracle
 

@@ -763,29 +763,30 @@ def test_a_delta_free_sweep_runs_each_ell_prime_once(capsys, monkeypatch, channe
 
 def test_a_sweep_sizes_each_point_at_its_channels_scale(capsys, monkeypatch):
     # GF(3) at delta = 1/8 scales by 16, not 8: ell' = 2100 is refused
-    # before ell' = 1000 runs
+    # before ell' = 1000 runs; GF(101) at 1e-2144 scales by 10^2146, not
+    # 10^2144, so the point is refused once its channel is built
     monkeypatch.setattr(analysis, "exact_leakage", lambda *point: pytest.fail(f"{point} ran"))
-    code, out, err = run_cli(
-        capsys, "leakage-exact", "--q", "3", "--sweep", "--deltas", "1/8",
-        "--ell-primes", "1000,2100",
-    )
-    assert (code, out) == (1, "")
     limit = sys.get_int_max_str_digits()
-    assert json.loads(err)["error"] == {
-        "kind": "ValueError",
-        "message": f"the exact report would write an integer past {limit} digits",
-    }
+    for argv in [
+        ["--q", "3", "--sweep", "--deltas", "1/8", "--ell-primes", "1000,2100"],
+        ["--q", "101", "--delta", "1e-2144"],
+    ]:
+        code, out, err = run_cli(capsys, "leakage-exact", *argv)
+        assert (code, out) == (1, ""), argv
+        assert json.loads(err)["error"] == {
+            "kind": "ValueError",
+            "message": f"the exact report would write an integer past {limit} digits",
+        }
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9, 101])
-@pytest.mark.parametrize("channel", ["identity", "uniform", "symmetric", "erasure"])
-def test_channel_scale_is_the_built_channels(channel, q):
-    from fractions import Fraction
-
-    deltas = [None] if channel in ("identity", "uniform") else [
-        Fraction(0), Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), Fraction(5, 6), Fraction(1)]
-    for delta in deltas:
-        assert cli._channel_scale(channel, q, delta) == cli._channel(channel, q, delta).scale
+def test_bench_refuses_more_repetitions_than_its_limit(capsys):
+    # 2^64 repetitions ran until killed; the limit is checked before any
+    # identity is minted
+    code, out, err = run_cli(capsys, "bench", "--q", "25", "--reps", "1001")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": {
+        "kind": "ValueError", "message": "at most 1000 repetitions, got 1001",
+    }}
 
 
 def test_small_sweeps_start_no_process(capsys, monkeypatch):
@@ -1209,8 +1210,7 @@ EDGE_FLAGS = {
         ["gen-identity", "--q", "5", "--ell", "1", "--k", "2", "--seed", "1"],
         ("--q", "--seed", "--ell", "--k", "--n"),
     ),
-    # --reps is left out: at 2^64 a grid would run for as long as it was let
-    "bench": (["bench"], ("--q",)),
+    "bench": (["bench"], ("--q", "--reps")),
 }
 EDGE_VALUES = ["nan", "inf", "-inf", "0", "-0.0", "5e-324", "1e-320", "1e308", "-1", str(2 ** 64)]
 
