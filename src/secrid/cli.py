@@ -133,10 +133,10 @@ def _load_config(path: str) -> dict:
 
 
 def _read_records(path: str, key: str, record_cls, field: Field | None = None):
-    """(header, field, records) of a challenge, secret-challenge or seeds file.
-    q is an integer naming the field, optional only if the field is given;
-    ell and ell_prime, if present, integers; every point r canonical, all
-    of one length."""
+    """(header, field, records, ell) of a challenge, secret-challenge or seeds
+    file.  q is an integer naming the field, optional only if the field is
+    given; ell and ell_prime, if present, integers; every point r canonical,
+    all of one length, ell: the header's, else the first point's."""
     header = _read_json(path)
     records = tuple(record_cls.from_json_dict(obj) for obj in json_field(header, key, list))
     if field is None:
@@ -155,7 +155,7 @@ def _read_records(path: str, key: str, record_cls, field: Field | None = None):
         if len(r) != ell:
             raise ValueError(f"challenge point has {len(r)} coordinates, expected {ell!r}")
         field._check_all(r)
-    return header, field, records
+    return header, field, records, ell
 
 
 def _record_file(key: str, records, **header) -> str:
@@ -220,7 +220,8 @@ def cmd_challenge(args) -> list:
 
 def cmd_verify(args) -> list:
     identity = Identity.from_json_dict(_read_json(args.identity))
-    _, _, challenges = _read_records(args.challenge, "challenges", Challenge, identity.params.field)
+    field = identity.params.field
+    _, _, challenges, _ = _read_records(args.challenge, "challenges", Challenge, field)
     failed = first_failure(identity, MultiChallenge(challenges))
     if failed is not None:
         sys.stderr.write(f"reject: challenge {failed} (0-based) is the first to fail\n")
@@ -237,7 +238,7 @@ def cmd_encrypt(args) -> list:
 
     if not args.seeds_out:  # the one output that may not be left out
         raise DomainError("--seeds-out names no file")
-    header, field, challenges = _read_records(args.challenge, "challenges", Challenge)
+    _, field, challenges, ell = _read_records(args.challenge, "challenges", Challenge)
     if not challenges:
         raise DomainError("challenge file holds no challenges")
     _require(args, "ell_prime")
@@ -250,7 +251,6 @@ def cmd_encrypt(args) -> list:
     rng = random.Random(args.seed)
     seeds = [sample_seed(params, rng) for _ in challenges]
     secrets = encrypt_tags(params, MultiChallenge(challenges), seeds, rng)
-    ell = header.get("ell", len(challenges[0].r))
     text = _record_file("secret_challenges", secrets, q=field.q, ell=ell, ell_prime=ell_prime)
     # an output that was not asked for is not built
     return [
@@ -264,8 +264,8 @@ def cmd_encrypt(args) -> list:
 def cmd_decrypt(args) -> list:
     from .wiretap import SecrecyParams, SecretChallenge, Seed, decrypt_tags
 
-    secret_obj, field, secrets = _read_records(args.secret, "secret_challenges", SecretChallenge)
-    seeds_obj, seeds_field, seeds = _read_records(args.seeds, "seeds", Seed)
+    secret_obj, field, secrets, ell = _read_records(args.secret, "secret_challenges", SecretChallenge)
+    seeds_obj, seeds_field, seeds, _ = _read_records(args.seeds, "seeds", Seed)
     if seeds_field != field:
         raise DomainError("secret challenges and seeds disagree on q")
     if secret_obj.get("ell_prime") != seeds_obj.get("ell_prime"):
@@ -274,7 +274,6 @@ def cmd_decrypt(args) -> list:
         raise DomainError("secret challenge file holds no challenges")
     params = SecrecyParams(field, seeds_obj["ell_prime"])
     challenges = decrypt_tags(params, seeds, secrets).challenges
-    ell = secret_obj.get("ell")
     return [("-", _record_file("challenges", challenges, q=field.q, ell=ell, n=len(challenges)))]
 
 
@@ -324,11 +323,10 @@ def cmd_leakage_exact(args) -> list:
     from .wiretap import SecrecyParams
 
     field = _field(args)
-    # a point is a sweep of one
-    if args.sweep:
-        ell_primes, deltas = args.ell_primes.split(","), args.deltas.split(",")
-    else:
-        ell_primes, deltas = [args.ell_prime], [args.delta]
+    # a point is a sweep of one; a config's ell_prime is an int
+    ell_primes, deltas = str(args.ell_prime).split(","), args.delta.split(",")
+    if not args.sweep and len(ell_primes) * len(deltas) > 1:
+        raise DomainError("a comma list of --ell-prime or --delta needs --sweep")
     points = [SecrecyParams(field, int(v)) for v in ell_primes]
     # a term of Fraction(text) has at most len(text) + |exponent| digits,
     # refused past the int-to-str limit (0: none): "1e-30000000" takes ~1 min
@@ -437,18 +435,16 @@ SUBCOMMANDS = {
     "leakage-bound": (cmd_leakage_bound, "closed-form leakage bounds", [
         *CONFIG_FLAG, *FIELD_FLAG,
         ("--ell-prime", dict(type=int, default=None)),
-        ("--d2-bits", dict(type=float, default=None)),
-        ("--kappa", dict(type=float, default=None)),
+        [("--d2-bits", dict(type=float, default=None)),
+         ("--kappa", dict(type=float, default=None))],
     ]),
     "leakage-exact": (cmd_leakage_exact, "exhaustive leakage for a toy observer channel", [
         *CONFIG_FLAG, *FIELD_FLAG,
-        ("--ell-prime", dict(type=int, default=2)),
+        ("--ell-prime", dict(default="2", help="ciphertext length; a comma list with --sweep")),
         ("--channel", dict(choices=["identity", "uniform", "symmetric", "erasure"],
                            default="symmetric")),
-        ("--delta", dict(default="0", help="channel parameter, e.g. 1/8")),
+        ("--delta", dict(default="0", help="channel parameter, e.g. 1/8; a comma list with --sweep")),
         ("--sweep", dict(action="store_true", help="emit a CSV grid instead")),
-        ("--deltas", dict(default="0,1/8,1/4,1/2", help="comma list for --sweep")),
-        ("--ell-primes", dict(default="2,3", help="comma list for --sweep")),
         ("--out", dict(help="output path, - for stdout (the default)")),
     ]),
     "capacity-check": (cmd_capacity_check, "scaling ratios of the doubly exponential family", [

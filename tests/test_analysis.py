@@ -781,7 +781,7 @@ def test_a_leakage_sweep_builds_its_tables_once(capsys):
     from secrid.cli import main
 
     analysis._leakage_tables.cache_clear()
-    argv = ["leakage-exact", "--q", "9", "--sweep", "--ell-primes", "2,3", "--deltas", "1/8,1/4"]
+    argv = ["leakage-exact", "--q", "9", "--sweep", "--ell-prime", "2,3", "--delta", "1/8,1/4"]
     assert main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 5  # header and 2 x 2 points
     assert analysis._leakage_tables.cache_info().misses == 1

@@ -252,6 +252,24 @@ def test_encrypt_decrypt_restores_challenges(pipeline, tmp_path, capsys):
     assert restored["challenges"] == original["challenges"]
 
 
+def test_decrypt_writes_the_ell_of_its_points_when_the_header_has_none(
+    pipeline, tmp_path, capsys
+):
+    # the header's ell is optional; decrypt wrote "ell": null, which verify refused
+    identity, challenge = pipeline
+    seeds, secret, restored = tmp_path / "seeds.json", tmp_path / "secret.json", tmp_path / "dec.json"
+    secret_obj = json.loads(run_cli(
+        capsys, "encrypt", "--challenge", str(challenge), "--ell-prime", "3",
+        "--seeds-out", str(seeds), "--seed", "11",
+    )[1])
+    del secret_obj["ell"]
+    secret.write_text(json.dumps(secret_obj))
+    restored.write_text(run_cli(capsys, "decrypt", "--secret", str(secret), "--seeds", str(seeds))[1])
+    assert json.loads(restored.read_text())["ell"] == 2
+    obj = run_json(capsys, "verify", "--identity", str(identity), "--challenge", str(restored))
+    assert obj == {"accept": True}
+
+
 def test_a_subnormal_epsilon_plans_a_finite_length(capsys):
     # 1/epsilon is inf here: min_cipher_length raised OverflowError
     plan = run_json(capsys, "params", "--q", "59049", "--ell", "2", "--k", "20",
@@ -655,12 +673,12 @@ def test_leakage_exact_refuses_a_huge_ell_prime_by_its_size(capsys, monkeypatch)
     [
         # refused from the text: Fraction("1e-30000000") alone takes ~1 min
         (("--delta", "1e-30000000"), "DomainError"),
-        (("--sweep", "--deltas", "1/8,1e-30000000"), "DomainError"),
+        (("--sweep", "--delta", "1/8,1e-30000000"), "DomainError"),
         (("--delta", "1e-300000"), "DomainError"),
-        (("--sweep", "--deltas", "1/8,1e-300000"), "DomainError"),
+        (("--sweep", "--delta", "1/8,1e-300000"), "DomainError"),
         # parsed, then refused by its denominators of ~2 * 2150 digits
         (("--delta", "1e-2150"), "ValueError"),
-        (("--sweep", "--deltas", "1/8,1e-2150"), "ValueError"),
+        (("--sweep", "--delta", "1/8,1e-2150"), "ValueError"),
     ],
     ids=[
         "point_huge", "sweep_huge", "point", "sweep",
@@ -736,7 +754,7 @@ def test_leakage_exact_sweep_writes_one_row_per_point(tmp_path, capsys):
     out = tmp_path / "one.csv"
     assert main([
         "leakage-exact", "--q", "2", "--sweep", "--channel", "symmetric",
-        "--ell-primes", "2,3", "--deltas", "0,1/4,1/2", "--out", str(out),
+        "--ell-prime", "2,3", "--delta", "0,1/4,1/2", "--out", str(out),
     ]) == 0
     capsys.readouterr()
     rows = list(csv.reader(io.StringIO(out.read_text())))
@@ -749,12 +767,13 @@ def test_leakage_exact_sweep_writes_one_row_per_point(tmp_path, capsys):
 
 @pytest.mark.parametrize("channel", ["identity", "uniform"])
 def test_a_delta_free_sweep_runs_each_ell_prime_once(capsys, monkeypatch, channel):
-    # one channel serves every --deltas entry, which wrote 4 equal rows per ell'
+    # one channel serves every --delta entry, which wrote 4 equal rows per ell'
     calls = []
     run = analysis.exact_leakage
     monkeypatch.setattr(analysis, "exact_leakage", lambda *point: calls.append(point) or run(*point))
     code, out, err = run_cli(
-        capsys, "leakage-exact", "--q", "9", "--channel", channel, "--sweep", "--ell-primes", "2,3"
+        capsys, "leakage-exact", "--q", "9", "--channel", channel, "--sweep",
+        "--ell-prime", "2,3", "--delta", "0,1/8,1/4,1/2",
     )
     assert code == 0, err
     assert [row[1:3] for row in csv.reader(io.StringIO(out))][1:] == [["2", ""], ["3", ""]]
@@ -768,7 +787,7 @@ def test_a_sweep_sizes_each_point_at_its_channels_scale(capsys, monkeypatch):
     monkeypatch.setattr(analysis, "exact_leakage", lambda *point: pytest.fail(f"{point} ran"))
     limit = sys.get_int_max_str_digits()
     for argv in [
-        ["--q", "3", "--sweep", "--deltas", "1/8", "--ell-primes", "1000,2100"],
+        ["--q", "3", "--sweep", "--delta", "1/8", "--ell-prime", "1000,2100"],
         ["--q", "101", "--delta", "1e-2144"],
     ]:
         code, out, err = run_cli(capsys, "leakage-exact", *argv)
@@ -777,6 +796,28 @@ def test_a_sweep_sizes_each_point_at_its_channels_scale(capsys, monkeypatch):
             "kind": "ValueError",
             "message": f"the exact report would write an integer past {limit} digits",
         }
+
+
+def test_each_leakage_input_is_taken_one_way(capsys, monkeypatch):
+    # a sweep's grid is the lists --ell-prime and --delta give (--delta 1/4
+    # wrote the default grid's 8 rows), a point takes one entry of each, and
+    # leakage-bound one budget (--kappa was dropped when --d2-bits was given)
+    code, out, err = run_cli(
+        capsys, "leakage-exact", "--q", "3", "--sweep", "--ell-prime", "2,3", "--delta", "1/4"
+    )
+    assert code == 0, err
+    assert [row[1:3] for row in csv.reader(io.StringIO(out))][1:] == [["2", "0.25"], ["3", "0.25"]]
+    monkeypatch.setattr(cli, "_channel", lambda *a: pytest.fail(f"channel {a} built"))
+    for flags in (["--ell-prime", "2,3"], ["--delta", "0,1/4"]):
+        code, out, err = run_cli(capsys, "leakage-exact", "--q", "3", *flags)
+        assert (code, out) == (1, ""), flags
+        assert json.loads(err)["error"] == {
+            "kind": "DomainError", "message": "a comma list of --ell-prime or --delta needs --sweep",
+        }
+    argv = ["leakage-bound", "--q", "25", "--ell-prime", "3", "--d2-bits", "1", "--kappa", "0.5"]
+    code, out, err = _parser_exit(capsys, main, argv)
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --kappa: not allowed with argument --d2-bits\n")
 
 
 def test_bench_refuses_more_repetitions_than_its_limit(capsys):
@@ -801,7 +842,7 @@ def test_small_sweeps_start_no_process(capsys, monkeypatch):
     # a point above the limit is refused before any point runs
     monkeypatch.setattr(analysis, "exact_leakage", lambda *point: pytest.fail(f"{point} ran"))
     code, out, err = run_cli(
-        capsys, "leakage-exact", "--q", "9", "--sweep", "--ell-primes", "2,4096"
+        capsys, "leakage-exact", "--q", "9", "--sweep", "--ell-prime", "2,4096"
     )
     assert (code, out) == (1, "")
     error = json.loads(err)["error"]
@@ -1094,11 +1135,13 @@ ACCEPTED_ARGV = {
     "capacity-check": ["--n-seq", "2"],
     "bench": [],
 }
-# spellings of values the program works out elsewhere, which no subcommand
-# takes: a field's (p, m), which --q fixes, and a ciphertext length planned
-# from (kappa, epsilon), which is params' ell_prime
+# spellings of values the program works out elsewhere, or takes under
+# another name, which no subcommand takes: a field's (p, m), which --q
+# fixes, a ciphertext length planned from (kappa, epsilon), which is
+# params' ell_prime, and a sweep's lists, which --ell-prime and --delta take
 NOT_TAKEN = [(name, flag) for name in cli.SUBCOMMANDS for flag in ("--p", "--m")] + [
     ("encrypt", "--kappa"), ("encrypt", "--epsilon"),
+    ("leakage-exact", "--ell-primes"), ("leakage-exact", "--deltas"),
 ]
 
 
@@ -1200,6 +1243,9 @@ EDGE_FLAGS = {
         ["leakage-bound", "--q", "5", "--ell-prime", "3", "--kappa", "0.2"],
         ("--q", "--ell-prime", "--kappa", "--d2-bits"),
     ),
+    # --d2-bits and --kappa exclude each other, so the argv above stops at
+    # argparse when --d2-bits is added
+    "leakage_bound_d2": (["leakage-bound", "--q", "5", "--ell-prime", "3"], ("--d2-bits",)),
     "encrypt": (
         ["encrypt", "--challenge", "{challenge}", "--seeds-out", "{seeds}"],
         ("--ell-prime",),
@@ -1640,16 +1686,17 @@ REPORT_SHA256 = {
         "297989a754c13920a5a0f0209a1fa5a076231339286b6db8b13cdda52495a5e5",
     ),
     "leakage_sweep": (
-        ["leakage-exact", "--q", "5", "--sweep"],
+        ["leakage-exact", "--q", "5", "--sweep", "--ell-prime", "2,3", "--delta", "0,1/8,1/4,1/2"],
         "05465d2c302efebf0f364654763bd6b6668404374a0e3b69fe34715f14972f8a",
     ),
     # a parameter-free channel: one row per ell', its delta column empty
     "leakage_sweep_identity": (
-        ["leakage-exact", "--q", "3", "--sweep", "--channel", "identity"],
+        ["leakage-exact", "--q", "3", "--sweep", "--channel", "identity", "--ell-prime", "2,3"],
         "36c0aef8413d9873394ee51525e624ba2dd20be94b4b92c3989c154a08303744",
     ),
     "leakage_sweep_erasure": (
-        ["leakage-exact", "--q", "4", "--sweep", "--channel", "erasure", "--deltas", "0,1/3,1"],
+        ["leakage-exact", "--q", "4", "--sweep", "--channel", "erasure", "--ell-prime", "2,3",
+         "--delta", "0,1/3,1"],
         "c75995cdd57cf12e6ae81d87ccc2d7107f94e699a085844f18e9f70196881297",
     ),
     "leakage_point": (
