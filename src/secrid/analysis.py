@@ -2,11 +2,13 @@
 
 Everything here exists to check the closed-form accounting exactly at toy
 scale: exact total variation between conditional seed-observation laws for
-a given per-symbol observation channel (an integer dynamic program over the
-seed directions, level by level, one convolved f per class of translates,
-which share every sum, with its count), exact collision-entropy budgets,
-and exact identification error fractions (a zero count of the difference
-polynomial, one variable substituted at a time through
+a given per-symbol observation channel (a closed form in O(1) powers on a
+spike channel, each column a constant plus one spike, as the CLI's four
+named channels are; on every other channel an integer dynamic program over
+the seed directions, level by level, one convolved f per class of
+translates, which share every sum, with its count), exact collision-entropy
+budgets, and exact identification error fractions (a zero count of the
+difference polynomial, one variable substituted at a time through
 rmid.substitution_plan, the Horner plan evaluate_tag folds by, with
 lookups in a q x q multiply-add table built once per field: for q <= 16
 every level below the first runs for all prefixes at once on byte
@@ -53,7 +55,10 @@ class ChannelModel(Record):
     times scale as ints, each summing to scale; n_outputs; and d2_pow,
     2^(D2(W || P_X W | P_X)) exactly at uniform input P_X: with output law
     py(z) = sum_x W(z | x) / q, it is sum_(x,z) W(z | x)^2 / (q py(z)),
-    summed over the integer columns into one Fraction."""
+    summed over the integer columns into one Fraction; and spike_sum, for
+    exact_leakage's closed form: sum_z |b_z| when every scaled column is a
+    constant plus one spike, c_z + b_z [x = x_z] (b_z = 0 for a constant
+    column), else None."""
 
     def __init__(
         self, kind: str, q: int, matrix: tuple[tuple[Fraction, ...], ...],
@@ -74,10 +79,19 @@ class ChannelModel(Record):
                 raise ValueError("negative transition probability")
             if sum(row) != scale:
                 raise ValueError(f"row of {kind} channel sums to {Fraction(sum(row), scale)}")
-        cols = [(sum(col), sum(v * v for v in col)) for col in zip(*scaled) if any(col)]
+        cols, spike_sum = [], 0
+        for col in zip(*scaled):
+            if spike_sum is not None:  # c + b [x = x_z]: all but one entry equal, |b| = hi - lo
+                lo, hi = min(col), max(col)
+                spiked = col.count(lo) >= q - 1 or col.count(hi) >= q - 1
+                spike_sum = spike_sum + hi - lo if spiked else None
+            if any(col):
+                cols.append((sum(col), sum(v * v for v in col)))
         common = math.lcm(*(py for py, _ in cols))
         d2_pow = Fraction(sum(sq * (common // py) for py, sq in cols), scale * common)
-        self.__dict__.update(scale=scale, scaled=scaled, n_outputs=width, d2_pow=d2_pow)
+        self.__dict__.update(
+            scale=scale, scaled=scaled, n_outputs=width, d2_pow=d2_pow, spike_sum=spike_sum,
+        )
 
     @classmethod
     def identity(cls, q: int) -> "ChannelModel":
@@ -196,9 +210,7 @@ def leakage_work(
 def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport:
     """Measure both leakage statistics of the hyperplane cipher exactly, then
     cross-check them against the closed-form bounds at the channel's true
-    collision budget.  leakage_work refuses a point too large before the
-    kernel pass, and again from the first level and the steps, before the
-    walk.
+    collision budget.  leakage_work refuses a point too large first.
 
     With f(t) = sum over x with s.x = t of prod_i W(z_i | x_i), seed (s, s0)
     and message m give P(s, s0, z | m) = f(m - s0) / (|S| q^(ell'-1)).  Over
@@ -208,11 +220,81 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
     -d give the same sum.  f is a convolution over GF(q), one step per
     coordinate with s_i != 0; a coordinate with s_i = 0 only scales f, by
     weights that sum to q over its z_i.  The step of multiplier a and output
-    z convolves with the kernel h(a x) = W(z | x).  Steps commute, so f
-    after the pivot's 1 and k - 1 nonzero entries (C(ell', k) directions
-    each) depends only on the multiset of steps: the walk goes level by
-    level in k, one f per class of translates f(. + c) with how many walks
-    reach the class.  That is exact: translating f changes neither sum, and
+    z convolves with the kernel h(a x) = W(z | x).  So level k, the
+    directions with the pivot's 1 and k - 1 nonzero entries below it
+    (C(ell', k) places for them), weighs its sums by C(ell', k)
+    (q scale)^(ell' - k) in the channel's integer rows W = scaled / scale.
+
+    A spike channel, every scaled column c_z + b_z [x = x_z] (spike_sum =
+    beta = sum_z |b_z|: the CLI's four named channels, every channel with
+    q = 2, a symmetric channel with an erasure column), takes a closed form.
+    Each kernel is a constant plus one spike, and a spike convolved with
+    c + b [t = w] is again a constant plus one spike, so every f is one,
+    with |b| the product of its steps' |b_z|.  Then sum_t |q f(t) - sum f|
+    = 2 (q - 1) |b| and sum_t |f(t) - f(t + d)| = 2 |b| for every d != 0,
+    level k's walks sum |b| to beta ((q - 1) beta)^(k - 1), and with
+    X = q scale the binomial theorem sums the levels:
+        pairwise = 2 ((X + (q - 1) beta)^ell' - X^ell') / (q - 1) / norm,
+        max = (q - 1) / q * pairwise,  norm = |S| q^(ell'-1) scale^ell'.
+    Every other channel runs _leakage_walk."""
+    field = params.field
+    q = field.q
+    if channel.q != q:
+        raise ValueError(f"channel alphabet {channel.q} does not match q={q}")
+    lp, scale = params.ell_prime, channel.scale
+    leakage_work(params, channel.n_outputs, scale)  # before the powers, or the kernel pass
+    if channel.spike_sum is None:
+        max_sum, pair_sum = _leakage_walk(params, channel)
+    else:
+        x = q * scale
+        pair_sum = 2 * ((x + (q - 1) * channel.spike_sum) ** lp - x ** lp) // (q - 1)
+        max_sum = (q - 1) * pair_sum
+    norm = params.seed_space_size * q ** (lp - 1) * scale ** lp
+    exact_max_tv = Fraction(max_sum, q * norm)
+    exact_pairwise_tv = Fraction(pair_sum, norm)
+
+    # collision budget of the vector channel at uniform input; products
+    # factorize, so the channel's per-symbol budget is raised to ell'
+    d2_pow = channel.d2_pow ** lp
+    num, den = d2_pow.numerator, d2_pow.denominator  # past float range, in exponent space
+    d2_bits = math.log2(d2_pow) if num < den << 1023 else _log2_ratio(num, den)
+    kappa_true = d2_bits / (lp * field.log2_q)
+
+    tight_sq, _ = leakage_bound_squared(q, lp, d2_pow)
+    effective_sq = min(tight_sq, Fraction(4))  # the bound is clamped at TV <= 2
+    for name, stat in (("max", exact_max_tv), ("pairwise", exact_pairwise_tv)):
+        if stat < 0 or stat > 2:
+            raise AssertionError(f"exact {name} TV {stat} outside [0, 2]")
+        if stat * stat > effective_sq:
+            raise AssertionError(
+                f"exact {name} TV {float(stat)} exceeds the tight bound; "
+                "the closed form or the enumeration is wrong"
+            )
+    bounds = leakage_bound(params, d2_bits)
+    return LeakageReport(
+        q=q,
+        ell_prime=lp,
+        channel_kind=channel.kind,
+        delta=channel.delta,
+        exact_max_tv=exact_max_tv,
+        exact_pairwise_tv=exact_pairwise_tv,
+        d2_pow=d2_pow,
+        d2_bits=d2_bits,
+        kappa_true=kappa_true,
+        bound_tight=bounds.tight,
+        bound_simplified=bounds.simplified,
+    )
+
+
+def _leakage_walk(params: SecrecyParams, channel: ChannelModel) -> tuple[int, int]:
+    """exact_leakage's level sums on any channel, weighted and summed: the
+    max TV's over q norm and the pairwise TV's over norm.  leakage_work
+    refuses the walk again from the first level and the steps.
+
+    Steps commute, so f after the pivot's 1 and k - 1 nonzero entries
+    depends only on the multiset of steps: the walk goes level by level in
+    k, one f per class of translates f(. + c) with how many walks reach the
+    class.  That is exact: translating f changes neither sum, and
     convolution commutes with translation, so what lies below a translate
     of f, or below a translated kernel, is translated alike.  The pivot's
     columns are keyed by their greatest translate, and merge with a count;
@@ -221,18 +303,12 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
     child g is keyed by its translate from its first maximum, a function
     of g that is canonical when that maximum is unique.  A constant added
     to f adds a constant to every f below it and changes no sum, so each
-    step drops low = min h: g(t) = sum_u (h(u) - low) f(t - u),
-    one term on a symmetric channel, whose steps merge to one kernel.  The
-    walk runs on the channel's integer rows, scaled once by its constructor
-    (W = scaled / scale); each sum over t is one map pipeline
-    (_leakage_tables)."""
+    step drops low = min h: g(t) = sum_u (h(u) - low) f(t - u).  Each sum
+    over t is one map pipeline (_leakage_tables)."""
     field = params.field
     q = field.q
-    if channel.q != q:
-        raise ValueError(f"channel alphabet {channel.q} does not match q={q}")
     lp, n_out = params.ell_prime, channel.n_outputs
     scale, w = channel.scale, channel.scaled
-    leakage_work(params, n_out, scale)  # before the q^2 |Z| kernel pass
     shifts, fronts, half, spreads = _leakage_tables(field)
 
     def greatest(f: tuple) -> tuple:  # the class's canonical translate
@@ -282,41 +358,8 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
     for k in range(lp, 0, -1):
         weights.append(weights[-1] * (q * scale * k) // (lp - k + 1))
     weights.reverse()
-    norm = params.seed_space_size * q ** (lp - 1) * scale ** lp
-    exact_max_tv = Fraction(sum(map(mul, weights, max_sums)), q * norm)
-    exact_pairwise_tv = Fraction(max(sum(map(mul, weights, col)) for col in zip(*pair_sums)), norm)
-
-    # collision budget of the vector channel at uniform input; products
-    # factorize, so the channel's per-symbol budget is raised to ell'
-    d2_pow = channel.d2_pow ** lp
-    num, den = d2_pow.numerator, d2_pow.denominator  # past float range, in exponent space
-    d2_bits = math.log2(d2_pow) if num < den << 1023 else _log2_ratio(num, den)
-    kappa_true = d2_bits / (lp * field.log2_q)
-
-    tight_sq, _ = leakage_bound_squared(q, lp, d2_pow)
-    effective_sq = min(tight_sq, Fraction(4))  # the bound is clamped at TV <= 2
-    for name, stat in (("max", exact_max_tv), ("pairwise", exact_pairwise_tv)):
-        if stat < 0 or stat > 2:
-            raise AssertionError(f"exact {name} TV {stat} outside [0, 2]")
-        if stat * stat > effective_sq:
-            raise AssertionError(
-                f"exact {name} TV {float(stat)} exceeds the tight bound; "
-                "the closed form or the enumeration is wrong"
-            )
-    bounds = leakage_bound(params, d2_bits)
-    return LeakageReport(
-        q=q,
-        ell_prime=lp,
-        channel_kind=channel.kind,
-        delta=channel.delta,
-        exact_max_tv=exact_max_tv,
-        exact_pairwise_tv=exact_pairwise_tv,
-        d2_pow=d2_pow,
-        d2_bits=d2_bits,
-        kappa_true=kappa_true,
-        bound_tight=bounds.tight,
-        bound_simplified=bounds.simplified,
-    )
+    pair_sum = max(sum(map(mul, weights, col)) for col in zip(*pair_sums))
+    return sum(map(mul, weights, max_sums)), pair_sum
 
 
 @lru_cache(maxsize=None)

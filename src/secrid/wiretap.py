@@ -50,6 +50,13 @@ class SecrecyParams(Record):
         q = self.field.q
         return (q ** self.ell_prime - 1) // (q - 1)
 
+    @cached
+    def top_block(self) -> int:
+        """q^(ell' - 1) = (direction_count (q - 1) + 1) / q, where the top
+        pivot's draws start in sample_seed."""
+        q = self.field.q
+        return (self.direction_count * (q - 1) + 1) // q
+
     @property
     def seed_space_size(self) -> int:
         return self.direction_count * self.field.q
@@ -127,17 +134,22 @@ def sample_seed(params: SecrecyParams, rng) -> Seed:
     cumulative counts (q^(j+1) - 1)/(q - 1): j is the one with
     q^j <= v = u (q - 1) + 1 < q^(j+1), floor(log_q v).  The estimate from
     v's bit length b, (b - 1/2) / log2 q, is within 1/2 of log_q v, so its
-    floor is within one of j and one step corrects it.  Coordinates below
-    the pivot and s0 are then uniform."""
+    floor is within one of j and one step corrects it.  The top pivot,
+    drawn with probability ~1 - 1/q, is told by v >= q^(ell' - 1) alone,
+    with no power formed.  Coordinates below the pivot and s0 are then
+    uniform."""
     field = params.field
     q = field.q
     v = rng.randrange(params.direction_count) * (q - 1) + 1
-    pivot = int((v.bit_length() - 0.5) / field.log2_q)
-    power = q ** pivot
-    if power > v:
-        pivot -= 1
-    elif power * q <= v:
-        pivot += 1
+    if v >= params.top_block:
+        pivot = params.ell_prime - 1
+    else:
+        pivot = int((v.bit_length() - 0.5) / field.log2_q)
+        power = q ** pivot
+        if power > v:
+            pivot -= 1
+        elif power * q <= v:
+            pivot += 1
     # the coordinates below the pivot, then s0, in one call
     drawn = field.sample_vector(rng, pivot + 1)
     s = drawn[:pivot] + (1,) + (0,) * (params.ell_prime - pivot - 1)

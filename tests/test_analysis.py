@@ -336,7 +336,8 @@ def test_named_channels_are_scaled_once_by_their_constructor(monkeypatch):
 @pytest.mark.parametrize("q", [5, 8, 9])  # prime, XOR and Zech fields
 def test_each_class_of_columns_is_spread_once(monkeypatch, q):
     # the columns of these channels are translates of one another, plus the
-    # constant erasure column: one spread per class and multiplier, not per column
+    # constant erasure column: one spread per class and multiplier, not per
+    # column; exact_leakage takes their closed form, so the walk runs alone
     tables = analysis._leakage_tables
     spread_cols = []
 
@@ -352,7 +353,7 @@ def test_each_class_of_columns_is_spread_once(monkeypatch, q):
         (ChannelModel.erasure(q, Fraction(1, 4)), 2),
     ]:
         spread_cols.clear()
-        exact_leakage(params_for(q, 2), channel)
+        analysis._leakage_walk(params_for(q, 2), channel)
         assert len(spread_cols) == classes * (q - 1)
 
 
@@ -453,6 +454,98 @@ def test_exact_leakage_at_the_benchmark_points(q, lp, kind, max_tv, pair_tv, d2_
     assert (report.exact_max_tv, report.exact_pairwise_tv) == expected
     assert leakage_by_walk(params, channel) == expected
     assert report.d2_pow == Fraction(d2_pow)
+
+
+def walk_tvs(params, channel):
+    """(max TV, pairwise TV) from the level walk alone, whatever the channel."""
+    q, lp = params.field.q, params.ell_prime
+    norm = params.seed_space_size * q ** (lp - 1) * channel.scale ** lp
+    max_sum, pair_sum = analysis._leakage_walk(params, channel)
+    return Fraction(max_sum, q * norm), Fraction(pair_sum, norm)
+
+
+@st.composite
+def spike_points(draw):
+    """Spike channels, every column a constant plus one spike, over prime,
+    XOR and Zech fields: symmetric and erasure at delta on both sides of
+    (q - 1)/q, identity, uniform, random binary-input channels with 2-5
+    outputs, and a symmetric channel with an erasure column; ell' as large
+    as the depth-first walk of every ordered step sequence allows."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    top = Fraction(q - 1, q)
+    delta = draw(st.one_of(
+        st.sampled_from([Fraction(0), top, Fraction(1)]),
+        st.fractions(min_value=0, max_value=top, max_denominator=12),
+        st.fractions(min_value=top, max_value=1, max_denominator=12),
+    ))
+    kind = draw(st.sampled_from(
+        ["symmetric", "erasure", "identity", "uniform", "binary", "symmetric+erasure"]))
+    if kind in ("symmetric", "erasure"):
+        channel = getattr(ChannelModel, kind)(q, delta)
+    elif kind in ("identity", "uniform"):
+        channel = getattr(ChannelModel, kind)(q)
+    elif kind == "binary":
+        q = 2
+        n_out = draw(st.integers(min_value=2, max_value=5))
+        row = st.lists(st.integers(min_value=0, max_value=4), min_size=n_out, max_size=n_out)
+        rows = [draw(row.filter(any)) for _ in range(2)]
+        channel = ChannelModel.from_matrix(kind, [[Fraction(v, sum(r)) for v in r] for r in rows])
+    else:
+        erased = draw(st.fractions(min_value=0, max_value=1, max_denominator=6))
+        rows = ChannelModel.symmetric(q, delta).matrix
+        channel = ChannelModel.from_matrix(kind, [[v * (1 - erased) for v in r] + [erased] for r in rows])
+    steps = (q - 1) * channel.n_outputs  # leakage_by_walk visits up to |Z| steps^(ell' - 1)
+    longest = 2
+    while longest < 6 and channel.n_outputs * steps ** longest <= 4000:
+        longest += 1
+    return params_for(q, draw(st.integers(min_value=2, max_value=longest))), channel
+
+
+@given(spike_points())
+@settings(max_examples=80, deadline=None)
+def test_the_spike_closed_form_matches_both_walks(point):
+    params, channel = point
+    assert channel.spike_sum is not None
+    report = exact_leakage(params, channel)
+    got = (report.exact_max_tv, report.exact_pairwise_tv)
+    assert got == walk_tvs(params, channel) == leakage_by_walk(params, channel)
+
+
+def test_only_channels_without_the_spike_form_walk(monkeypatch):
+    walks = []
+    walk = analysis._leakage_walk
+    monkeypatch.setattr(analysis, "_leakage_walk", lambda *a: walks.append(a) or walk(*a))
+    analysis._leakage_tables.cache_clear()
+    spikes = [
+        ChannelModel.identity(9), ChannelModel.uniform(9),
+        ChannelModel.symmetric(9, Fraction(1, 8)), ChannelModel.erasure(9, Fraction(1, 4)),
+        ChannelModel.from_matrix("binary", [[Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)],
+                                            [Fraction(1, 3), Fraction(2, 3), 0]]),
+    ]
+    for channel in spikes:
+        assert channel.spike_sum is not None
+        exact_leakage(params_for(channel.q, 3), channel)
+    assert walks == [] and analysis._leakage_tables.cache_info().misses == 0
+    rng = random.Random(9)
+    tied = [[Fraction(int(z in picked), 4) for z in range(9)]
+            for picked in (rng.sample(range(9), 4) for _ in range(9))]
+    for channel in (walk_channel("parity", 4, Fraction(1, 8)), ChannelModel.from_matrix("tied", tied)):
+        assert channel.spike_sum is None
+        exact_leakage(params_for(channel.q, 2), channel)
+    assert [channel.kind for _, channel in walks] == ["parity", "tied"]
+    assert analysis._leakage_tables.cache_info().misses == 2
+
+
+def test_a_point_only_the_walk_refused_gets_the_walks_value(monkeypatch):
+    # erasure GF(317) at ell' = 16 passes the first check; the walk's second
+    # check, from its 2 classes and 1 step, refused it before the closed form
+    params, channel = params_for(317, 16), ChannelModel.erasure(317, Fraction(1, 4))
+    analysis.leakage_work(params, channel.n_outputs, channel.scale)
+    with pytest.raises(ValueError, match=r" is too large for exact leakage$"):
+        analysis._leakage_walk(params, channel)
+    report = exact_leakage(params, channel)
+    monkeypatch.setattr(analysis, "WORK_LIMIT", 10 * analysis.WORK_LIMIT)
+    assert (report.exact_max_tv, report.exact_pairwise_tv) == walk_tvs(params, channel)
 
 
 def test_exact_leakage_rejects_huge_state_space():
@@ -773,18 +866,20 @@ def test_oracles_interleaved_over_their_fields_match_the_goldens():
         for run, spec in ops:
             got, expected = run(spec)
             assert got == expected, spec
-    assert analysis._leakage_tables.cache_info().currsize == 4
+    # only the parity channels (q = 4 and 9) walk; the symmetric ones are spikes
+    assert analysis._leakage_tables.cache_info().currsize == 2
     assert analysis._step_tables.cache_info().currsize == 3
 
 
-def test_a_leakage_sweep_builds_its_tables_once(capsys):
+def test_a_leakage_sweep_builds_no_tables(capsys):
+    # every channel the CLI builds is a spike channel, so no point walks
     from secrid.cli import main
 
     analysis._leakage_tables.cache_clear()
     argv = ["leakage-exact", "--q", "9", "--sweep", "--ell-prime", "2,3", "--delta", "1/8,1/4"]
     assert main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 5  # header and 2 x 2 points
-    assert analysis._leakage_tables.cache_info().misses == 1
+    assert analysis._leakage_tables.cache_info().misses == 0
 
 
 def test_step_tables_of_the_largest_field_share_their_ints():

@@ -91,6 +91,23 @@ def test_pivot_matches_the_running_sum_at_every_block_boundary(q, ell_prime):
         assert seed.pivot == pivot_by_running_sum(q, u), u
 
 
+@pytest.mark.parametrize("q", [2, 3, 9, 65521])
+@pytest.mark.parametrize("ell_prime", [2, 5])
+def test_the_top_pivot_starts_at_q_to_the_ell_prime_minus_one(q, ell_prime):
+    # sample_seed compares v = u (q - 1) + 1 with top_block = q^(ell' - 1):
+    # the top block's first draw gives v = q^(ell' - 1), and the draw before
+    # it v = q^(ell' - 1) - (q - 1), which is q^(ell' - 1) - 1 at q = 2
+    params = params_for(q, ell_prime)
+    top = q ** (ell_prime - 1)
+    assert params.top_block == top
+    first = (top - 1) // (q - 1)  # the first draw of the top block
+    for u, v, pivot in ((first - 1, top - (q - 1), ell_prime - 2), (first, top, ell_prime - 1)):
+        assert u * (q - 1) + 1 == v
+        seed = sample_seed(params, ScriptedSource([u] + [0] * (ell_prime * params.field.m)))
+        assert seed.pivot == pivot == pivot_by_running_sum(q, u)
+        assert seed.s[pivot:] == (1,) + (0,) * (ell_prime - pivot - 1)
+
+
 def test_sampler_is_exactly_uniform_over_seeds():
     # walk every draw path with its exact probability; each of the 12 seeds
     # must accumulate mass 1/12
