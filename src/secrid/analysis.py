@@ -11,10 +11,10 @@ budgets, and exact identification error fractions (a zero count of the
 difference polynomial, one variable substituted at a time through
 rmid.substitution_plan, the Horner plan evaluate_tag folds by, with
 lookups in a q x q multiply-add table built once per field: for q <= 16
-every level below the first runs for all prefixes at once on byte
-vectors, one bytes.translate per Horner step; above 16 a depth-first walk
-takes ~sum_j q^j C(ell - j + 1 + k, k) lookups instead of C(ell + k, k)
-at each of q^ell points).
+on byte vectors, the first two variables at all their values at once in
+byte lanes, one or two bytes.translate per Horner step; above 16 a
+depth-first walk takes ~sum_j q^j C(ell - j + 1 + k, k) lookups instead
+of C(ell + k, k) at each of q^ell points).
 Distributions are kept as exact integers or rationals end to end; floats
 appear only in reported logarithms.
 
@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import add, itemgetter, mul, sub
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .ff import TABLE_LIMIT, Field
 from .rmid import Identity, Record, substitution_plan
@@ -390,15 +390,14 @@ def exact_id_error(id_i: Identity, id_j: Identity) -> Fraction:
 
     The tag is linear in the coefficients, so the tags agree exactly where
     the difference polynomial vanishes.  Its zeros are counted one variable
-    at a time: for each value a of the first variable, Horner in a (_fold)
-    folds the coefficients into a polynomial of total degree <= k in the
+    at a time: at each value a of the first variable, Horner in a folds
+    the coefficients into a polynomial of total degree <= k in the
     variables left.  Each Horner step is one lookup,
     steps[a][acc][c] = a * acc + c, in tables of q^2 entries built once per
     field, so q is limited to 1024 (q^2 <= ff.TABLE_LIMIT); the difference
     a - b is steps[-1][b][a] from the same tables.  q alone picks the
-    counter below the first variable: for q <= 16 a pair (acc, c) fits one
-    byte, and _byte_zeros counts every deeper level for all q folds at once
-    on byte vectors; above 16, _walk_zeros counts depth-first."""
+    counter: for q <= 16 a pair (acc, c) fits one byte, and _byte_zeros
+    counts on byte vectors; above 16, _walk_zeros counts depth-first."""
     params = id_i.params
     if id_j.params != params:
         raise ValueError("identities use different code parameters")
@@ -420,22 +419,32 @@ def exact_id_error(id_i: Identity, id_j: Identity) -> Fraction:
     if tables is None:
         hits = _walk_zeros(diff, plan, steps)
     else:
-        hits = _byte_zeros([_fold(diff, plan[0], step) for step in steps], plan[1:], tables)
+        hits = _byte_zeros(diff, plan, tables)
     return Fraction(hits, q ** ell)
 
 
 @lru_cache(maxsize=None)
-def _step_tables(field: Field) -> tuple[list[list[list[int]]], list[bytes] | None]:
+def _step_tables(field: Field) -> tuple[list[list[list[int]]], tuple | None]:
     """exact_id_error's tables, once per field: steps[a][x] = sums[a * x],
     sums[y][c] = y + c, sharing rows and ints (17 MiB at q = 1024, not 41),
-    and for q <= 16 _byte_zeros' tables[a][x * q + c] = a * x + c."""
+    and for q <= 16 _byte_zeros' bytes, read from steps: start[c][a] =
+    a * q + c, first[c][a * q + x] = a * q + (a * x + c), strip[a * q + x]
+    = x, lanes (b * q at byte b * q + a of q^2), mul[b * q + x] = b * x and
+    tables[a][x * q + c] = a * x + c."""
     plus, times = field.fast_ops()
-    ints = list(range(field.q))
+    q = field.q
+    ints = list(range(q))
     sums = [[ints[plus(y, c)] for c in ints] for y in ints]
     steps = [[sums[times(a, x)] for x in ints] for a in ints]
-    if field.q > 16:
+    if q > 16:
         return steps, None
-    return steps, [b"".join(map(bytes, step)).ljust(256, b"\0") for step in steps]
+    pad = b"\0" * (256 - q * q)
+    start = [bytes(range(c, q * q, q)) for c in ints]
+    first = [bytes(a * q + s[x][c] for a, s in enumerate(steps) for x in ints) + pad for c in ints]
+    lanes = int.from_bytes(bytes(b * q for b in ints for _ in ints), "big")
+    mul = bytes(s[x][0] for s in steps for x in ints) + pad
+    tables = [b"".join(map(bytes, step)) + pad for step in steps]
+    return steps, (start, first, bytes(ints) * q + pad, lanes, mul, tables)
 
 
 def _fold(poly: list[int], groups: tuple, step: list) -> list[int]:
@@ -469,31 +478,56 @@ def _walk_zeros(poly: list[int], plan: tuple, steps: list) -> int:
     return hits
 
 
-def _byte_zeros(folds: list[list[int]], plan: tuple, tables: list[bytes]) -> int:
-    """Zeros below the q folds of the first variable, q <= 16: each
-    coefficient becomes a bytes vector over the values of the variables
-    folded so far, and one Horner step for all of them at a = a value of
-    the next variable is
-        (int(acc) * q + int(c)).to_bytes(n).translate(tables[a]),
-    with tables[a][acc * q + c] = a * acc + c.  acc * q + c < q^2 <= 256
-    carries into no other byte.  Each level joins its q folds into vectors
-    q times longer; the last holds one element per point, in memory of up
-    to about 4 q^ell bytes.  With no level left (ell = 1) the count is of
-    the zeros among the q constants."""
-    q = len(folds)
+def _byte_zeros(poly: list[int], plan: tuple, byte_tables: tuple) -> int:
+    """Zeros of poly in the variables plan folds, q <= 16, on bytes vectors
+    over the values folded so far, in _step_tables' tables.  The first
+    variable runs at all its values a at once, in byte lanes a * q + acc:
+    its coefficients are scalars, so a Horner step is a translate by
+    first[c], and strip leaves acc.  So does the second, in q^2-byte lanes
+    (b, a) on the first's vectors tiled q times: acc + lanes by mul gives
+    b * acc, then (b * acc) * q + c by tables[1] b * acc + c.  Deeper
+    levels run one value at a time (_byte_folds), joining their q folds;
+    the last counts each fold's zeros as it is made, in memory of about
+    (2 k + 5) q^(ell - 1) bytes."""
+    start, first, strip, lanes, mul, tables = byte_tables
+    q = len(tables)
     from_bytes = int.from_bytes
-    vectors = [bytes(column) for column in zip(*folds)]
-    for groups in plan:
-        n = len(vectors[0])
-        ints = [from_bytes(v, "big") for v in vectors]
-        folds = []
-        for table in tables:  # one value a of this variable
-            fold = []
-            for top, rest in groups:
-                acc = vectors[top]
-                for i in rest:
-                    acc = (from_bytes(acc, "big") * q + ints[i]).to_bytes(n, "big").translate(table)
-                fold.append(acc)
-            folds.append(fold)
+    vectors = []
+    for top, rest in plan[0]:
+        acc = start[poly[top]]
+        for i in rest:
+            acc = acc.translate(first[poly[i]])
+        vectors.append(acc.translate(strip))
+    if len(plan) > 1:
+        n, add = q * q, tables[1]
+        ints = [from_bytes(v * q, "big") for v in vectors]
+        folded = []
+        for top, rest in plan[1]:
+            acc = vectors[top] * q
+            for i in rest:
+                acc = (from_bytes(acc, "big") + lanes).to_bytes(n, "big").translate(mul)
+                acc = (from_bytes(acc, "big") * q + ints[i]).to_bytes(n, "big").translate(add)
+            folded.append(acc)
+        vectors = folded
+    folds = [vectors]  # the lanes' vectors, one fold to join
+    for groups in plan[2:]:
         vectors = [b"".join(column) for column in zip(*folds)]
-    return vectors[0].count(0)
+        folds = _byte_folds(vectors, groups, tables)
+    return sum(fold[0].count(0) for fold in folds)
+
+
+def _byte_folds(vectors: list[bytes], groups: tuple, tables: list[bytes]) -> Iterator[list]:
+    """Yield the fold of vectors at each value a of the next variable, a
+    Horner step (int(acc) * q + int(c)).to_bytes(n).translate(tables[a]):
+    acc * q + c < q^2 <= 256 carries into no other byte."""
+    q, n = len(tables), len(vectors[0])
+    from_bytes = int.from_bytes
+    ints = [from_bytes(v, "big") for v in vectors]
+    for table in tables:
+        fold = []
+        for top, rest in groups:
+            acc = vectors[top]
+            for i in rest:
+                acc = (from_bytes(acc, "big") * q + ints[i]).to_bytes(n, "big").translate(table)
+            fold.append(acc)
+        yield fold

@@ -753,10 +753,68 @@ def test_byte_path_matches_the_depth_first_walk(pair):
     steps = [[[add(mul(a, x), c) for c in range(q)] for x in range(q)] for a in range(q)]
     plan = substitution_plan(params.ell, params.k)
     diff = [field.sub(a, b) for a, b in zip(id_i.coeffs, id_j.coeffs)]
-    folds = [analysis._fold(diff, plan[0], step) for step in steps]
     walk = analysis._walk_zeros(diff, plan, steps)
-    assert walk == analysis._byte_zeros(folds, plan[1:], analysis._step_tables(field)[1])
+    assert walk == analysis._byte_zeros(diff, plan, analysis._step_tables(field)[1])
     assert Fraction(walk, q ** params.ell) == exact_id_error(id_i, id_j)
+
+
+# every field on the byte path, q <= 16: GF(11) and GF(13) are drawn by no
+# default pair, and GF(16)'s lanes a * q + acc reach byte 255
+BYTE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
+
+
+@pytest.mark.parametrize(
+    "p, m, ell",
+    [(p, m, ell) for p, m in BYTE_FIELDS for ell in (1, 2, 3) if (p ** m) ** ell <= 4096],
+)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_exact_id_error_matches_per_point_sweep_on_every_byte_field(p, m, ell, data):
+    # ell = 1 runs the first variable's lanes only, ell = 2 both lane levels
+    # and no deeper one, ell = 3 one per-value level below them
+    id_i, id_j = data.draw(id_error_pairs(fields=[(p, m)], ell=ell))
+    assert exact_id_error(id_i, id_j) == id_error_by_sweep(id_i, id_j)
+
+
+@pytest.mark.parametrize("p, m", BYTE_FIELDS)
+def test_byte_tables_match_the_checked_field_operations(p, m):
+    field = field_for(p, m)
+    q = field.q
+    start, first, strip, lanes, mul, tables = analysis._step_tables(field)[1]
+    assert len(start) == len(first) == len(tables) == q
+    assert all(len(t) == 256 for t in (*first, strip, mul, *tables))
+    lane_bytes = lanes.to_bytes(q * q, "big")
+    for a, x in product(range(q), repeat=2):
+        assert strip[a * q + x] == x
+        assert mul[a * q + x] == field.mul(a, x)
+        assert tables[1][a * q + x] == field.add(a, x)  # the second variable's add
+        assert lane_bytes[a * q + x] == a * q
+        for c in range(q):
+            assert start[c][a] == a * q + c
+            assert first[c][a * q + x] == a * q + field.add(field.mul(a, x), c)
+            assert tables[a][x * q + c] == field.add(field.mul(a, x), c)
+
+
+def test_exact_id_error_counts_the_last_level_as_it_is_made():
+    # GF(16), ell = 5: 16^5 = 1,048,576 points.  Joining the last level's
+    # folds into one byte per point took ~2.5 MB; counting each fold's zeros
+    # as it is made keeps the peak below one byte per point
+    field = field_for(2, 4)
+    q = field.q
+    params = IdCodeParams(field, 5, 2)
+    layout = monomial_exponents(5, 2)
+    diff = [0] * params.coeff_count
+    diff[layout.index((1, 1, 0, 0, 0))] = 1  # x1 x2
+    diff[layout.index((0, 0, 0, 0, 1))] = 1  # + x5
+    id_i, id_j = Identity(params, tuple(diff)), Identity(params, (0,) * params.coeff_count)
+    assert exact_id_error(id_i, id_j) == Fraction(1, q)  # x5 = x1 x2: one point per (x1..x4)
+    tracemalloc.start()
+    try:
+        assert exact_id_error(id_i, id_j) == Fraction(1, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < q ** 5
 
 
 @pytest.mark.parametrize("p, m, ell", [(2, 4, 5), (3, 2, 6), (7, 1, 7)])
