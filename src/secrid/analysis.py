@@ -3,10 +3,11 @@
 Everything here exists to check the closed-form accounting exactly at toy
 scale: exact total variation between conditional seed-observation laws for
 a given per-symbol observation channel (a closed form in O(1) powers on a
-spike channel, each column a constant plus one spike, as the CLI's four
-named channels are; on every other channel an integer dynamic program over
-the seed directions, level by level, one convolved f per class of
-translates, which share every sum, with its count), exact collision-entropy
+spike channel, each column a constant plus one spike, as the four named
+channels, which keep no matrix, are; on every other channel an integer
+dynamic program over the seed directions, level by level, one convolved f
+per class of translates, which share every sum, with its count; each is
+charged by leakage_work for what it runs), exact collision-entropy
 budgets, and exact identification error fractions (a zero count of the
 difference polynomial, one variable substituted at a time through
 rmid.substitution_plan, the Horner plan evaluate_tag folds by, with
@@ -50,21 +51,35 @@ class ChannelModel(Record):
     """Per-symbol observation channel: rows are inputs 0..q-1, columns are
     outputs (an erasure channel has one extra output, the erasure mark).
 
-    The constructor is where a channel becomes integers.  Beside its fields
-    it keeps scale, the lcm of the entries' denominators; scaled, the rows
-    times scale as ints, each summing to scale; n_outputs; and d2_pow,
-    2^(D2(W || P_X W | P_X)) exactly at uniform input P_X: with output law
-    py(z) = sum_x W(z | x) / q, it is sum_(x,z) W(z | x)^2 / (q py(z)),
-    summed over the integer columns into one Fraction; and spike_sum, for
-    exact_leakage's closed form: sum_z |b_z| when every scaled column is a
-    constant plus one spike, c_z + b_z [x = x_z] (b_z = 0 for a constant
-    column), else None."""
+    Each keeps scale, the lcm of the entries' denominators; n_outputs;
+    d2_pow, 2^(D2(W || P_X W | P_X)) exactly at uniform input P_X: with
+    py(z) = sum_x W(z | x) / q, sum_(x,z) W(z | x)^2 / (q py(z)); and
+    spike_sum, sum_z |b_z| when every scaled column is a constant plus one
+    spike, c_z + b_z [x = x_z] (b_z = 0 for a constant column), else None.
+    A named channel is its (kind, q, delta), matrix None, and takes them in
+    closed form, O(1) in q, so leakage_work charges it the closed form's
+    powers alone.  A from_matrix channel's constructor scans its rows once
+    for them and keeps scaled, the rows times scale as ints, for the walk it
+    is charged for."""
 
     def __init__(
-        self, kind: str, q: int, matrix: tuple[tuple[Fraction, ...], ...],
+        self, kind: str, q: int, matrix: tuple[tuple[Fraction, ...], ...] | None,
         delta: Fraction | None = None,
     ) -> None:
         self.__dict__.update(kind=kind, q=q, matrix=matrix, delta=delta)
+        if matrix is None:  # named: 1 - d at x, off elsewhere, erasure's d at q
+            erasure = kind == "erasure"
+            if q < (1 if erasure else 2):
+                raise ValueError("the channel needs at least one input" if erasure
+                                 else "symmetric channel needs q >= 2")
+            d = {"identity": Fraction(0), "uniform": Fraction(q - 1, q)}.get(kind, delta)
+            keep, off = 1 - d, Fraction(0) if erasure else d / (q - 1)
+            scale = math.lcm(keep.denominator, off.denominator)
+            self.__dict__.update(
+                scale=scale, n_outputs=q + erasure, spike_sum=int(q * scale * abs(keep - off)),
+                d2_pow=q * keep + d if erasure else q * (keep * keep + d * off),
+            )
+            return
         if len(matrix) != q:
             raise ValueError(f"need {q} rows, got {len(matrix)}")
         if not matrix:
@@ -95,11 +110,11 @@ class ChannelModel(Record):
 
     @classmethod
     def identity(cls, q: int) -> "ChannelModel":
-        return cls("identity", q, _symmetric_rows(q, Fraction(0)))
+        return cls("identity", q, None)
 
     @classmethod
     def uniform(cls, q: int) -> "ChannelModel":
-        return cls("uniform", q, _symmetric_rows(q, Fraction(q - 1, q)))
+        return cls("uniform", q, None)
 
     @classmethod
     def symmetric(cls, q: int, delta) -> "ChannelModel":
@@ -108,7 +123,7 @@ class ChannelModel(Record):
         d = Fraction(delta)
         if not 0 <= d <= 1:
             raise ValueError(f"flip probability must be in [0, 1], got {delta}")
-        return cls("symmetric", q, _symmetric_rows(q, d), delta=d)
+        return cls("symmetric", q, None, d)
 
     @classmethod
     def erasure(cls, q: int, delta) -> "ChannelModel":
@@ -116,22 +131,12 @@ class ChannelModel(Record):
         d = Fraction(delta)
         if not 0 <= d <= 1:
             raise ValueError(f"erasure probability must be in [0, 1], got {delta}")
-        keep, zero = 1 - d, Fraction(0)  # one object each, shared by every row
-        rows = tuple(tuple(keep if z == x else zero for z in range(q)) + (d,) for x in range(q))
-        return cls("erasure", q, rows, delta=d)
+        return cls("erasure", q, None, d)
 
     @classmethod
     def from_matrix(cls, kind: str, matrix: Sequence[Sequence]) -> "ChannelModel":
         rows = tuple(tuple(Fraction(v) for v in row) for row in matrix)
         return cls(kind, len(rows), rows)
-
-
-def _symmetric_rows(q: int, d: Fraction) -> tuple[tuple[Fraction, ...], ...]:
-    """The symmetric channel's rows: 1 - d at x, d / (q - 1) elsewhere."""
-    if q < 2:
-        raise ValueError("symmetric channel needs q >= 2")
-    off = d / (q - 1)
-    return tuple(tuple(1 - d if z == x else off for z in range(q)) for x in range(q))
 
 
 # ---------------------------------------------------------------------------
@@ -172,28 +177,34 @@ LEAKAGE_CSV_HEADER = [
 
 
 def leakage_work(
-    params: SecrecyParams, n_outputs: int, scale: int = 1, pivots: int = 1, steps: Sequence = (),
+    params: SecrecyParams, channel: ChannelModel, pivots: int = 1, steps: Sequence | None = None,
 ) -> int:
-    """Work units (~0.1 us) exact_leakage takes at most on params through a
-    channel of n_outputs outputs scaled to ints by scale (b bits), pivots
-    pivot classes and steps, the walk's (terms, count) pairs; the defaults
-    bound an unbuilt channel from below, as n_outputs = q and scale =
-    delta's denominator (1 without one) bound a named channel's, which the
-    CLI checks before it builds any channel.  Charged: the channel and its
-    q^2 |Z| kernel pass; ell' + 1 weights of ~ell' bits(2 q scale) bits; the
-    walk's classes, at most pivots C(S + k - 2, k - 1) at level k, each q
-    per sum and, below ell', per term and key of a step, x (1 + ell' b^1.5
-    / 4096) as ints grow.  Past WORK_LIMIT, or a report integer past the
-    int-to-str limit: ValueError, before any power of q is formed."""
-    q, lp, b = params.field.q, params.ell_prime, scale.bit_length()
-    half = q - 1 if params.field.p == 2 else (q - 1) // 2  # pair sums: d and -d give the same
-    words = lp * (q * scale).bit_length() // 64 + lp // 64 + 1  # C(ell', k) < 2^ell'
-    work = q * n_outputs * (q + 64) + lp + (half + 2) * (lp + 1) * words * words // 32
-    if work <= WORK_LIMIT:  # ell' is small enough to form the binomials
-        # C(S + ell' - 1, ell' - 1) classes on all levels sum, those below ell' step
-        n, taken = len(steps) + lp - 2, sum(len(terms) + 4 for terms, _ in steps)
-        walk = math.comb(n + 1, lp - 1) * (q + q * half + 16) + math.comb(n, lp - 2) * q * taken
-        work += pivots * walk * (1 + lp * b * math.isqrt(b) // 4096)
+    """Work units (~0.1 us) exact_leakage takes at most on params through
+    channel, for what runs.  A spike channel without steps: the closed
+    form, ell' + w^2 for the w 64-bit words of its ell'-th powers of ints
+    below q^2 scale and the Fractions over them.  The walk, on any other
+    channel or any given the walk's pivots (pivot classes) and steps
+    ((terms, count) pairs; without, pivots 1 and no steps bound it from
+    below): the q^2 |Z| kernel pass; ell' + 1 weights of ~ell' bits(2 q
+    scale) bits; its classes, at most pivots C(S + k - 2, k - 1) at level
+    k, each q per sum and, below ell', per term and key of a step, x (1 +
+    ell' b^1.5 / 4096) for scale's b bits as ints grow.  Past WORK_LIMIT, or
+    a report integer past the int-to-str limit: ValueError, before any
+    power of q is formed."""
+    q, lp, scale = params.field.q, params.ell_prime, channel.scale
+    if steps is None and channel.spike_sum is not None:
+        words = lp * (q * q * scale).bit_length() // 64 + 1
+        work = lp + words * words  # gcds quadratic in the words dominate
+    else:
+        b, steps = scale.bit_length(), steps or ()
+        half = q - 1 if params.field.p == 2 else (q - 1) // 2  # pair sums: d and -d give the same
+        words = lp * (q * scale).bit_length() // 64 + lp // 64 + 1  # C(ell', k) < 2^ell'
+        work = q * channel.n_outputs * (q + 64) + lp + (half + 2) * (lp + 1) * words * words // 32
+        if work <= WORK_LIMIT:  # ell' is small enough to form the binomials
+            # C(S + ell' - 1, ell' - 1) classes on all levels sum, those below ell' step
+            n, taken = len(steps) + lp - 2, sum(len(terms) + 4 for terms, _ in steps)
+            walk = math.comb(n + 1, lp - 1) * (q + q * half + 16) + math.comb(n, lp - 2) * q * taken
+            work += pivots * walk * (1 + lp * b * math.isqrt(b) // 4096)
     if work > WORK_LIMIT:
         raise ValueError(
             f"a work bound >= 2^{work.bit_length() - 1} units, past {WORK_LIMIT}, "
@@ -242,7 +253,7 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
     if channel.q != q:
         raise ValueError(f"channel alphabet {channel.q} does not match q={q}")
     lp, scale = params.ell_prime, channel.scale
-    leakage_work(params, channel.n_outputs, scale)  # before the powers, or the kernel pass
+    leakage_work(params, channel)  # before the powers, or the kernel pass
     if channel.spike_sum is None:
         max_sum, pair_sum = _leakage_walk(params, channel)
     else:
@@ -307,8 +318,7 @@ def _leakage_walk(params: SecrecyParams, channel: ChannelModel) -> tuple[int, in
     over t is one map pipeline (_leakage_tables)."""
     field = params.field
     q = field.q
-    lp, n_out = params.ell_prime, channel.n_outputs
-    scale, w = channel.scale, channel.scaled
+    lp, scale, w = params.ell_prime, channel.scale, channel.scaled
     shifts, fronts, half, spreads = _leakage_tables(field)
 
     def greatest(f: tuple) -> tuple:  # the class's canonical translate
@@ -332,7 +342,7 @@ def _leakage_walk(params: SecrecyParams, channel: ChannelModel) -> tuple[int, in
     max_sums = [0] * (lp + 1)
     pair_sums = [[0] * len(half) for _ in range(lp + 1)]
 
-    leakage_work(params, n_out, scale, len(level), steps)
+    leakage_work(params, channel, len(level), steps)
     for k in range(1, lp + 1):
         pair = pair_sums[k]
         below = defaultdict(int)

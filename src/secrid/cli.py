@@ -164,14 +164,6 @@ def _record_file(key: str, records, **header) -> str:
     return _dumps({**header, key: [r.to_json_dict() for r in records]})
 
 
-def _channel(kind: str, q: int, delta):
-    """Observation channel by name; a delta of None is a channel that takes none."""
-    from .analysis import ChannelModel
-
-    make = getattr(ChannelModel, kind)
-    return make(q) if delta is None else make(q, delta)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -319,7 +311,7 @@ def cmd_leakage_exact(args) -> list:
     import csv
     from fractions import Fraction
 
-    from .analysis import LEAKAGE_CSV_HEADER, exact_leakage, leakage_work
+    from .analysis import LEAKAGE_CSV_HEADER, ChannelModel, exact_leakage, leakage_work
     from .wiretap import SecrecyParams
 
     field = _field(args)
@@ -338,17 +330,11 @@ def cmd_leakage_exact(args) -> list:
     deltas = [Fraction(d) for d in deltas]  # parsed for every channel, used by some
     if args.channel in ("identity", "uniform"):  # no delta: one channel serves every point
         deltas = [None]
-    # every point is sized before any channel is built (at a large q the
-    # matrix is the cost), at bounds below its channel's: |Z| >= q, and a
-    # scale that delta's denominator divides; then at each built channel's,
-    # before any point runs
-    for params in points:
-        for d in deltas:
-            leakage_work(params, field.q, 1 if d is None else d.denominator)
-    channels = [_channel(args.channel, field.q, d) for d in deltas]
-    for params in points:
+    make = getattr(ChannelModel, args.channel)
+    channels = [make(field.q) if d is None else make(field.q, d) for d in deltas]
+    for params in points:  # every point is sized at its channel before any runs
         for channel in channels:
-            leakage_work(params, channel.n_outputs, channel.scale)
+            leakage_work(params, channel)
     reports = [exact_leakage(params, channel) for params in points for channel in channels]
     if not args.sweep:
         return [(args.out or "-", _dumps(reports[0].to_json_dict()))]

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import random
 import time
 import tracemalloc
@@ -20,10 +21,11 @@ from secrid.analysis import (
     exact_leakage,
 )
 from secrid.ff import Field, field_for
+from secrid.planner import plan
 from secrid.rmid import IdCodeParams, Identity, monomial_exponents, substitution_plan
 from secrid.wiretap import SecrecyParams, enumerate_seeds, hyperplane, leakage_bound_squared
 
-from util import id_error_by_sweep, leakage_by_walk
+from util import channel_rows, id_error_by_sweep, leakage_by_walk, with_rows
 
 
 def params_for(q, ell_prime):
@@ -33,13 +35,13 @@ def params_for(q, ell_prime):
 def channel_power(channel, n):
     """Memoryless n-fold product of a per-symbol channel; inputs and outputs
     are mixed-radix encodings of the coordinate tuples."""
-    rows = []
+    matrix, rows = channel_rows(channel), []
     for xs in product(range(channel.q), repeat=n):
         row = []
         for zs in product(range(channel.n_outputs), repeat=n):
             v = Fraction(1)
             for x, z in zip(xs, zs):
-                v *= channel.matrix[x][z]
+                v *= matrix[x][z]
             row.append(v)
         rows.append(tuple(row))
     return ChannelModel(
@@ -125,9 +127,8 @@ def test_product_channel_d2_factorizes():
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 101])
 @pytest.mark.parametrize("kind", ["identity", "uniform", "symmetric", "erasure"])
 def test_named_channels_meet_the_bounds_a_point_is_first_sized_at(kind, q):
-    # leakage-exact sizes each point at |Z| = q and scale = delta's
-    # denominator (1 without a delta) before it builds a channel, which is
-    # a lower bound only if every named channel has at least those
+    # every named channel has at least q outputs, and a scale that delta's
+    # denominator (1 without a delta) divides
     deltas = [None] if kind in ("identity", "uniform") else [
         Fraction(0), Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), Fraction(5, 6), Fraction(1)]
     make = getattr(ChannelModel, kind)
@@ -282,10 +283,10 @@ def test_exact_leakage_matches_oracle_on_random_channels(point):
 
 
 def scaling_by_definition(channel):
-    """(scale, scaled, n_outputs, d2_pow) from the Fraction matrix alone: the
-    lcm of the denominators, the matrix times it, the row width, and
+    """(scale, scaled, n_outputs, d2_pow) from the Fraction rows alone: the
+    lcm of the denominators, the rows times it, the row width, and
     sum_(x,z) W(z | x)^2 / (q py(z)) over the outputs with py(z) > 0."""
-    q, matrix = channel.q, channel.matrix
+    q, matrix = channel.q, channel_rows(channel)
     scale = math.lcm(*(v.denominator for row in matrix for v in row))
     py = [sum(col, Fraction(0)) / q for col in zip(*matrix)]
     terms = (v * v / (q * py[z]) for row in matrix for z, v in enumerate(row) if py[z])
@@ -294,11 +295,11 @@ def scaling_by_definition(channel):
 
 
 def assert_scaled_once(params, channel):
-    """The channel carries its integer form, and exact_leakage forms no
-    common denominator of its own."""
-    assert (channel.scale, channel.scaled, channel.n_outputs, channel.d2_pow) == (
-        scaling_by_definition(channel)
-    )
+    """The channel carries its integer form, its rows scaled only if it has
+    rows, and exact_leakage forms no common denominator of its own."""
+    scale, scaled, n_outputs, d2_pow = scaling_by_definition(channel)
+    assert (channel.scale, channel.n_outputs, channel.d2_pow) == (scale, n_outputs, d2_pow)
+    assert vars(channel).get("scaled") == (None if channel.matrix is None else scaled)
     with mock.patch.object(math, "lcm", wraps=math.lcm) as lcm:
         report = exact_leakage(params, channel)
     assert lcm.call_count == 0
@@ -333,11 +334,47 @@ def test_named_channels_are_scaled_once_by_their_constructor(monkeypatch):
             assert_scaled_once(params_for(q, 2), channel)
 
 
+@st.composite
+def named_channels(draw):
+    """A named channel over a prime, XOR or Zech field of q <= 32, at a
+    delta of 0, (q - 1)/q, 1 or a fraction of denominator <= 12."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 29, 31, 32]))
+    delta = draw(st.one_of(
+        st.sampled_from([Fraction(0), Fraction(q - 1, q), Fraction(1)]),
+        st.fractions(min_value=0, max_value=1, max_denominator=12),
+    ))
+    kind = draw(st.sampled_from(["identity", "uniform", "symmetric", "erasure"]))
+    make = getattr(ChannelModel, kind)
+    return make(q) if kind in ("identity", "uniform") else make(q, delta)
+
+
+@given(named_channels())
+@settings(max_examples=100, deadline=None)
+def test_named_channels_take_in_closed_form_what_their_rows_give(channel):
+    # a named channel builds no rows; from_matrix scans the reference rows
+    rows = ChannelModel.from_matrix(channel.kind, channel_rows(channel))
+    assert channel.matrix is None
+    attributes = ("scale", "n_outputs", "d2_pow", "spike_sum")
+    assert [vars(channel)[a] for a in attributes] == [vars(rows)[a] for a in attributes]
+
+
+def test_a_named_channel_over_a_32_bit_field_costs_nothing_to_handle():
+    # q^2 = 1.8 x 10^19 entries could not be built; (kind, q, delta) is all
+    q, start = 4294967291, time.perf_counter()
+    for channel in (ChannelModel.identity(q), ChannelModel.uniform(q),
+                    ChannelModel.symmetric(q, "80/81"), ChannelModel.erasure(q, "1/4")):
+        copy = pickle.loads(pickle.dumps(channel))
+        assert copy == channel and hash(copy) == hash(channel) and repr(copy) == repr(channel)
+        assert str(q) in repr(channel) and channel.n_outputs >= q
+    assert time.perf_counter() - start < 0.01
+
+
 @pytest.mark.parametrize("q", [5, 8, 9])  # prime, XOR and Zech fields
 def test_each_class_of_columns_is_spread_once(monkeypatch, q):
     # the columns of these channels are translates of one another, plus the
     # constant erasure column: one spread per class and multiplier, not per
-    # column; exact_leakage takes their closed form, so the walk runs alone
+    # column; exact_leakage takes their closed form, so the walk runs alone,
+    # on their rows
     tables = analysis._leakage_tables
     spread_cols = []
 
@@ -353,7 +390,7 @@ def test_each_class_of_columns_is_spread_once(monkeypatch, q):
         (ChannelModel.erasure(q, Fraction(1, 4)), 2),
     ]:
         spread_cols.clear()
-        analysis._leakage_walk(params_for(q, 2), channel)
+        analysis._leakage_walk(params_for(q, 2), with_rows(channel))
         assert len(spread_cols) == classes * (q - 1)
 
 
@@ -457,10 +494,11 @@ def test_exact_leakage_at_the_benchmark_points(q, lp, kind, max_tv, pair_tv, d2_
 
 
 def walk_tvs(params, channel):
-    """(max TV, pairwise TV) from the level walk alone, whatever the channel."""
+    """(max TV, pairwise TV) from the level walk alone, whatever the channel:
+    a named one through from_matrix of its rows."""
     q, lp = params.field.q, params.ell_prime
     norm = params.seed_space_size * q ** (lp - 1) * channel.scale ** lp
-    max_sum, pair_sum = analysis._leakage_walk(params, channel)
+    max_sum, pair_sum = analysis._leakage_walk(params, with_rows(channel))
     return Fraction(max_sum, q * norm), Fraction(pair_sum, norm)
 
 
@@ -492,7 +530,7 @@ def spike_points(draw):
         channel = ChannelModel.from_matrix(kind, [[Fraction(v, sum(r)) for v in r] for r in rows])
     else:
         erased = draw(st.fractions(min_value=0, max_value=1, max_denominator=6))
-        rows = ChannelModel.symmetric(q, delta).matrix
+        rows = channel_rows(ChannelModel.symmetric(q, delta))
         channel = ChannelModel.from_matrix(kind, [[v * (1 - erased) for v in r] + [erased] for r in rows])
     steps = (q - 1) * channel.n_outputs  # leakage_by_walk visits up to |Z| steps^(ell' - 1)
     longest = 2
@@ -537,12 +575,14 @@ def test_only_channels_without_the_spike_form_walk(monkeypatch):
 
 
 def test_a_point_only_the_walk_refused_gets_the_walks_value(monkeypatch):
-    # erasure GF(317) at ell' = 16 passes the first check; the walk's second
-    # check, from its 2 classes and 1 step, refused it before the closed form
+    # erasure GF(317) at ell' = 16 passes the walk's check from its first
+    # level; its second, from its 2 classes and 1 step, refuses it, and the
+    # closed form takes it
     params, channel = params_for(317, 16), ChannelModel.erasure(317, Fraction(1, 4))
-    analysis.leakage_work(params, channel.n_outputs, channel.scale)
+    rows = with_rows(channel)
+    analysis.leakage_work(params, rows, 1, ())
     with pytest.raises(ValueError, match=r" is too large for exact leakage$"):
-        analysis._leakage_walk(params, channel)
+        analysis._leakage_walk(params, rows)
     report = exact_leakage(params, channel)
     monkeypatch.setattr(analysis, "WORK_LIMIT", 10 * analysis.WORK_LIMIT)
     assert (report.exact_max_tv, report.exact_pairwise_tv) == walk_tvs(params, channel)
@@ -550,12 +590,12 @@ def test_a_point_only_the_walk_refused_gets_the_walks_value(monkeypatch):
 
 def test_exact_leakage_rejects_huge_state_space():
     # a random GF(4) channel whose walk may hold 3 C(19, 10) = 277,134
-    # classes at ell' = 11 passes the bound of a channel not yet built, and
-    # is refused once its classes are counted, before any level runs
+    # classes at ell' = 11 passes the bound from its first level, and is
+    # refused once its classes are counted, before any level runs
     rng = random.Random(1)
     rows = [[rng.randint(1, 3) for _ in range(3)] for _ in range(4)]
     channel = ChannelModel.from_matrix("random", [[Fraction(v, sum(r)) for v in r] for r in rows])
-    assert analysis.leakage_work(params_for(4, 11), 3, channel.scale) < 10 ** 5
+    assert analysis.leakage_work(params_for(4, 11), channel) < 10 ** 5
     start = time.perf_counter()
     with pytest.raises(ValueError, match=r" is too large for exact leakage$"):
         exact_leakage(params_for(4, 11), channel)
@@ -568,20 +608,34 @@ def test_leakage_work_counts_and_refuses_by_size():
     from secrid.analysis import WORK_LIMIT, leakage_work
 
     assert WORK_LIMIT == 40_000_000
-    # channel 2 * 2 * (2 + 64), levels 10, weights 3 * 11 * 1 // 32, and
-    # one class summing for 2 + 2 * 1 + 16
-    assert leakage_work(params_for(2, 10), 2) == 264 + 10 + 1 + 20
+    # the walk, charged on any channel given its steps: channel 2 * 2 *
+    # (2 + 64), levels 10, weights 3 * 11 * 1 // 32, and one class summing
+    # for 2 + 2 * 1 + 16
+    two, three = ChannelModel.identity(2), ChannelModel.identity(3)
+    assert leakage_work(params_for(2, 10), two, 1, ()) == 264 + 10 + 1 + 20
     # two steps of one term each: C(2 + 9, 9) = 55 classes sum for
     # 3 + 3 * 1 + 16, and the C(2 + 8, 8) = 45 below ell' = 10 step for 3 * 2 * 5
     one_term = [([(1, None)], 1)] * 2
-    assert leakage_work(params_for(3, 10), 3, 1, 1, one_term) == 603 + 10 + 1 + 55 * 22 + 45 * 30
+    assert leakage_work(params_for(3, 10), three, 1, one_term) == 603 + 10 + 1 + 55 * 22 + 45 * 30
+    # a channel that walks is charged from its first level without steps:
+    # GF(4), 2 outputs, 4 * 2 * 68, 10, 5 * 11 * 1 // 32 and 4 + 4 * 3 + 16
+    walks = ChannelModel.from_matrix("walks", [[1, 0], [1, 0], [0, 1], [0, 1]])
+    assert walks.spike_sum is None
+    assert leakage_work(params_for(4, 10), walks) == 544 + 10 + 1 + 32
+    # a spike channel is charged its closed form: ell' + w^2 for the w =
+    # ell' * 4 // 64 + 1 words of an int below (q^2 scale)^ell' = 9^ell'
+    assert leakage_work(params_for(3, 10), three) == 10 + 1
+    assert leakage_work(params_for(3, 1000), three) == 1000 + 63 * 63
     # 2 C(8 + 30, 30) = 97,806,984 classes, past the limit in their sums alone
     start = time.perf_counter()
     with pytest.raises(ValueError, match=r"^a work bound >= 2\^\d+ units, past 40000000, "):
-        leakage_work(params_for(3, 31), 3, 1, 2, one_term * 4)
+        leakage_work(params_for(3, 31), three, 2, one_term * 4)
     # the weights alone refuse ell' = 10^9; no binomial or 2^(10^9) is formed
     with pytest.raises(ValueError, match=r">= 2\^77 units, past 40000000, is too large"):
-        leakage_work(params_for(2, 10 ** 9), 2)
+        leakage_work(params_for(2, 10 ** 9), two, 1, ())
+    # and the closed form's powers refuse it too, at their own charge
+    with pytest.raises(ValueError, match=r">= 2\^50 units, past 40000000, is too large"):
+        leakage_work(params_for(2, 10 ** 9), two)
     assert time.perf_counter() - start < 0.01
 
 
@@ -598,6 +652,31 @@ def test_exact_leakage_meets_the_bounds_at_planned_lengths(q, kind, delta, lp):
     for stat in (report.exact_max_tv, report.exact_pairwise_tv):
         assert 0 <= stat * stat <= min(tight_sq, 4)
     assert tight_sq <= simplified_sq
+
+
+@pytest.mark.parametrize("policy", ["paper", "additive"])
+@pytest.mark.parametrize(
+    "kind, delta", [("symmetric", Fraction(80, 81)), ("erasure", Fraction(1, 4))],
+    ids=["symmetric", "erasure"],
+)
+@pytest.mark.parametrize("q", [59049, 4294967291])
+def test_exact_leakage_meets_the_bounds_at_the_reference_field(q, kind, delta, policy):
+    # acceptance 4 at the reference point (ell = 2, k = 20, kappa = 0.2) and
+    # at the lengths the planner plans for it, over GF(3^10) and the largest
+    # prime below 2^32
+    lp = plan(q=q, ell=2, k=20, kappa=0.2, budget_policy=policy).ell_prime
+    report = exact_leakage(params_for(q, lp), getattr(ChannelModel, kind)(q, delta))
+    tight_sq, simplified_sq = leakage_bound_squared(q, lp, report.d2_pow)
+    for stat in (report.exact_max_tv, report.exact_pairwise_tv):
+        assert 0 <= stat * stat <= min(tight_sq, 4)
+    assert tight_sq <= simplified_sq
+
+
+def test_exact_leakage_of_the_reference_row():
+    # GF(3^10), symmetric 80/81, at ell' = 3, the paper policy's length: 3.763e-6
+    channel = ChannelModel.symmetric(59049, Fraction(80, 81))
+    report = exact_leakage(params_for(59049, 3), channel)
+    assert report.exact_pairwise_tv == Fraction(1064342, 282817489141)
 
 
 def test_exact_leakage_takes_d2_bits_past_float_range():

@@ -644,19 +644,35 @@ def test_encrypt_at_the_symbol_limit_finishes_within_its_budget(tmp_path, capsys
 
 @pytest.mark.parametrize("sweep", [(), ("--sweep",)], ids=["point", "sweep"])
 def test_leakage_exact_refuses_a_large_field_before_building_its_channel(capsys, monkeypatch, sweep):
-    # the size needs only the output count; a 509 x 509 matrix is not built
-    monkeypatch.setattr(cli, "_channel", lambda *a: pytest.fail(f"channel {a} built"))
+    # a named channel is its (kind, q, delta), with no matrix to build, so
+    # GF(509), once refused for its 509 x 509 one, runs; a point whose closed
+    # form's powers are past the work bound is refused before any point runs
     code, out, err = run_cli(capsys, "leakage-exact", "--q", "509", *sweep)
+    assert code == 0, err
+    monkeypatch.setattr(analysis, "exact_leakage", lambda *point: pytest.fail(f"{point} ran"))
+    argv = ["leakage-exact", "--q", "4294967291", "--ell-prime", "8192", *sweep]
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     error = json.loads(err)["error"]
     assert error["kind"] == "ValueError"
     assert error["message"].endswith(" too large for exact leakage")
 
 
+@pytest.mark.parametrize("q", ["331", "509", "4294967291"])
+def test_leakage_exact_runs_every_named_channel_past_the_fields_once_refused(capsys, q):
+    # the work rule charged the q^2 |Z| kernel pass no named channel runs,
+    # and refused each of these at ell' = 2
+    for flags in (["identity"], ["uniform"], ["symmetric", "--delta", "1/8"],
+                  ["erasure", "--delta", "1/4"]):
+        code, out, err = run_cli(capsys, "leakage-exact", "--q", q, "--channel", *flags)
+        assert code == 0, err
+        assert json.loads(out)["q"] == int(q)
+
+
 def test_leakage_exact_refuses_a_huge_ell_prime_by_its_size(capsys, monkeypatch):
-    # the ell' + 1 weights of ~2 * 10^6 bits alone bound the work past 2^47
-    # units; no power of 3 is formed and no channel is built
-    monkeypatch.setattr(cli, "_channel", lambda *a: pytest.fail(f"channel {a} built"))
+    # the closed form's powers of ~4 * 10^6 bits bound the work past 2^31
+    # units; no power of 3 is formed and no point runs
+    monkeypatch.setattr(analysis, "exact_leakage", lambda *point: pytest.fail(f"{point} ran"))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "leakage-exact", "--q", "3", "--ell-prime", "1000000")
     assert time.perf_counter() - start < 1
@@ -664,7 +680,7 @@ def test_leakage_exact_refuses_a_huge_ell_prime_by_its_size(capsys, monkeypatch)
     error = json.loads(err)["error"]
     assert error["kind"] == "ValueError"
     assert error["message"] == (
-        "a work bound >= 2^47 units, past 40000000, is too large for exact leakage"
+        "a work bound >= 2^31 units, past 40000000, is too large for exact leakage"
     )
 
 
@@ -689,8 +705,8 @@ def test_leakage_exact_refuses_a_delta_whose_report_cannot_be_written(
     tmp_path, capsys, monkeypatch, flags, kind
 ):
     # 10^300000 took ~42 s of integer DP before str() of a TV passed
-    # Python's int-to-str limit; each is now refused before its channel
-    monkeypatch.setattr(cli, "_channel", lambda *a: pytest.fail(f"channel {a} built"))
+    # Python's int-to-str limit; each is now refused before any point runs
+    monkeypatch.setattr(analysis, "exact_leakage", lambda *point: pytest.fail(f"{point} ran"))
     report = tmp_path / "report"
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "leakage-exact", "--q", "3", *flags, "--out", str(report))
@@ -707,7 +723,8 @@ def test_leakage_exact_refuses_a_delta_whose_report_cannot_be_written(
 def test_leakage_exact_writes_up_to_the_digit_limit(tmp_path, capsys, monkeypatch):
     # GF(3) erasure at ell' = 2 has scale 10^N, and its report's integers
     # are below 2 * 3 * 36 * 10^(2N), bounded at 4,299 digits for N = 2148
-    # (the longest written has 4,297) and 4,301 for N = 2149, refused unbuilt
+    # (the longest written has 4,297) and 4,301 for N = 2149, refused before
+    # it runs
     assert sys.get_int_max_str_digits() == 4300  # Python's default
     argv = ["leakage-exact", "--q", "3", "--channel", "erasure"]
     report = tmp_path / "report.json"
@@ -715,7 +732,7 @@ def test_leakage_exact_writes_up_to_the_digit_limit(tmp_path, capsys, monkeypatc
     obj = json.loads(report.read_text())
     exact = (obj["exact_max_tv_exact"], obj["exact_pairwise_tv_exact"])
     assert max(len(term) for tv in exact for term in tv.split("/")) == 4297
-    monkeypatch.setattr(cli, "_channel", lambda *a: pytest.fail(f"channel {a} built"))
+    monkeypatch.setattr(analysis, "exact_leakage", lambda *point: pytest.fail(f"{point} ran"))
     code, out, err = run_cli(capsys, *argv, "--delta", "1e-2149")
     assert (code, out) == (1, "")
     message = json.loads(err)["error"]["message"]
@@ -807,7 +824,7 @@ def test_each_leakage_input_is_taken_one_way(capsys, monkeypatch):
     )
     assert code == 0, err
     assert [row[1:3] for row in csv.reader(io.StringIO(out))][1:] == [["2", "0.25"], ["3", "0.25"]]
-    monkeypatch.setattr(cli, "_channel", lambda *a: pytest.fail(f"channel {a} built"))
+    monkeypatch.setattr(analysis, "exact_leakage", lambda *point: pytest.fail(f"{point} ran"))
     for flags in (["--ell-prime", "2,3"], ["--delta", "0,1/4"]):
         code, out, err = run_cli(capsys, "leakage-exact", "--q", "3", *flags)
         assert (code, out) == (1, ""), flags
@@ -839,7 +856,7 @@ def test_small_sweeps_start_no_process(capsys, monkeypatch):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-    # a point above the limit is refused before any point runs
+    # a point above the digit limit is refused before any point runs
     monkeypatch.setattr(analysis, "exact_leakage", lambda *point: pytest.fail(f"{point} ran"))
     code, out, err = run_cli(
         capsys, "leakage-exact", "--q", "9", "--sweep", "--ell-prime", "2,4096"
@@ -847,7 +864,8 @@ def test_small_sweeps_start_no_process(capsys, monkeypatch):
     assert (code, out) == (1, "")
     error = json.loads(err)["error"]
     assert error["kind"] == "ValueError"
-    assert error["message"].endswith(" too large for exact leakage")
+    limit = sys.get_int_max_str_digits()
+    assert error["message"] == f"the exact report would write an integer past {limit} digits"
 
 
 def test_capacity_check_single_and_sweep(capsys):

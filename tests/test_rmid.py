@@ -66,9 +66,13 @@ def test_records_print_as_their_fields():
     )
     assert repr(Seed((4, 1, 0), 2, 1)) == "Seed(s=(4, 1, 0), s0=2, pivot=1)"
     assert repr(ChannelModel.erasure(2, "1/2")) == (
+        "ChannelModel(kind='erasure', q=2, matrix=None, delta=Fraction(1, 2))"
+    )
+    rows = [["1/2", 0, "1/2"], [0, "1/2", "1/2"]]
+    assert repr(ChannelModel.from_matrix("erasure", rows)) == (
         "ChannelModel(kind='erasure', q=2, matrix=((Fraction(1, 2), Fraction(0, 1),"
         " Fraction(1, 2)), (Fraction(0, 1), Fraction(1, 2), Fraction(1, 2))),"
-        " delta=Fraction(1, 2))"
+        " delta=None)"
     )
 
 

@@ -2,9 +2,10 @@
 table-free and table-built fields, a checked dot product, the tag of the
 two-layer Reed-Solomon baseline, whose error quote is all the library needs,
 a per-monomial tag, the Horner plan by dict lookup, a per-point sweep for
-the identification error, exact leakage by a depth-first walk, the seed
-pivot by a running sum of direction blocks, Rabin's irreducibility test,
-and the closed forms and the byte inverse that only the tests call."""
+the identification error, the rows of the named observation channels,
+exact leakage by a depth-first walk, the seed pivot by a running sum of
+direction blocks, Rabin's irreducibility test, and the closed forms and
+the byte inverse that only the tests call."""
 
 from __future__ import annotations
 
@@ -184,6 +185,35 @@ def id_error_by_sweep(id_i: Identity, id_j: Identity) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# the rows of a named channel (the reference for the closed forms a named
+# ChannelModel takes from its kind, q and delta, and what the walk oracles
+# read through from_matrix)
+
+
+def channel_rows(channel: ChannelModel) -> tuple[tuple[Fraction, ...], ...]:
+    """channel's Fraction rows: its matrix, or a named channel's built from
+    (kind, q, delta): 1 - d at x and d / (q - 1) elsewhere in the symmetric
+    family (d = 0 for identity, (q - 1)/q for uniform), and 1 - d at x and
+    d at the erasure mark q for erasure."""
+    if channel.matrix is not None:
+        return channel.matrix
+    q, d = channel.q, channel.delta
+    if channel.kind == "erasure":
+        zero = Fraction(0)
+        return tuple(tuple(1 - d if z == x else zero for z in range(q)) + (d,) for x in range(q))
+    d = {"identity": Fraction(0), "uniform": Fraction(q - 1, q)}.get(channel.kind, d)
+    off = d / (q - 1)
+    return tuple(tuple(1 - d if z == x else off for z in range(q)) for x in range(q))
+
+
+def with_rows(channel: ChannelModel) -> ChannelModel:
+    """channel as from_matrix of its rows, the form the walk reads."""
+    if channel.matrix is not None:
+        return channel
+    return ChannelModel.from_matrix(channel.kind, channel_rows(channel))
+
+
+# ---------------------------------------------------------------------------
 # exact leakage by a depth-first walk over every ordered sequence of steps
 # (oracle for secrid.analysis.exact_leakage, which merges equal steps and
 # walks each distinct f vector once)
@@ -198,8 +228,9 @@ def leakage_by_walk(params: SecrecyParams, channel: ChannelModel) -> tuple[Fract
     lp = params.ell_prime
     n_out = channel.n_outputs
     mul = field.fast_ops()[1]
-    scale = math.lcm(*(v.denominator for row in channel.matrix for v in row))
-    w = [[int(v * scale) for v in row] for row in channel.matrix]
+    rows = channel_rows(channel)
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    w = [[int(v * scale) for v in row] for row in rows]
     back = [[field.sub(t, u) for t in range(q)] for u in range(q)]
     steps = [
         terms
