@@ -11,11 +11,12 @@ charged by leakage_work for what it runs), exact collision-entropy
 budgets, and exact identification error fractions (a zero count of the
 difference polynomial, one variable substituted at a time through
 rmid.substitution_plan, the Horner plan evaluate_tag folds by, with
-lookups in a q x q multiply-add table built once per field: for q <= 16
-on byte vectors, the first two variables at all their values at once in
-byte lanes, one or two bytes.translate per Horner step; above 16 a
-depth-first walk takes ~sum_j q^j C(ell - j + 1 + k, k) lookups instead
-of C(ell + k, k) at each of q^ell points).
+lookups in a q x q multiply-add table built once per field, none at 0
+outside the byte lanes: for q <= 16 on byte vectors, the first two
+variables at all their values at once in byte lanes, one or two
+bytes.translate per Horner step; above 16 a depth-first walk takes ~sum_j
+(q - 1) q^(j-1) C(ell - j + 1 + k, k) lookups instead of C(ell + k, k) at
+each of q^ell points).
 Distributions are kept as exact integers or rationals end to end; floats
 appear only in reported logarithms.
 
@@ -248,11 +249,10 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
         pairwise = 2 ((X + (q - 1) beta)^ell' - X^ell') / (q - 1) / norm,
         max = (q - 1) / q * pairwise,  norm = |S| q^(ell'-1) scale^ell'.
     Every other channel runs _leakage_walk."""
-    field = params.field
+    field, lp, scale = params.field, params.ell_prime, channel.scale
     q = field.q
     if channel.q != q:
         raise ValueError(f"channel alphabet {channel.q} does not match q={q}")
-    lp, scale = params.ell_prime, channel.scale
     leakage_work(params, channel)  # before the powers, or the kernel pass
     if channel.spike_sum is None:
         max_sum, pair_sum = _leakage_walk(params, channel)
@@ -271,28 +271,23 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
     d2_bits = math.log2(d2_pow) if num < den << 1023 else _log2_ratio(num, den)
     kappa_true = d2_bits / (lp * field.log2_q)
 
-    tight_sq, _ = leakage_bound_squared(q, lp, d2_pow)
-    effective_sq = min(tight_sq, Fraction(4))  # the bound is clamped at TV <= 2
+    # on integer cross-products, each TV n / d in [0, 2], then n^2 / d^2 <=
+    # tn / td; a TV in [0, 2] meets a tight square of 4 or more: no clamp
+    tn, td = leakage_bound_squared(q, lp, d2_pow)[0].as_integer_ratio()
     for name, stat in (("max", exact_max_tv), ("pairwise", exact_pairwise_tv)):
-        if stat < 0 or stat > 2:
+        n, d = stat.as_integer_ratio()
+        if n < 0 or n > 2 * d:
             raise AssertionError(f"exact {name} TV {stat} outside [0, 2]")
-        if stat * stat > effective_sq:
+        if n * n * td > tn * d * d:
             raise AssertionError(
                 f"exact {name} TV {float(stat)} exceeds the tight bound; "
                 "the closed form or the enumeration is wrong"
             )
     bounds = leakage_bound(params, d2_bits)
     return LeakageReport(
-        q=q,
-        ell_prime=lp,
-        channel_kind=channel.kind,
-        delta=channel.delta,
-        exact_max_tv=exact_max_tv,
-        exact_pairwise_tv=exact_pairwise_tv,
-        d2_pow=d2_pow,
-        d2_bits=d2_bits,
-        kappa_true=kappa_true,
-        bound_tight=bounds.tight,
+        q=q, ell_prime=lp, channel_kind=channel.kind, delta=channel.delta,
+        exact_max_tv=exact_max_tv, exact_pairwise_tv=exact_pairwise_tv, d2_pow=d2_pow,
+        d2_bits=d2_bits, kappa_true=kappa_true, bound_tight=bounds.tight,
         bound_simplified=bounds.simplified,
     )
 
@@ -474,16 +469,17 @@ def _walk_zeros(poly: list[int], plan: tuple, steps: list) -> int:
     """Zeros of poly in the len(plan) variables plan folds, depth-first: at
     each value of the first variable, a fold that vanishes identically holds
     q^(variables left) zeros without descending, and a nonzero constant
-    holds none.  At most sum over j = 1..ell of q^j * C(ell - j + 1 + k, k)
-    Horner steps instead of C(ell + k, k) multiply-adds per point, e.g. 25k
-    instead of 302k at q = 7, ell = 4, k = 5, in memory of ell coefficient
-    vectors."""
+    holds none.  At a = 0 the fold is each group's constant coefficient,
+    poly[rest[-1] if rest else top], with no Horner step, so at most sum
+    over j = 1..ell of (q - 1) q^(j-1) C(ell - j + 1 + k, k) steps instead
+    of C(ell + k, k) multiply-adds per point, e.g. 22k instead of 302k at
+    q = 7, ell = 4, k = 5, in memory of ell coefficient vectors."""
     if not plan:
         return 0
-    vanished = len(steps) ** (len(plan) - 1)
+    vanished, groups = len(steps) ** (len(plan) - 1), plan[0]
     hits = 0
-    for step in steps:  # one value a of this variable
-        folded = _fold(poly, plan[0], step)
+    for a, step in enumerate(steps):  # one value a of this variable
+        folded = _fold(poly, groups, step) if a else [poly[r[-1] if r else t] for t, r in groups]
         hits += _walk_zeros(folded, plan[1:], steps) if any(folded) else vanished
     return hits
 
@@ -496,9 +492,10 @@ def _byte_zeros(poly: list[int], plan: tuple, byte_tables: tuple) -> int:
     first[c], and strip leaves acc.  So does the second, in q^2-byte lanes
     (b, a) on the first's vectors tiled q times: acc + lanes by mul gives
     b * acc, then (b * acc) * q + c by tables[1] b * acc + c.  Deeper
-    levels run one value at a time (_byte_folds), joining their q folds;
-    the last counts each fold's zeros as it is made, in memory of about
-    (2 k + 5) q^(ell - 1) bytes."""
+    levels run one value at a time (_byte_folds, whose fold at a = 0 is
+    each group's constant coefficient, with no step), joining their q
+    folds; the last counts each fold's zeros as it is made, in memory of
+    about (2 k + 5) q^(ell - 1) bytes."""
     start, first, strip, lanes, mul, tables = byte_tables
     q = len(tables)
     from_bytes = int.from_bytes
@@ -529,11 +526,14 @@ def _byte_zeros(poly: list[int], plan: tuple, byte_tables: tuple) -> int:
 def _byte_folds(vectors: list[bytes], groups: tuple, tables: list[bytes]) -> Iterator[list]:
     """Yield the fold of vectors at each value a of the next variable, a
     Horner step (int(acc) * q + int(c)).to_bytes(n).translate(tables[a]):
-    acc * q + c < q^2 <= 256 carries into no other byte."""
+    acc * q + c < q^2 <= 256 carries into no other byte.  At a = 0 the fold
+    is each group's constant coefficient, vectors[rest[-1] if rest else
+    top], with no step."""
     q, n = len(tables), len(vectors[0])
     from_bytes = int.from_bytes
     ints = [from_bytes(v, "big") for v in vectors]
-    for table in tables:
+    yield [vectors[rest[-1] if rest else top] for top, rest in groups]
+    for table in tables[1:]:
         fold = []
         for top, rest in groups:
             acc = vectors[top]

@@ -356,6 +356,9 @@ def test_named_channels_take_in_closed_form_what_their_rows_give(channel):
     assert channel.matrix is None
     attributes = ("scale", "n_outputs", "d2_pow", "spike_sum")
     assert [vars(channel)[a] for a in attributes] == [vars(rows)[a] for a in attributes]
+    # so at least q outputs, and a scale that delta's denominator divides
+    assert channel.n_outputs >= channel.q
+    assert channel.scale % (1 if channel.delta is None else channel.delta.denominator) == 0
 
 
 def test_a_named_channel_over_a_32_bit_field_costs_nothing_to_handle():
@@ -698,6 +701,66 @@ def test_leakage_report_row_matches_header():
     assert obj["channel"] == "symmetric"
     assert Fraction(obj["exact_max_tv_exact"]) == report.exact_max_tv
     assert report.to_csv_row() == [obj[key] for key in LEAKAGE_CSV_HEADER]
+
+
+# exact_leakage's two self-checks raise explicitly, not by assert, so these
+# tests pass under python -O as well; a point that must pass is only called
+
+def self_check_point(path):
+    """A point on the walk (parity, GF(4), ell' = 3) or on the closed form
+    (symmetric, GF(5), ell' = 2), both at delta = 1/8, and its norm: the max
+    TV is its sum over q norm, the pairwise TV its sum over norm."""
+    q, lp = (4, 3) if path == "walk" else (5, 2)
+    params = params_for(q, lp)
+    channel = walk_channel("parity" if path == "walk" else "symmetric", q, Fraction(1, 8))
+    return params, channel, params.seed_space_size * q ** (lp - 1) * channel.scale ** lp
+
+
+@pytest.mark.parametrize("stat", ["max", "pairwise"])
+def test_self_check_refuses_a_walk_tv_outside_0_2(monkeypatch, stat):
+    # the walk's sums patched onto both ends of [0, 2] and one past each; a
+    # tight square of exactly 4 leaves TV = 2 to the [0, 2] check alone
+    params, channel, norm = self_check_point("walk")
+    d = params.field.q * norm if stat == "max" else norm
+    monkeypatch.setattr(analysis, "leakage_bound_squared", lambda *a: (Fraction(4), None))
+    for n, refused in [(0, False), (2 * d, False), (-1, True), (2 * d + 1, True)]:
+        sums = (n, 0) if stat == "max" else (0, n)
+        monkeypatch.setattr(analysis, "_leakage_walk", lambda *a, sums=sums: sums)
+        if not refused:
+            exact_leakage(params, channel)
+            continue
+        with pytest.raises(AssertionError, match=rf"^exact {stat} TV -?\d+(/\d+)? outside \[0, 2\]$"):
+            exact_leakage(params, channel)
+
+
+@pytest.mark.parametrize("beta", [-1, 10 ** 6])
+def test_self_check_refuses_a_closed_form_tv_outside_0_2(beta):
+    # a spike sum patched below 0 or far past its channel's: the closed
+    # form's max TV, checked first, leaves [0, 2]
+    params, channel, _ = self_check_point("spike")
+    vars(channel)["spike_sum"] = beta
+    with pytest.raises(AssertionError, match=r"^exact max TV -?\d+(/\d+)? outside \[0, 2\]$"):
+        exact_leakage(params, channel)
+
+
+@pytest.mark.parametrize("path", ["walk", "spike"])
+def test_self_check_refuses_a_tv_past_the_tight_bound(monkeypatch, path):
+    # the tight square patched to each TV's square passes that TV, and just
+    # below it refuses the first TV past it: max TV < pairwise TV
+    params, channel, _ = self_check_point(path)
+    report = exact_leakage(params, channel)
+    max_sq, pair_sq = report.exact_max_tv ** 2, report.exact_pairwise_tv ** 2
+    assert 0 < max_sq < pair_sq < 4
+    tiny = Fraction(1, 10 ** 30)
+    for square, refused in [
+        (pair_sq, None), (pair_sq - tiny, "pairwise"), (max_sq, "pairwise"), (max_sq - tiny, "max"),
+    ]:
+        monkeypatch.setattr(analysis, "leakage_bound_squared", lambda *a, s=square: (s, None))
+        if refused is None:
+            exact_leakage(params, channel)
+            continue
+        with pytest.raises(AssertionError, match=rf"^exact {refused} TV \S+ exceeds the tight bound;"):
+            exact_leakage(params, channel)
     # the row formats no exact string: one of 10^5000 would pass str()'s limit
     huge = analysis.LeakageReport(**{**vars(report), "exact_max_tv": Fraction(1, 10 ** 5000)})
     assert huge.to_csv_row()[LEAKAGE_CSV_HEADER.index("exact_max_tv")] == 0.0
