@@ -6,8 +6,9 @@ a given per-symbol observation channel (a closed form in O(1) powers on a
 spike channel, each column a constant plus one spike, as the four named
 channels, which keep no matrix, are; on every other channel an integer
 dynamic program over the seed directions, level by level, one convolved f
-per class of translates, which share every sum, with its count; each is
-charged by leakage_work for what it runs), exact collision-entropy
+per class of translates, which share every sum, with its count, from a
+kernel pass the channel keeps once a walk is accepted; each is charged by
+leakage_work for what it runs on every call), exact collision-entropy
 budgets, and exact identification error fractions (a zero count of the
 difference polynomial, one variable substituted at a time through
 rmid.substitution_plan, the Horner plan evaluate_tag folds by, with
@@ -61,7 +62,8 @@ class ChannelModel(Record):
     closed form, O(1) in q, so leakage_work charges it the closed form's
     powers alone.  A from_matrix channel's constructor scans its rows once
     for them and keeps scaled, the rows times scale as ints, for the walk it
-    is charged for."""
+    is charged for; an accepted walk keeps its kernel pass on the channel,
+    no field, so ==, hash and repr skip it, and a pickled copy carries it."""
 
     def __init__(
         self, kind: str, q: int, matrix: tuple[tuple[Fraction, ...], ...] | None,
@@ -186,7 +188,8 @@ def leakage_work(
     below q^2 scale and the Fractions over them.  The walk, on any other
     channel or any given the walk's pivots (pivot classes) and steps
     ((terms, count) pairs; without, pivots 1 and no steps bound it from
-    below): the q^2 |Z| kernel pass; ell' + 1 weights of ~ell' bits(2 q
+    below): the q^2 |Z| kernel pass, on every call, kept or not, so no
+    refusal depends on what ran before; ell' + 1 weights of ~ell' bits(2 q
     scale) bits; its classes, at most pivots C(S + k - 2, k - 1) at level
     k, each q per sum and, below ell', per term and key of a step, x (1 +
     ell' b^1.5 / 4096) for scale's b bits as ints grow.  Past WORK_LIMIT, or
@@ -295,49 +298,31 @@ def exact_leakage(params: SecrecyParams, channel: ChannelModel) -> LeakageReport
 def _leakage_walk(params: SecrecyParams, channel: ChannelModel) -> tuple[int, int]:
     """exact_leakage's level sums on any channel, weighted and summed: the
     max TV's over q norm and the pairwise TV's over norm.  leakage_work
-    refuses the walk again from the first level and the steps.
+    refuses the walk again from the first level and the steps, which the
+    channel keeps once it accepts them: q fixes the field.
 
     Steps commute, so f after the pivot's 1 and k - 1 nonzero entries
     depends only on the multiset of steps: the walk goes level by level in
     k, one f per class of translates f(. + c) with how many walks reach the
     class.  That is exact: translating f changes neither sum, and
     convolution commutes with translation, so what lies below a translate
-    of f, or below a translated kernel, is translated alike.  The pivot's
-    columns are keyed by their greatest translate, and merge with a count;
-    a translated column spreads to a translated kernel, so each class of
-    columns is spread once per multiplier, and kernels merge alike; each
-    child g is keyed by its translate from its first maximum, a function
-    of g that is canonical when that maximum is unique.  A constant added
-    to f adds a constant to every f below it and changes no sum, so each
-    step drops low = min h: g(t) = sum_u (h(u) - low) f(t - u).  Each sum
-    over t is one map pipeline (_leakage_tables)."""
-    field = params.field
+    of f, or below a translated kernel, is translated alike.  Each child g
+    is keyed by its translate from its first maximum, a function of g that
+    is canonical when that maximum is unique.  A constant added to f adds
+    a constant to every f below it and changes no sum, so each step drops
+    low = min h: g(t) = sum_u (h(u) - low) f(t - u).  Each sum over t is
+    one map pipeline (_leakage_tables)."""
+    field, lp, scale = params.field, params.ell_prime, channel.scale
     q = field.q
-    lp, scale, w = params.ell_prime, channel.scale, channel.scaled
     shifts, fronts, half, spreads = _leakage_tables(field)
-
-    def greatest(f: tuple) -> tuple:  # the class's canonical translate
-        top = max(f)
-        if f.count(top) == 1:
-            return fronts[f.index(top)](f)
-        return max(fronts[i](f) for i, v in enumerate(f) if v == top)  # the greatest starts at top
-
-    level = Counter(map(greatest, zip(*w)))  # the pivot's step from t = 0: f = W(z | .)
-    kernels = Counter()  # h(u) = W(z | x) at u = a x, one per class, from each class of columns
-    for spread in spreads:
-        for col, n in level.items():
-            kernels[greatest(spread(col))] += n
-    steps = []  # (terms (u, times: multiply by h(u) - low), how many (a, z) share h's class)
-    for h, count in kernels.items():
-        low = min(h)
-        if terms := [(u, (v - low).__mul__) for u, v in enumerate(h) if v > low]:
-            steps.append((terms, count))  # a constant h leaves nothing to sum
+    level, steps = vars(channel).get("_kernel_pass") or _kernel_pass(channel.scaled, fronts, spreads)
     reads = {u: shifts[u] for terms, _ in steps for u, _ in terms}  # each once per f
     # sums by walk length k; pair_sums[k][i] for messages half[i]'s d apart
     max_sums = [0] * (lp + 1)
     pair_sums = [[0] * len(half) for _ in range(lp + 1)]
 
     leakage_work(params, channel, len(level), steps)
+    vars(channel)["_kernel_pass"] = level, steps
     for k in range(1, lp + 1):
         pair = pair_sums[k]
         below = defaultdict(int)
@@ -365,6 +350,31 @@ def _leakage_walk(params: SecrecyParams, channel: ChannelModel) -> tuple[int, in
     weights.reverse()
     pair_sum = max(sum(map(mul, weights, col)) for col in zip(*pair_sums))
     return sum(map(mul, weights, max_sums)), pair_sum
+
+
+def _kernel_pass(w: Sequence[tuple], fronts: list, spreads: list) -> tuple[Counter, list]:
+    """_leakage_walk's first level and steps from the scaled rows w: the
+    spreads of a column's translates from its maxima are its kernel's, so
+    each class spreads them once per multiplier, and the greatest keys h."""
+    def starts(f: tuple) -> tuple | set:  # f's translates from its maxima, each once
+        top = max(f)
+        if f.count(top) == 1:
+            return (fronts[f.index(top)](f),)
+        return {fronts[i](f) for i, v in enumerate(f) if v == top}
+
+    translates = [*map(starts, zip(*w))]  # the pivot's step from t = 0: f = W(z | .)
+    level = Counter(map(max, translates))  # a class of columns, by its greatest translate
+    tops = dict(zip(map(max, translates), translates))
+    kernels = Counter()  # h(u) = W(z | x) at u = a x, one per class, from each class of columns
+    for spread in spreads:
+        for col, n in level.items():
+            kernels[max(map(spread, tops[col]))] += n
+    steps = []  # (terms (u, times: multiply by h(u) - low), how many (a, z) share h's class)
+    for h, count in kernels.items():
+        low = min(h)
+        if terms := [(u, (v - low).__mul__) for u, v in enumerate(h) if v > low]:
+            steps.append((terms, count))  # a constant h leaves nothing to sum
+    return level, steps
 
 
 @lru_cache(maxsize=None)

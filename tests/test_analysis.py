@@ -4,6 +4,7 @@ import pickle
 import random
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -122,20 +123,6 @@ def test_product_channel_d2_factorizes():
         single = base.d2_pow
         for n in (2, 3):
             assert channel_power(base, n).d2_pow == single ** n
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 9, 101])
-@pytest.mark.parametrize("kind", ["identity", "uniform", "symmetric", "erasure"])
-def test_named_channels_meet_the_bounds_a_point_is_first_sized_at(kind, q):
-    # every named channel has at least q outputs, and a scale that delta's
-    # denominator (1 without a delta) divides
-    deltas = [None] if kind in ("identity", "uniform") else [
-        Fraction(0), Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), Fraction(5, 6), Fraction(1)]
-    make = getattr(ChannelModel, kind)
-    for delta in deltas:
-        channel = make(q) if delta is None else make(q, delta)
-        assert channel.n_outputs >= q
-        assert channel.scale % (1 if delta is None else delta.denominator) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +382,90 @@ def test_each_class_of_columns_is_spread_once(monkeypatch, q):
         spread_cols.clear()
         analysis._leakage_walk(params_for(q, 2), with_rows(channel))
         assert len(spread_cols) == classes * (q - 1)
+
+
+@pytest.mark.parametrize("q", [4, 9])  # XOR and Zech fields
+def test_the_kernel_pass_runs_once_per_channel(monkeypatch, q):
+    # the second walk of a channel spreads nothing: it reads the pass the
+    # first one kept, in which each translate from a maximum of a class of
+    # columns was spread once per multiplier; a twin walked in the other
+    # order reports the same at each length
+    tables = analysis._leakage_tables
+    spread_cols = []
+
+    def counted(field):
+        shifts, fronts, half, spreads = tables(field)
+        spreads = [lambda col, s=s: spread_cols.append(col) or s(col) for s in spreads]
+        return shifts, fronts, half, spreads
+
+    monkeypatch.setattr(analysis, "_leakage_tables", counted)
+    channel, twin = (walk_channel("parity", q, Fraction(1, 8)) for _ in range(2))
+    reports = {2: exact_leakage(params_for(q, 2), channel)}
+    spread = len(spread_cols)
+    assert spread > 0 and all(spread_cols.count(col) == q - 1 for col in spread_cols)
+    reports[3] = exact_leakage(params_for(q, 3), channel)
+    assert len(spread_cols) == spread
+    for lp in (3, 2):
+        params = params_for(q, lp)
+        report = exact_leakage(params, twin)
+        assert report == reports[lp]
+        assert (report.exact_max_tv, report.exact_pairwise_tv) == leakage_by_walk(params, channel)
+    assert len(spread_cols) == 2 * spread
+
+
+@pytest.mark.parametrize("q", [4, 5, 8, 9, 11])  # XOR, prime and Zech fields
+def test_the_kernel_pass_keys_each_class_by_its_greatest_translate(q):
+    # by definition: every column spread by every multiplier, each keyed by
+    # the greatest of all q of its translates, counted; the pass spreads
+    # only its classes' translates from their maxima, to the same steps
+    field, rng = Field.from_q(q), random.Random(q)
+    _, fronts, _, spreads = analysis._leakage_tables(field)
+    for rows in (
+        [[Fraction(int(z in picked), 4) for z in range(q)]
+         for picked in (rng.sample(range(q), 4) for _ in range(q))],
+        channel_rows(walk_channel("parity", q, Fraction(1, 8))),
+        [[Fraction(w, 6) for w in rng.choice([(1, 2, 3), (3, 2, 1), (2, 2, 2)])] for _ in range(q)],
+    ):
+        channel = ChannelModel.from_matrix("tied", rows)
+        level, steps = analysis._kernel_pass(channel.scaled, fronts, spreads)
+        kernels = Counter()
+        for col in zip(*channel.scaled):
+            for spread in spreads:
+                kernels[max(t(spread(col)) for t in fronts)] += 1
+        expected = sorted(
+            ([(u, v - min(h)) for u, v in enumerate(h) if v > min(h)], n)
+            for h, n in kernels.items() if len(set(h)) > 1
+        )
+        assert sorted(([(u, times(1)) for u, times in terms], n) for terms, n in steps) == expected
+        assert level == Counter(max(t(col) for t in fronts) for col in zip(*channel.scaled))
+
+
+def test_a_walked_channel_keeps_its_value():
+    # the kept pass is no field: equality, hash and repr read the fields,
+    # and a pickled copy carries the pass and reports alike
+    params = params_for(9, 2)
+    walked, twin = (walk_channel("parity", 9, Fraction(1, 8)) for _ in range(2))
+    report = exact_leakage(params, walked)
+    assert "_kernel_pass" in vars(walked) and "_kernel_pass" not in vars(twin)
+    assert walked == twin and hash(walked) == hash(twin) and repr(walked) == repr(twin)
+    copy = pickle.loads(pickle.dumps(walked))
+    assert copy == walked and "_kernel_pass" in vars(copy)
+    assert exact_leakage(params, copy) == report
+
+
+def test_a_refusal_does_not_depend_on_what_ran_before():
+    # the walk's check, from its classes and steps, refuses parity GF(9)
+    # at ell' = 48 with the same charge whether its pass is built or kept,
+    # and a channel keeps no pass from a walk that was refused
+    message = "a work bound >= 2^27 units, past 40000000, is too large for exact leakage"
+    channel = walk_channel("parity", 9, Fraction(1, 8))
+    with pytest.raises(ValueError) as fresh:
+        exact_leakage(params_for(9, 48), channel)
+    assert "_kernel_pass" not in vars(channel)
+    exact_leakage(params_for(9, 2), channel)
+    with pytest.raises(ValueError) as after:
+        exact_leakage(params_for(9, 48), channel)
+    assert str(fresh.value) == str(after.value) == message
 
 
 @pytest.mark.parametrize("q", [9, 11, 13])  # Zech and prime fields
