@@ -299,7 +299,7 @@ def _leakage_walk(params: SecrecyParams, channel: ChannelModel) -> tuple[int, in
     """exact_leakage's level sums on any channel, weighted and summed: the
     max TV's over q norm and the pairwise TV's over norm.  leakage_work
     refuses the walk again from the first level and the steps, which the
-    channel keeps once it accepts them: q fixes the field.
+    channel keeps with their reads once it accepts them: q fixes the field.
 
     Steps commute, so f after the pivot's 1 and k - 1 nonzero entries
     depends only on the multiset of steps: the walk goes level by level in
@@ -315,14 +315,14 @@ def _leakage_walk(params: SecrecyParams, channel: ChannelModel) -> tuple[int, in
     field, lp, scale = params.field, params.ell_prime, channel.scale
     q = field.q
     shifts, fronts, half, spreads = _leakage_tables(field)
-    level, steps = vars(channel).get("_kernel_pass") or _kernel_pass(channel.scaled, fronts, spreads)
-    reads = {u: shifts[u] for terms, _ in steps for u, _ in terms}  # each once per f
+    kept = vars(channel).get("_kernel_pass")
+    level, steps, reads = kept or _kernel_pass(channel.scaled, shifts, fronts, spreads)
     # sums by walk length k; pair_sums[k][i] for messages half[i]'s d apart
     max_sums = [0] * (lp + 1)
     pair_sums = [[0] * len(half) for _ in range(lp + 1)]
 
     leakage_work(params, channel, len(level), steps)
-    vars(channel)["_kernel_pass"] = level, steps
+    vars(channel)["_kernel_pass"] = level, steps, reads
     for k in range(1, lp + 1):
         pair = pair_sums[k]
         below = defaultdict(int)
@@ -352,10 +352,11 @@ def _leakage_walk(params: SecrecyParams, channel: ChannelModel) -> tuple[int, in
     return sum(map(mul, weights, max_sums)), pair_sum
 
 
-def _kernel_pass(w: Sequence[tuple], fronts: list, spreads: list) -> tuple[Counter, list]:
-    """_leakage_walk's first level and steps from the scaled rows w: the
-    spreads of a column's translates from its maxima are its kernel's, so
-    each class spreads them once per multiplier, and the greatest keys h."""
+def _kernel_pass(w: Sequence[tuple], shifts: list, fronts: list, spreads: list) -> tuple:
+    """_leakage_walk's first level, steps and reads (shifts[u] for each u
+    the steps read, so the walk shifts each f once per u) from the scaled
+    rows w: the spreads of a column's translates from its maxima are its
+    kernel's, so each class spreads them once per multiplier."""
     def starts(f: tuple) -> tuple | set:  # f's translates from its maxima, each once
         top = max(f)
         if f.count(top) == 1:
@@ -374,7 +375,7 @@ def _kernel_pass(w: Sequence[tuple], fronts: list, spreads: list) -> tuple[Count
         low = min(h)
         if terms := [(u, (v - low).__mul__) for u, v in enumerate(h) if v > low]:
             steps.append((terms, count))  # a constant h leaves nothing to sum
-    return level, steps
+    return level, steps, {u: shifts[u] for terms, _ in steps for u, _ in terms}
 
 
 @lru_cache(maxsize=None)

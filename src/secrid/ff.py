@@ -3,9 +3,8 @@
 Elements are canonical integers in [0, q): the little-endian base-p digit
 vector of an integer is the coefficient vector of the residue polynomial.
 Multiplication goes through precomputed exp/log tables for q <= 2**20 and
-falls back to schoolbook polynomial multiplication above that.  Extension
-fields with p > 2 add a Zech-logarithm table, read by add and by the log-
-domain loops of tag evaluation and the cipher; GF(2^m) addition is XOR.
+falls back to schoolbook polynomial multiplication above that.  The tables
+hold Zech logs too, for tags, the cipher and add (unless p = 2 or m = 1).
 
 A field builds its tables only once its table-free work would have paid
 for them (the ski-rental rule): callers charge the multiply-adds they are
@@ -37,14 +36,15 @@ from functools import lru_cache
 from itertools import islice
 from typing import Callable, Sequence
 
-# exp/log (and Zech) tables are built for fields up to this size
+# exp, log and Zech tables are built for fields up to this size
 TABLE_LIMIT = 1 << 20
 # one table-free multiply-add on the digit pair costs about as much as
-# building this many table entries (measured 19 on GF(3^10) and 9.5 on
-# GF(2^16), 2-core x86, Python 3.11), so a field's tables are built once the
-# multiply-adds charged to it reach q / TABLE_PAYBACK.  Tag evaluation on a
-# field rmid's packed-digit kernel serves runs a step at about 1/18 of a
-# pair step; the charge and this threshold are left as they are
+# building this many table entries (measured 22-26 on GF(3^10), and 9.5 on
+# GF(2^16) before it had a Zech table, 2-core x86, Python 3.11), so a
+# field's tables are built once the multiply-adds charged to it reach
+# q / TABLE_PAYBACK.  Tag evaluation on a field rmid's packed-digit kernel
+# serves runs a step at about 1/18 of a pair step; the charge and this
+# threshold are left as they are
 TABLE_PAYBACK = 16
 # no field is larger; above it the digit arithmetic is still exact, but the
 # trial-division searches behind a field's construction run for minutes
@@ -246,7 +246,7 @@ class Field:
     """GF(p^m) acting on canonical integer representatives.
 
     Everything that depends only on p and m is set when the field is made,
-    the table-free pair among it.  Only the lookup tables wait: they are
+    the table-free pair among it.  Only the tables (exp, log, Zech) wait,
     built by fast_ops() with no argument, or once the work charged through
     fast_ops(work) and the checked operations reaches q / TABLE_PAYBACK
     multiply-adds, and never above TABLE_LIMIT.  Until then arithmetic runs
@@ -279,7 +279,7 @@ class Field:
         self._digits = (add, self._mul_core)
         # fast_ops() fixes the pair, and sets the tables, once they pay;
         # until then _work counts the multiply-adds charged to _digits
-        self._tables: tuple[list[int], list[int], list[int] | None] | None = None
+        self._tables: tuple[list[int], list[int], list[int]] | None = None
         self._ops = None if q <= TABLE_LIMIT else self._digits
         self._work = 0
 
@@ -343,10 +343,10 @@ class Field:
         return self._ops
 
     def _table_ops(
-        self, exp: list[int], log: list[int], zech: list[int] | None
+        self, exp: list[int], log: list[int], zech: list[int]
     ) -> tuple[Callable[[int, int], int], Callable[[int, int], int]]:
-        """(add, mul) through the tables; add is the digit one unless
-        there is a Zech table."""
+        """(add, mul) with tables.  add stays XOR on GF(2^m) and the sum mod
+        p on GF(p), which beat a Zech lookup; elsewhere it reads zech."""
         qm1 = self.q - 1
 
         def mul(a: int, b: int) -> int:
@@ -354,7 +354,7 @@ class Field:
                 return 0
             return exp[log[a] + log[b]]
 
-        if zech is None:
+        if self.p == 2 or self.m == 1:
             return self._digits[0], mul
 
         def add(a: int, b: int) -> int:
@@ -371,13 +371,13 @@ class Field:
 
         return add, mul
 
-    def _build_tables(self) -> tuple[list[int], list[int], list[int] | None]:
+    def _build_tables(self) -> tuple[list[int], list[int], list[int]]:
         """(exp, log, zech).  exp is doubled so mul can skip a modulo;
-        zech[t] = log(1 + g^t), or -1 when 1 + g^t = 0, exists only when
-        p > 2 and m > 1.  exp steps by _times(g), so no entry costs a
-        schoolbook multiply; Zech adds 1 to the low digit only, and its
-        entries are log's int objects."""
-        p, m, q = self.p, self.m, self.q
+        zech[t] = log(1 + g^t), or -1 (log[0]) when 1 + g^t = 0.  exp steps
+        by _times(g), so no entry costs a schoolbook multiply; Zech adds 1
+        to the low digit only (a ^ 1 when p = 2, a + 1 mod p when m = 1),
+        and its entries are log's int objects."""
+        p, q = self.p, self.q
         g = self._find_generator()
         step = self._times(g)
         exp = [1] * (q - 1)
@@ -394,11 +394,8 @@ class Field:
             raise AssertionError("generator order check failed")
         del step, ints  # frees the chunk tables before the Zech table is built
         self.generator = g
-        zech = None
-        if p > 2 and m > 1:
-            # log[0] == -1 marks 1 + g^t = 0
-            pm1 = p - 1
-            zech = [log[a - pm1 if a % p == pm1 else a + 1] for a in exp]
+        pm1 = p - 1
+        zech = [log[a - pm1 if a % p == pm1 else a + 1] for a in exp]
         exp *= 2
         return exp, log, zech
 
@@ -408,10 +405,12 @@ class Field:
         lo * g plus (p^w * hi) * g, both read from tables of p^w and
         p^(m-w) products precomputed with _mul_core.  The sum goes w digits
         at a time through a digit-wise add table of p^(2w) <= q entries,
-        plus one top digit when m is odd (for m = 1 that digit is all of
-        x, and the step is x * g mod p).  No table holds more than q
-        entries."""
+        plus one top digit when m is odd.  For m = 1 that digit is all of
+        x, and the step is x * g mod p, with no table.  No table holds
+        more than q entries."""
         p, m, q = self.p, self.m, self.q
+        if m == 1:
+            return lambda x: x * g % p
         w = m // 2
         chunk = p ** w
         top = chunk * chunk  # place of the top digit, nonzero only for odd m
@@ -434,10 +433,9 @@ class Field:
         return step
 
     def _find_generator(self) -> int:
-        if self.q == 2:
-            return 1  # trivial group, 1 generates it
+        # g = 1 passes only at q = 2, whose q - 1 has no prime factor
         cofactors = [(self.q - 1) // r for r in factorize(self.q - 1)]
-        for g in range(2, self.q):
+        for g in range(1, self.q):
             if all(_powmod(g, c, self._modulus, self.p) != 1 for c in cofactors):
                 return g
         raise AssertionError("multiplicative group of a finite field is cyclic")

@@ -331,12 +331,12 @@ def evaluate_tag(identity: Identity, r: Sequence[int]) -> int:
     group of substitution_plan into one coefficient of a polynomial in the
     variables left, and so on down to a constant.  One multiply-add per
     coefficient, plus C(ell - d + k, k) for each smaller level d >= 1.  With
-    a Zech table it runs on logs (-1 for 0), one Zech lookup per step, and a
-    zero coordinate leaves each group's constant.  A field with no tables
-    that _packing serves runs on packed digits: x -> a * x is GF(p)-linear,
-    so a step is the sum of the accumulator's digits times the packed
-    a * x^i, plus the packed coefficient, each byte then reduced mod p.
-    Every other field runs on the fast_ops pair."""
+    tables it runs on logs (-1 for 0), one Zech lookup per step, and a zero
+    coordinate leaves each group's constant.  A field with no tables that
+    _packing serves runs on packed digits: x -> a * x is GF(p)-linear, so a
+    step is the sum of the accumulator's digits times the packed a * x^i,
+    plus the packed coefficient, each byte then reduced mod p.  Every other
+    field with no tables runs on the fast_ops pair."""
     params = identity.params
     field = params.field
     if len(r) != params.ell:
@@ -360,7 +360,7 @@ def evaluate_tag(identity: Identity, r: Sequence[int]) -> int:
                 folded.append(int.from_bytes(acc, "little"))
             poly = folded
         return sum(map(operator.mul, poly[0].to_bytes(m, "little"), field._places))
-    if tables is None or tables[2] is None:
+    if tables is None:
         poly = identity.coeffs
         for groups, a in zip(substitution_plan(params.ell, params.k), point):
             folded = []

@@ -183,10 +183,10 @@ def decrypt(params: SecrecyParams, seed: Seed, x: Sequence[int]) -> int:
 
 def _affine_sum(field: Field, seed: Seed, x: Sequence[int], add, mul) -> int:
     """s.x + s0, summed through the pivot (s is 0 above it): on logs (-1 for
-    0), one Zech lookup per term, given a Zech table; else on add and mul."""
+    0), one Zech lookup per term, given tables; else on add and mul."""
     terms = zip(seed.s[: seed.pivot + 1], x)
     tables = field._tables
-    if tables is None or tables[2] is None:
+    if tables is None:
         acc = seed.s0
         for sj, xj in terms:
             acc = add(acc, mul(sj, xj))

@@ -419,7 +419,7 @@ def test_the_kernel_pass_keys_each_class_by_its_greatest_translate(q):
     # the greatest of all q of its translates, counted; the pass spreads
     # only its classes' translates from their maxima, to the same steps
     field, rng = Field.from_q(q), random.Random(q)
-    _, fronts, _, spreads = analysis._leakage_tables(field)
+    shifts, fronts, _, spreads = analysis._leakage_tables(field)
     for rows in (
         [[Fraction(int(z in picked), 4) for z in range(q)]
          for picked in (rng.sample(range(q), 4) for _ in range(q))],
@@ -427,7 +427,7 @@ def test_the_kernel_pass_keys_each_class_by_its_greatest_translate(q):
         [[Fraction(w, 6) for w in rng.choice([(1, 2, 3), (3, 2, 1), (2, 2, 2)])] for _ in range(q)],
     ):
         channel = ChannelModel.from_matrix("tied", rows)
-        level, steps = analysis._kernel_pass(channel.scaled, fronts, spreads)
+        level, steps, reads = analysis._kernel_pass(channel.scaled, shifts, fronts, spreads)
         kernels = Counter()
         for col in zip(*channel.scaled):
             for spread in spreads:
@@ -437,6 +437,8 @@ def test_the_kernel_pass_keys_each_class_by_its_greatest_translate(q):
             for h, n in kernels.items() if len(set(h)) > 1
         )
         assert sorted(([(u, times(1)) for u, times in terms], n) for terms, n in steps) == expected
+        # the walk shifts f once by each u at which some kernel is above its least
+        assert reads == {u: shifts[u] for terms, _ in expected for u, _ in terms}
         assert level == Counter(max(t(col) for t in fronts) for col in zip(*channel.scaled))
 
 

@@ -296,16 +296,17 @@ def test_times_matches_schoolbook_for_any_multiplier(p, m):
 
 # SHA-256 of repr((generator, exp, log, zech)) from the reference build
 # exp[i + 1] = mul_schoolbook(exp[i], g), zech[t] = log[_add_digits(1, exp[t])],
+# exp doubled, every field with its Zech table (XOR and prime fields too),
 # on the fields of acceptance 9, odd and uneven digit splits, and the two
 # production fields
 TABLE_SHA256 = {
-    (2, 1): "445a70afa7350a96eeced937601a4944c88f5990469f8ee0270a37dd8267e080",
-    (3, 1): "4a1d99fdda0f16c912343e652a1d4fd9603978746454e9f104b89c1e530929d9",
-    (5, 1): "b77d520b755c0443045aec9c3c710c8c4597e2c368d06569b10d002ba53cbf1e",
-    (7, 1): "6cb9e69356b81eb7a7094cb1cad25d3b7a0a587cea2180d472c7de826e44983e",
+    (2, 1): "61247b8563bb90ec3d47807f9f826f1d13f8d87b6de6f25dddb94cf14adcdd80",
+    (3, 1): "0d6b9055c517eab6f25b798fdc3a2ad08e8e36124c432b76c17892f61e7261b8",
+    (5, 1): "8e3a99e1ef64ee18c205b5d29e16f2ac14624dbb91762eb6b4771e6bda7d3a91",
+    (7, 1): "ca788993581742679b64c115ce18f29bd0173dd2d335f36b5b098b8765f115bf",
     (3, 2): "dcfff626c9641aafd8883c424f10bde70fbcf29e597e57b657d2b23e01042973",
-    (2, 4): "9729a0e2a915661f00f8846dc336586dbf5b274f4e5d6c905375a10b2f206fa3",
-    (2, 6): "b0642028bbe8f47c50572281c784edbc48860187816193a780d957bd5dd75415",
+    (2, 4): "06ecf452f283e1efd856ab421b98d4bc3d29aa8e8a447507ab3719a96a9f8b70",
+    (2, 6): "00a430b11a9b9d5aa0fc438c58bef29e74f26c94a45397c209d24ecf64079666",
     (3, 4): "ce4d465282a84607b98d947a392b8bca845cc2e9e3c7be0d90207f07a72073f0",
     (5, 3): "bc654b301ea953259a2cb97bf0c38ffb76705ee29f417c211d1348a58349e851",
     (7, 3): "33a60f50958f9d0da3342c54dc468a7571bdae787272e82b9f4c2df62e6ba62d",
@@ -313,7 +314,7 @@ TABLE_SHA256 = {
     (5, 6): "284579e291f4bbb2248365041c28064d19f9925a9e8951ddb423a78e7d8007b8",
     (7, 5): "de57a3bc9adaff2afce56e8198ff59b63e6513abe16c6e9f764e1069bae8be00",
     (3, 10): "39a0b49f5bbf80578271e32c30870bd445461e4d653cd3567c7178daea6f12d5",
-    (2, 16): "54eb132e739c7fea48ec8be5b61dd21618a7c93ad5476a07cd00cba232eb0d5e",
+    (2, 16): "5b9a13fea0ec6eb1f29fc13edce85af48ac29a49beb402f60e9e903212329510",
 }
 
 

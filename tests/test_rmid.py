@@ -223,15 +223,17 @@ def test_evaluation_matches_monomial_oracle(q, ell, k):
         assert evaluate_tag(identity, r) == tag_by_monomials(identity, r)
 
 
-# one of each kernel: Zech logs (GF(9), GF(3^10)), the XOR and prime fast
-# pairs, and on fields that never build tables the packed digits (GF(9),
-# GF(3^10), and GF(7^6) at its byte bound, 6 * 6^2 + 6 = 222) and the digit
-# pair (GF(7^7), 258 past it)
+# one of each kernel: Zech logs on every field with tables (GF(9), GF(3^10),
+# the XOR field GF(16), the prime field GF(7), and GF(2), whose group of
+# q - 1 = 1 element has the one log 0), and on fields that never build
+# tables the packed digits (GF(9), GF(3^10), and GF(7^6) at its byte bound,
+# 6 * 6^2 + 6 = 222) and the digit pair (GF(7^7), 258 past it)
 KERNEL_FIELDS = {
     "zech_9": (table_built, 3, 2),
     "zech_59049": (table_built, 3, 10),
-    "xor_16": (table_built, 2, 4),
-    "prime_7": (table_built, 7, 1),
+    "zech_16": (table_built, 2, 4),
+    "zech_7": (table_built, 7, 1),
+    "zech_2": (table_built, 2, 1),
     "table_free_9": (table_free, 3, 2),
     "table_free_59049": (table_free, 3, 10),
     "table_free_117649": (table_free, 7, 6),

@@ -301,7 +301,7 @@ def test_decrypt_validates_its_operands(seed, x):
 
 @st.composite
 def cipher_cases(draw):
-    pm = draw(st.sampled_from([(3, 2), (3, 10)]))
+    pm = draw(st.sampled_from([(3, 2), (3, 10), (2, 4), (7, 1)]))
     q = pm[0] ** pm[1]
     element = st.one_of(st.just(0), st.integers(0, q - 1))
     ell_prime = draw(st.integers(2, 6))
